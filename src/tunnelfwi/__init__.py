@@ -11,8 +11,8 @@ from .adjoint import (Gradient, Misfit, PreconditionMask, accumulate_gradient,
                       precondition)
 from .analytic import AnalyticQuery, greens_x_analytic, greens_x_polar, hankel2
 from .assembly import (AssembledSystem, DiscretizationConfig, DofMap,
-                       assemble_point_source, assemble_system, element_system,
-                       node_areas, shape_functions)
+                       assemble_point_source, assemble_system, node_areas,
+                       shape_functions)
 from .config import RunConfig, format_config, load_config, parse_config
 from .forward import (ForwardResult, RecordSet, WaveField, evaluate_field,
                       forward_solve, greens_sweep, sample_receivers,

@@ -28,6 +28,7 @@ class AdjointError(ValueError):
 class Misfit:
     value: float
     partials: dict  # (frequency index, source index) -> partial sum
+    residuals: np.ndarray  # masked record residuals, (n_f, n_s, n_r, 2)
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,23 @@ class PreconditionMask:
     surface_transition: float
 
 
-def misfit(synthetic, observed) -> Misfit:
-    """Least-squares record misfit with per-(frequency, source) partials."""
+def residuals(synthetic, observed):
+    """Masked record residuals, shape (n_f, n_s, n_r, 2)."""
     if synthetic.values.shape != observed.values.shape:
         raise AdjointError(f"record shapes differ: {synthetic.values.shape} "
                            f"vs {observed.values.shape}")
     if not np.array_equal(synthetic.omegas, observed.omegas):
         raise AdjointError("record frequency lists differ")
-    delta = (synthetic.values - observed.values) * synthetic.mask[None, None, :, :]
+    return (synthetic.values - observed.values) * synthetic.mask[None, None, :, :]
+
+
+def misfit(synthetic, observed) -> Misfit:
+    """Least-squares record misfit with per-(frequency, source) partials."""
+    delta = residuals(synthetic, observed)
     per_fs = np.sum((delta * delta.conj()).real, axis=(2, 3))
     partials = {(f, s): float(per_fs[f, s])
                 for f in range(per_fs.shape[0]) for s in range(per_fs.shape[1])}
-    return Misfit(value=float(per_fs.sum()), partials=partials)
-
-
-def residuals(synthetic, observed):
-    """Masked record residuals, shape (n_f, n_s, n_r, 2)."""
-    if synthetic.values.shape != observed.values.shape:
-        raise AdjointError("record shapes differ")
-    return (synthetic.values - observed.values) * synthetic.mask[None, None, :, :]
+    return Misfit(value=float(per_fs.sum()), partials=partials, residuals=delta)
 
 
 def adjoint_source(delta_u, layout, mesh, dof_map):
@@ -106,16 +105,6 @@ def accumulate_gradient(pairs_by_omega, mesh, model, rho, profile, cfg,
             pairs_by_omega[omega], mesh, model, rho, omega, profile, cfg, dof_map)
     values = 2.0 * raw.real / np.concatenate([areas, areas])
     return Gradient(values=values, node_areas=areas)
-
-
-def gradient_imag_residue(pairs_by_omega, mesh, model, rho, profile, cfg, dof_map):
-    """Imaginary leakage of the raw bilinear sum, for consistency checks."""
-    raw = np.zeros(2 * model.n_nodes, dtype=complex)
-    for omega in sorted(pairs_by_omega):
-        raw += asmmod.stiffness_derivative_products(
-            pairs_by_omega[omega], mesh, model, rho, omega, profile, cfg, dof_map)
-    scale = np.abs(raw.real).max()
-    return np.abs(raw.imag).max() / scale if scale > 0 else 0.0
 
 
 def _segment_distances(points, a, b):

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
-from . import material as matmod
 from . import mesh as meshmod
 from . import pml as pmlmod
 
@@ -210,35 +209,21 @@ class DofMap:
                     clamped[2 * m:2 * m + 2] = True
         return clamped
 
-    def mode_dofs(self, mode):
-        return 2 * mode, 2 * mode + 1
-
 
 # -- element matrices --------------------------------------------------------
 
-def _element_quadrature(mesh, e, model, omega, profile, cfg):
-    """Per-quadrature-point data shared by stiffness, mass and gradients."""
-    stretched = profile.c_pml > 0.0 and mesh.element_region[e] != meshmod.INTERIOR
-    nq = cfg.n_quad_pml if stretched else cfg.n_quad
-    pts, w, V, G = quad_table(cfg.degree, nq)
+def _axis_stretch(coord, ref, omega, profile):
+    """Stretch factor along one axis at (E, q) coordinates.
 
-    h = mesh.h
-    x0, y0 = mesh.element_origin(e)
-    gpts = np.column_stack([x0 + 0.5 * (pts[:, 0] + 1) * h,
-                            y0 + 0.5 * (pts[:, 1] + 1) * h])
-    wq = w * (h * h / 4.0)
-    Gg = G * (2.0 / h)
-
-    vp_c, vs_c = matmod.corner_velocities(model, mesh, e)
-    vp = V[:, :4] @ vp_c
-    vs = V[:, :4] @ vs_c
-
-    if stretched:
-        ex, ey = pmlmod.element_stretch(mesh, e, gpts, omega, profile)
-    else:
-        ex = np.ones(len(wq))
-        ey = np.ones(len(wq))
-    return wq, V, Gg, vp, vs, ex, ey
+    Rows whose element has no reference edge on this axis (``ref`` is NaN)
+    stay exactly one.
+    """
+    eps = np.ones(coord.shape, dtype=complex)
+    live = np.isfinite(ref)
+    if np.any(live):
+        eps[live] = pmlmod.stretching(np.abs(coord[live] - ref[live, None]),
+                                      omega, profile)
+    return eps
 
 
 def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
@@ -257,47 +242,38 @@ def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
     vp = model.vp[corners] @ V[:, :4].T  # (E, q)
     vs = model.vs[corners] @ V[:, :4].T
 
-    n_pts = len(wq)
     if stretched:
         origins = mesh.element_cell[elems] * h  # (E, 2)
-        gx = origins[:, 0:1] + 0.5 * (pts[:, 0] + 1.0)[None, :] * h
-        gy = origins[:, 1:2] + 0.5 * (pts[:, 1] + 1.0)[None, :] * h
-        rx = mesh.pml_ref[elems, 0][:, None]
-        ry = mesh.pml_ref[elems, 1][:, None]
-        omega_c = profile.omega_c_ratio * omega
-        denom = omega_c + 1j * omega
-
-        def stretch(coord, ref):
-            eps = np.ones(coord.shape, dtype=complex)
-            live = np.isfinite(ref)
-            if np.any(live):
-                s = np.abs(coord - np.where(live, ref, 0.0))
-                s = np.clip(s, 0.0, profile.width)
-                gamma = profile.c_pml * (1.0 - np.cos(0.5 * np.pi * s / profile.width))
-                eps = np.where(live, 1.0 + gamma / denom, eps)
-            return eps
-
-        ex = stretch(gx, rx)
-        ey = stretch(gy, ry)
+        ex, ey = (_axis_stretch(x0[:, None] + 0.5 * (x + 1.0)[None, :] * h, ref,
+                                omega, profile)
+                  for x0, x, ref in zip(origins.T, pts.T, mesh.pml_ref[elems].T))
     else:
-        ex = np.ones((len(elems), n_pts))
-        ey = np.ones((len(elems), n_pts))
+        ex = np.ones((len(elems), len(wq)))
+        ey = np.ones((len(elems), len(wq)))
     return wq, V, Gg, vp, vs, ex, ey
 
 
+def _stretch_factor(ex, ey):
+    """F[..., i, k] = eps_x*eps_y / (eps_i*eps_k) with eps_0=ex, eps_1=ey."""
+    F = np.empty(np.shape(ex) + (2, 2), dtype=complex)
+    F[..., 0, 0] = ey / ex
+    F[..., 0, 1] = 1.0
+    F[..., 1, 0] = 1.0
+    F[..., 1, 1] = ex / ey
+    return F
+
+
 def _batch_matrices(wq, V, G, vp, vs, ex, ey, rho):
-    """(K_e, M_e) stacks for one batch; see element_system for the terms."""
+    """Complex symmetric (K_e, M_e) stacks of one batch, dofs interleaved per mode."""
     lam = rho * (vp ** 2 - 2.0 * vs ** 2)
     mu = rho * vs ** 2
     n = V.shape[1]
     nel = vp.shape[0]
+    F = _stretch_factor(ex, ey)
 
-    F = np.empty((nel, len(wq), 2, 2), dtype=complex)
-    F[:, :, 0, 0] = ey / ex
-    F[:, :, 0, 1] = 1.0
-    F[:, :, 1, 0] = 1.0
-    F[:, :, 1, 1] = ex / ey
-
+    # lambda term and the first mu term carry 1/(eps_i eps_k) factors that
+    # coincide for both index conventions; the second mu term weights the
+    # gradient dot product by the derivative direction (eps_y/eps_x, eps_x/eps_y)
     wl = wq[None, :] * lam
     wm = wq[None, :] * mu
     K = np.einsum("eq,eqik,qai,qbk->eaibk", wl, F, G, G, optimize=True)
@@ -314,46 +290,6 @@ def _batch_matrices(wq, V, G, vp, vs, ex, ey, rho):
     M[:, :, 0, :, 0] = Mab
     M[:, :, 1, :, 1] = Mab
     return K, M.reshape(nel, 2 * n, 2 * n)
-
-
-def _stretch_factor(ex, ey):
-    """F[q, i, k] = eps_x*eps_y / (eps_i*eps_k) with eps_0=ex, eps_1=ey."""
-    F = np.empty((len(ex), 2, 2), dtype=complex)
-    F[:, 0, 0] = ey / ex
-    F[:, 0, 1] = 1.0
-    F[:, 1, 0] = 1.0
-    F[:, 1, 1] = ex / ey
-    return F
-
-
-def element_system(mesh, e, model, rho, omega, profile, cfg):
-    """Complex symmetric (K_e, M_e) of one element, dofs interleaved per mode."""
-    wq, V, G, vp, vs, ex, ey = _element_quadrature(mesh, e, model, omega, profile, cfg)
-    lam = rho * (vp ** 2 - 2.0 * vs ** 2)
-    mu = rho * vs ** 2
-    F = _stretch_factor(ex, ey)
-    n = V.shape[1]
-
-    # lambda term and the first mu term carry 1/(eps_i eps_k) factors that
-    # coincide for both index conventions; the second mu term weights the
-    # gradient dot product by the derivative direction (eps_y/eps_x, eps_x/eps_y)
-    wl = wq * lam
-    wm = wq * mu
-    K = np.einsum("q,qik,qai,qbk->aibk", wl, F, G, G)
-    K += np.einsum("q,qik,qak,qbi->aibk", wm, F, G, G)
-    Fdiag = F[:, (0, 1), (0, 1)]
-    Dw = np.einsum("q,qj,qaj,qbj->ab", wm, Fdiag, G, G)
-    K[:, 0, :, 0] += Dw
-    K[:, 1, :, 1] += Dw
-    K_e = K.reshape(2 * n, 2 * n)
-
-    wm_mass = wq * (ex * ey) * rho
-    Mab = np.einsum("q,qa,qb->ab", wm_mass, V, V)
-    M = np.zeros((n, 2, n, 2), dtype=complex)
-    M[:, 0, :, 0] = Mab
-    M[:, 1, :, 1] = Mab
-    M_e = M.reshape(2 * n, 2 * n)
-    return K_e, M_e
 
 
 @dataclass
@@ -435,57 +371,11 @@ def assemble_point_source(mesh, dof_map, s, direction, f_omega):
 
 # -- derivative of the impedance matrix with respect to the model ------------
 
-def _strain_products(u_loc, v_loc, G):
-    """Per-point contractions of the displacement gradients of two fields.
-
-    Returns (S_lam, S_mu, F-weighted) pieces used by the stiffness derivative:
-    A[q,i,j] = d u_i / d x_j from local dofs (interleaved per mode).
-    """
-    A = np.einsum("mi,qmj->qij", u_loc.reshape(-1, 2), G)
-    B = np.einsum("mi,qmj->qij", v_loc.reshape(-1, 2), G)
-    return A, B
-
-
-def _structure_sums(A, B, F):
-    """S_lam and S_mu per quadrature point for stretched isotropic material."""
-    S_lam = np.einsum("qik,qii,qkk->q", F, A, B)
-    S_mu = np.einsum("qik,qik,qki->q", F, A, B)
-    Fdiag = F[:, (0, 1), (0, 1)]  # derivative-direction weights
-    S_mu += np.einsum("qj,qij,qij->q", Fdiag, A, B)
-    return S_lam, S_mu
-
-
-def apply_dL_dm(u, u_adj, mesh, model, rho, omega, profile, cfg, k, dof_map):
-    """Bilinear form u . (dL/dm_k) . u_adj for one model coefficient.
-
-    Only the stiffness depends on the model (density is constant), and the
-    coefficient's bilinear hat is supported on at most four elements.
-    """
-    n = model.n_nodes
-    if not 0 <= k < 2 * n:
-        raise AssemblyError(f"model index {k} out of range [0, {2 * n})")
-    node = k % n
-    is_vp = k < n
-    total = 0.0 + 0.0j
-    for e in mesh.elements_of_node(node):
-        wq, V, G, vp, vs, ex, ey = _element_quadrature(mesh, e, model, omega, profile, cfg)
-        F = _stretch_factor(ex, ey)
-        dofs = dof_map.element_dofs[e]
-        A, B = _strain_products(u[dofs], u_adj[dofs], G)
-        S_lam, S_mu = _structure_sums(A, B, F)
-        a = int(np.flatnonzero(mesh.elements[e] == node)[0])
-        phi = V[:, a]
-        if is_vp:
-            total += np.sum(wq * 2.0 * rho * vp * phi * S_lam)
-        else:
-            total += np.sum(wq * rho * vs * phi * (2.0 * S_mu - 4.0 * S_lam))
-    return total
-
-
 def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg, dof_map):
     """Element-wise sum of u . (dK/dm_k) . u_adj over all coefficients.
 
     ``fields`` is a list of (u, u_adj) dof-vector pairs sharing one omega.
+    Density is constant, so these are also the products with dL/dm_k.
     Returns a complex vector aligned with the model vector.
     """
     n = model.n_nodes
@@ -497,11 +387,7 @@ def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg,
             continue
         wq, V, G, vp, vs, ex, ey = _batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
-        F = np.empty((len(elems), len(wq), 2, 2), dtype=complex)
-        F[:, :, 0, 0] = ey / ex
-        F[:, :, 0, 1] = 1.0
-        F[:, :, 1, 0] = 1.0
-        F[:, :, 1, 1] = ex / ey
+        F = _stretch_factor(ex, ey)
         Fdiag = F[:, :, (0, 1), (0, 1)]
         phi = V[:, :4]
         dofs = dof_map.element_dofs[elems]
@@ -531,12 +417,3 @@ def node_areas(mesh):
     for quad in mesh.elements:
         areas[quad] += per_corner
     return areas
-
-
-def dump_matrix(A, path):
-    """Coordinate text dump (row, col, re, im) for debugging."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w") as f:
-        f.write(f"# sparse {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")

@@ -35,6 +35,55 @@ def _parse_header_line(line, key, path, line_no):
     return parts[1].strip()
 
 
+def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
+    """Rows ``omega <prefix><index>... <x|y> re im`` into {omega: array}.
+
+    ``prefixes`` name the index columns ("s", "r") and ``sizes`` their
+    ranges; each array has shape ``sizes + (2,)``.  Every frequency must
+    carry the full set of (index..., direction) rows.
+    """
+    shape = tuple(sizes) + (2,)
+    n_cols = len(prefixes) + 4
+    rows = {}  # omega -> (line of its first row, values, which rows were read)
+    for line_no, ln in enumerate(lines[start:], start=start + 1):
+        if not ln.strip():
+            continue
+        where = f"{path}:{line_no}"
+        toks = ln.split()
+        if len(toks) != n_cols:
+            raise FileFormatError(f"{where}: expected {n_cols} columns")
+        key = []
+        for tok, prefix, size in zip(toks[1:], prefixes, sizes):
+            if not (tok[:1] == prefix and tok[1:].isdecimal() and int(tok[1:]) < size):
+                raise FileFormatError(
+                    f"{where}: expected {prefix}0..{prefix}{size - 1}, got {tok!r}")
+            key.append(int(tok[1:]))
+        if toks[-3] not in _DIR_INDEX:
+            raise FileFormatError(f"{where}: direction must be x or y, got {toks[-3]!r}")
+        key.append(_DIR_INDEX[toks[-3]])
+        try:
+            omega = float(toks[0])
+            value = complex(float(toks[-2]), float(toks[-1]))
+        except ValueError:
+            raise FileFormatError(f"{where}: malformed number") from None
+        if omega not in rows:
+            rows[omega] = (line_no, np.zeros(shape, dtype=complex),
+                           np.zeros(shape, dtype=bool))
+        _, values, seen = rows[omega]
+        values[tuple(key)] = value
+        seen[tuple(key)] = True
+    if not rows:
+        raise FileFormatError(f"{path}: no records found")
+    for omega, (line_no, _, seen) in rows.items():
+        if not seen.all():
+            *idx, d = np.argwhere(~seen)[0]
+            row = " ".join(f"{p}{i}" for p, i in zip(prefixes, idx))
+            raise FileFormatError(
+                f"{path}:{line_no}: frequency {omega!r} lacks {int((~seen).sum())} "
+                f"rows, first {row} {_DIR_LETTER[d]}")
+    return {omega: values for omega, (_, values, _) in rows.items()}
+
+
 # -- time records -------------------------------------------------------------
 
 def write_time_records(path, traces):
@@ -118,22 +167,7 @@ def read_frequency_records(path):
         raise FileFormatError(f"{path}: missing '# frequency-records' header")
     n_sources = int(_parse_header_line(lines[1], "n_sources", path, 2))
     n_receivers = int(_parse_header_line(lines[2], "n_receivers", path, 3))
-    out = {}
-    for line_no, ln in enumerate(lines[3:], start=4):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 6:
-            raise FileFormatError(f"{path}:{line_no}: expected 6 columns")
-        omega = float(toks[0])
-        s, r = int(toks[1][1:]), int(toks[2][1:])
-        d = _DIR_INDEX[toks[3]]
-        if omega not in out:
-            out[omega] = np.zeros((n_sources, n_receivers, 2), dtype=complex)
-        out[omega][s, r, d] = complex(float(toks[4]), float(toks[5]))
-    if not out:
-        raise FileFormatError(f"{path}: no records found")
-    return out
+    return _parse_spectrum_rows(path, lines, 3, ("s", "r"), (n_sources, n_receivers))
 
 
 def is_frequency_record_file(path):
@@ -163,17 +197,7 @@ def read_greens_sweep(path):
     if not lines or lines[0].strip() != "# greens-sweep":
         raise FileFormatError(f"{path}: missing '# greens-sweep' header")
     n_receivers = int(_parse_header_line(lines[1], "n_receivers", path, 2))
-    rows = {}
-    for line_no, ln in enumerate(lines[2:], start=3):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 5:
-            raise FileFormatError(f"{path}:{line_no}: expected 5 columns")
-        w = float(toks[0])
-        r, d = int(toks[1][1:]), _DIR_INDEX[toks[2]]
-        rows.setdefault(w, np.zeros((n_receivers, 2), dtype=complex))
-        rows[w][r, d] = complex(float(toks[3]), float(toks[4]))
+    rows = _parse_spectrum_rows(path, lines, 2, ("r",), (n_receivers,))
     omegas = np.array(sorted(rows))
     values = np.stack([rows[w] for w in omegas])
     return omegas, values

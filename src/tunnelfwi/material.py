@@ -104,12 +104,6 @@ def _bilinear(xi, eta):
                             (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
 
 
-def corner_velocities(model: ModelVector, mesh, e):
-    """(vp, vs) coefficients at the four corners of element e."""
-    corners = mesh.elements[e]
-    return model.vp[corners], model.vs[corners]
-
-
 def lame_parameters(vp, vs, rho):
     """First and second Lame parameter from wave velocities."""
     mu = rho * vs ** 2

@@ -22,10 +22,6 @@ PML_CORNER = 3
 REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
                 PML_CORNER: "pml-corner"}
 
-# boundary edge tags
-FREE_SURFACE = 1
-OUTER_PML = 2
-
 _SNAP = 1e-9  # relative snap tolerance for points sitting on grid lines
 
 
@@ -209,7 +205,6 @@ class Mesh:
         self.node_grid = node_grid
         self.cell_to_element = cell_to_element
         self._tag_edges()
-        self._node_elements = None
 
     def _tag_edges(self):
         """Classify boundary edges (edges owned by exactly one element)."""
@@ -264,23 +259,6 @@ class Mesh:
     def element_origin(self, e):
         i, j = self.element_cell[e]
         return i * self.h, j * self.h
-
-    def edge_tag(self, a, b):
-        key = (a, b) if a < b else (b, a)
-        if any((key == tuple(k)) for k in self.free_surface_edges):
-            return FREE_SURFACE
-        if any((key == tuple(k)) for k in self.outer_pml_edges):
-            return OUTER_PML
-        return 0
-
-    def elements_of_node(self, node):
-        if self._node_elements is None:
-            table = [[] for _ in range(self.n_nodes)]
-            for e, quad in enumerate(self.elements):
-                for n in quad:
-                    table[n].append(e)
-            self._node_elements = table
-        return self._node_elements[node]
 
     def candidate_cells(self, p):
         """Cells whose closure contains p, ordered by ascending element id."""
@@ -363,12 +341,7 @@ def locate_point(mesh: Mesh, p):
     if not cells:
         raise PointNotFoundError(f"point {tuple(p)} lies in the void or outside the grid")
     e = cells[0]
-    x0, y0 = mesh.element_origin(e)
-    xi = 2.0 * (p[0] - x0) / mesh.h - 1.0
-    eta = 2.0 * (p[1] - y0) / mesh.h - 1.0
-    xi = min(1.0, max(-1.0, xi))
-    eta = min(1.0, max(-1.0, eta))
-    return e, (xi, eta)
+    return e, _local_coordinates(mesh, e, p)
 
 
 def locate_station(mesh: Mesh, p):
@@ -384,10 +357,15 @@ def locate_station(mesh: Mesh, p):
     if not interior:
         raise PointNotFoundError(f"station {tuple(p)} lies inside the PML")
     e = interior[0]
+    return e, _local_coordinates(mesh, e, p)
+
+
+def _local_coordinates(mesh: Mesh, e, p):
+    """(xi, eta) of p in element e, clamped to [-1, 1]^2."""
     x0, y0 = mesh.element_origin(e)
     xi = 2.0 * (p[0] - x0) / mesh.h - 1.0
     eta = 2.0 * (p[1] - y0) / mesh.h - 1.0
-    return e, (min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta)))
+    return min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta))
 
 
 def local_to_global(mesh: Mesh, e, xi):

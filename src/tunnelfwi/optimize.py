@@ -10,8 +10,6 @@ top frequency and hand their model to the next group.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +18,7 @@ from . import adjoint as adjmod
 from . import assembly as asmmod
 from . import forward as fwdmod
 from . import material as matmod
-
-WORKERS_ENV = "TUNNELFWI_WORKERS"
+from . import solver as solvermod
 
 
 class ScheduleError(ValueError):
@@ -93,9 +90,6 @@ class LbfgsHistory:
         if len(self.pairs) > self.capacity:
             self.pairs.pop(0)
         return True
-
-    def clear(self):
-        self.pairs = []
 
     def __len__(self):
         return len(self.pairs)
@@ -286,51 +280,18 @@ class OptimizerState:
     model: matmod.ModelVector
     iteration: int = 0
     gradient: np.ndarray = None
-    history: LbfgsHistory = field(default_factory=LbfgsHistory)
     alpha: float = None
     log: list = field(default_factory=list)
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _group_forward(model, omegas, data: InversionData, keep=False):
-    """Synthetic records over a group, optionally keeping solve context."""
-    nf = len(omegas)
-    values = np.empty((nf, data.layout.n_sources, data.layout.n_receivers, 2),
-                      dtype=complex)
-    kept = [None] * nf
-
-    def run(fi):
-        omega = omegas[fi]
-        res = fwdmod.forward_solve(data.mesh, model, data.rho, omega, data.layout,
-                                   data.source_amplitude(omega), data.profile,
-                                   data.cfg, dof_map=data.dof_map)
-        for si, fieldi in enumerate(res.fields):
-            values[fi, si] = fwdmod.sample_receivers(fieldi, data.mesh, data.layout)
-        kept[fi] = res if keep else None
-
-    workers = _worker_count()
-    if workers > 1 and nf > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(nf)))
-    else:
-        for fi in range(nf):
-            run(fi)
-    records = fwdmod.RecordSet(omegas=np.asarray(omegas), values=values,
-                               mask=data.layout.direction_mask(), layout=data.layout)
-    return records, kept
-
-
 def _group_misfit(model, omegas, data: InversionData, observed, keep=False):
-    synthetic, kept = _group_forward(model, omegas, data, keep=keep)
-    chi = adjmod.misfit(synthetic, observed).value
-    delta = adjmod.residuals(synthetic, observed)
-    return chi, delta, kept
+    """Misfit and residuals over a group, optionally keeping solve context."""
+    out = fwdmod.solve_records(data.mesh, model, data.rho, omegas, data.layout,
+                               data.source_amplitude, data.profile, data.cfg,
+                               dof_map=data.dof_map, keep=keep)
+    synthetic, kept = out if keep else (out, None)
+    fit = adjmod.misfit(synthetic, observed)
+    return fit.value, fit.residuals, kept
 
 
 def _group_gradient(model, omegas, data: InversionData, delta, kept):
@@ -419,7 +380,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                                float(np.linalg.norm(grad_vec)) if grad_vec is not None else 0.0,
                                "group end"))
     return OptimizerState(model=model, iteration=state.iteration + iterations,
-                          gradient=grad_vec, history=history, alpha=alpha, log=log)
+                          gradient=grad_vec, alpha=alpha, log=log)
 
 
 @dataclass
@@ -432,7 +393,12 @@ class InversionResult:
 
 def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionData,
                   settings: InversionSettings) -> InversionResult:
-    """Sequential multi-scale loop; each group seeds the next one."""
+    """Sequential multi-scale loop; each group seeds the next one.
+
+    A group that ends in a line-search failure or a singular system is
+    recorded in ``failures`` and the next group starts from the last model;
+    any other error propagates.
+    """
     schedule.validate()
     initial_model.validate()
     state = OptimizerState(model=initial_model)
@@ -441,7 +407,7 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
     for gi, group in enumerate(schedule.groups):
         try:
             state = run_frequency_group(state, group, data, settings, group_index=gi)
-        except Exception as exc:
+        except (LineSearchError, solvermod.SingularMatrixError) as exc:
             failures.append((gi, str(exc)))
             if settings.strict:
                 raise

@@ -70,21 +70,3 @@ def stretched_stiffness(C, eps_x, eps_y):
 def mass_weight(eps_x, eps_y):
     """Multiplier on the density in the mass integrand (eps_z = 1 in 2D)."""
     return eps_x * eps_y
-
-
-def element_stretch(mesh, e, points, omega, profile: PmlProfile):
-    """(eps_x, eps_y) arrays at global points inside element e.
-
-    Unstretched axes return exactly one, so interior elements are untouched.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ex = np.ones(len(pts), dtype=complex)
-    ey = np.ones(len(pts), dtype=complex)
-    if profile.c_pml == 0.0:
-        return ex, ey
-    rx, ry = mesh.pml_ref[e]
-    if np.isfinite(rx):
-        ex = stretching(np.abs(pts[:, 0] - rx), omega, profile)
-    if np.isfinite(ry):
-        ey = stretching(np.abs(pts[:, 1] - ry), omega, profile)
-    return np.asarray(ex, dtype=complex), np.asarray(ey, dtype=complex)

@@ -6,8 +6,6 @@ adjoint solves; a module counter lets tests assert the reuse contract.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -35,10 +33,9 @@ def factorization_count():
 class Factorization:
     """Handle over a factorized matrix supporting repeated solves."""
 
-    def __init__(self, lu, n, pattern_token, matrix=None):
+    def __init__(self, lu, n, matrix=None):
         self._lu = lu
         self.n = n
-        self.pattern_token = pattern_token
         self._matrix = matrix  # kept only while check_residuals is on
 
     def solve(self, rhs):
@@ -54,21 +51,13 @@ class Factorization:
         return x
 
 
-def pattern_token(A: sp.csc_matrix):
-    h = hashlib.sha256()
-    h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
-    h.update(A.indptr.tobytes())
-    h.update(A.indices.tobytes())
-    return h.hexdigest()
-
-
 def factorize(A) -> Factorization:
     """LU-factorize a square complex sparse matrix."""
     global _n_factorizations
     A = sp.csc_matrix(A, dtype=complex)
     if A.shape[0] != A.shape[1]:
         raise SingularMatrixError(f"matrix is not square: {A.shape}")
-    nnz_per_row = np.diff(sp.csr_matrix(A).indptr)
+    nnz_per_row = np.bincount(A.indices, minlength=A.shape[0])
     if np.any(nnz_per_row == 0):
         row = int(np.argmax(nnz_per_row == 0))
         raise SingularMatrixError(f"structurally singular: row {row} is empty")
@@ -79,8 +68,4 @@ def factorize(A) -> Factorization:
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
     _n_factorizations += 1
     keep = A if check_residuals else None
-    return Factorization(lu, A.shape[0], pattern_token(A), matrix=keep)
-
-
-def solve(fact: Factorization, rhs):
-    return fact.solve(rhs)
+    return Factorization(lu, A.shape[0], matrix=keep)

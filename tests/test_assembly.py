@@ -5,9 +5,10 @@ from tunnelfwi import material as matmod
 from tunnelfwi import mesh as meshmod
 from tunnelfwi import pml as pmlmod
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
-                                apply_dL_dm, assemble_point_source,
-                                assemble_system, element_system, node_areas,
-                                shape_functions)
+                                _batch_matrices, _batch_quadrature,
+                                assemble_point_source, assemble_system,
+                                node_areas, shape_functions,
+                                stiffness_derivative_products)
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
 from tunnelfwi.pml import PmlProfile
@@ -155,6 +156,14 @@ def test_interface_continuity_random_field():
 
 # -- element matrices -----------------------------------------------------------
 
+def element_system(mesh, e, model, rho, omega, profile, cfg):
+    """(K_e, M_e) of one element through the production batch path."""
+    stretched = profile.c_pml > 0.0 and mesh.element_region[e] != meshmod.INTERIOR
+    K, M = _batch_matrices(*_batch_quadrature(mesh, np.array([e]), model, omega,
+                                              profile, cfg, stretched), rho)
+    return K[0], M[0]
+
+
 def test_element_mass_conservation():
     mesh = box_mesh()
     model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
@@ -257,8 +266,8 @@ def dense_oracle_system(mesh, model, rho, omega, profile, cfg):
                 C = matmod.isotropic_stiffness(vp, vs, rho)
                 ex, ey = 1.0 + 0.0j, 1.0 + 0.0j
                 if stretched:
-                    exa, eya = pmlmod.element_stretch(mesh, e, [gp], omega, profile)
-                    ex, ey = exa[0], eya[0]
+                    ex, ey = (pmlmod.stretching(s, omega, profile)
+                              for s in meshmod.pml_local_coordinate(mesh, e, gp))
                 Ct = pmlmod.stretched_stiffness(C, ex, ey)
                 nm = len(V)
                 for a in range(nm):
@@ -382,8 +391,8 @@ def test_dL_dm_zero_adjoint():
     dm = DofMap(mesh, 1)
     rng = np.random.default_rng(12)
     u = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
-    val = apply_dL_dm(u, np.zeros(dm.n_dofs, dtype=complex), mesh, model, RHO,
-                      900.0, NO_PML, cfg, 3, dm)
+    val = stiffness_derivative_products([(u, np.zeros(dm.n_dofs, dtype=complex))],
+                                        mesh, model, RHO, 900.0, NO_PML, cfg, dm)[3]
     assert val == 0.0
 
 
@@ -401,7 +410,8 @@ def test_dL_dm_matches_explicit_matrix():
     v[dm.clamped] = 0.0
     step = 1e-3
     for k in (0, 5, mesh.n_nodes + 2, 2 * mesh.n_nodes - 1):
-        got = apply_dL_dm(u, v, mesh, model, RHO, omega, NO_PML, cfg, k, dm)
+        got = stiffness_derivative_products([(u, v)], mesh, model, RHO, omega,
+                                            NO_PML, cfg, dm)[k]
         mp = model.values.copy()
         mp[k] += step
         mm = model.values.copy()
@@ -425,24 +435,14 @@ def test_dL_dm_matches_fd_with_pml():
     v[dm.clamped] = 0.0
     step = 1e-2
     for k in (2, mesh.n_nodes + 7):
-        got = apply_dL_dm(u, v, mesh, model, RHO, omega, PML, cfg, k, dm)
+        got = stiffness_derivative_products([(u, v)], mesh, model, RHO, omega,
+                                            PML, cfg, dm)[k]
         mp = model.values.copy(); mp[k] += step
         mm = model.values.copy(); mm[k] -= step
         Lp = assemble_system(mesh, ModelVector(mp), RHO, omega, PML, cfg, dof_map=dm).L
         Lm = assemble_system(mesh, ModelVector(mm), RHO, omega, PML, cfg, dof_map=dm).L
         fd = u @ ((Lp - Lm) / (2 * step)) @ v
         assert got == pytest.approx(fd, rel=1e-6)
-
-
-def test_dL_dm_index_out_of_range():
-    mesh = box_mesh(2, 1)
-    model = random_model(mesh, 17)
-    dm = DofMap(mesh, 1)
-    cfg = DiscretizationConfig(degree=1)
-    u = np.zeros(dm.n_dofs, dtype=complex)
-    with pytest.raises(AssemblyError):
-        apply_dL_dm(u, u, mesh, model, RHO, 900.0, NO_PML, cfg,
-                    2 * mesh.n_nodes, dm)
 
 
 def test_node_areas():

@@ -210,6 +210,62 @@ def test_greens_sweep_file_round_trip(tmp_path):
     assert np.array_equal(v2, values)
 
 
+def _records_file(tmp_path):
+    rng = np.random.default_rng(95)
+    observed = {500.0: rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))}
+    path = tmp_path / "freq.txt"
+    write_frequency_records(path, observed, 2, 3)
+    return path
+
+
+def _sweep_file(tmp_path):
+    rng = np.random.default_rng(96)
+    values = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    path = tmp_path / "sweep.txt"
+    fileio.write_greens_sweep(path, np.array([100.0, 250.0]), values, 2)
+    return path
+
+
+@pytest.mark.parametrize("make, read, row", [
+    (_records_file, read_frequency_records, 4),
+    (_sweep_file, fileio.read_greens_sweep, 3)])
+def test_spectrum_readers_reject_bad_direction(tmp_path, make, read, row):
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    toks = lines[row - 1].split()
+    toks[-3] = "z"
+    lines[row - 1] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f":{row}: direction must be x or y"):
+        read(path)
+
+
+@pytest.mark.parametrize("make, read, first, drop", [
+    (_records_file, read_frequency_records, 4, 8),
+    (_sweep_file, fileio.read_greens_sweep, 7, 9)])
+def test_spectrum_readers_reject_missing_rows(tmp_path, make, read, first, drop):
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    del lines[drop - 1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f":{first}: frequency .* lacks 1 rows"):
+        read(path)
+
+
+@pytest.mark.parametrize("make, read, row, col", [
+    (_records_file, read_frequency_records, 5, 2),
+    (_sweep_file, fileio.read_greens_sweep, 3, 1)])
+def test_spectrum_readers_reject_index_out_of_range(tmp_path, make, read, row, col):
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    toks = lines[row - 1].split()
+    toks[col] = toks[col][0] + "7"
+    lines[row - 1] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f":{row}: expected"):
+        read(path)
+
+
 def test_validation_table_round_trip(tmp_path):
     rows = [(0.5, 1.0 + 2.0j, 1.1 + 1.9j, 0.05, True),
             (1.5, -0.25 + 0.0j, -0.2 + 0.1j, 0.5, False)]

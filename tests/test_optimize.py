@@ -330,16 +330,38 @@ def test_inversion_deterministic_logs():
     assert log1 == log2
 
 
-def test_worker_override_is_deterministic(monkeypatch):
+def test_run_inversion_propagates_unexpected_errors(monkeypatch):
+    from tunnelfwi import adjoint
     mesh, data, truth = toy_problem()
     start = ModelVector.homogeneous(mesh, 4020.0, 2380.0)
-    settings = InversionSettings(max_iterations=2)
-    sched = FrequencySchedule(((1200.0, 2000.0),))
-    serial = run_inversion(start, sched, data, settings)
-    monkeypatch.setenv("TUNNELFWI_WORKERS", "2")
-    threaded = run_inversion(start, sched, data, settings)
-    np.testing.assert_array_equal(serial.model.values, threaded.model.values)
-    assert format_log(serial.state.log) == format_log(threaded.state.log)
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the group")
+
+    monkeypatch.setattr(adjoint, "accumulate_gradient", broken)
+    with pytest.raises(TypeError, match="bug inside the group"):
+        run_inversion(start, FrequencySchedule(((1200.0,), (1200.0, 2000.0))),
+                      data, InversionSettings(max_iterations=2))
+
+
+def test_run_inversion_records_singular_group(monkeypatch):
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem()
+    factorize = solver.factorize
+    calls = []
+
+    def first_fails(A):
+        calls.append(1)
+        if len(calls) == 1:
+            raise solver.SingularMatrixError("zero pivot")
+        return factorize(A)
+
+    monkeypatch.setattr(solver, "factorize", first_fails)
+    sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
+    res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3))
+    assert res.failures == [(0, "zero pivot")]
+    assert len(res.group_models) == 2
+    np.testing.assert_array_equal(res.model.values, truth.values)
 
 
 def test_factorizations_per_iteration_counts_frequencies():
