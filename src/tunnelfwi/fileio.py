@@ -28,11 +28,16 @@ class FileFormatError(ValueError):
     pass
 
 
-def _parse_header_line(line, key, path, line_no):
-    parts = line.split("=", 1)
+def _parse_header_line(lines, line_no, key, path, convert=str):
+    """Value of the ``key = value`` line at (1-based) ``line_no``."""
+    where = f"{path}:{line_no}"
+    parts = lines[line_no - 1].split("=", 1) if line_no <= len(lines) else []
     if len(parts) != 2 or parts[0].strip() != key:
-        raise FileFormatError(f"{path}:{line_no}: expected '{key} = ...'")
-    return parts[1].strip()
+        raise FileFormatError(f"{where}: expected '{key} = ...'")
+    try:
+        return convert(parts[1].strip())
+    except ValueError:
+        raise FileFormatError(f"{where}: malformed {key} value") from None
 
 
 def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
@@ -111,9 +116,9 @@ def read_time_records(path):
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != "# time-records":
         raise FileFormatError(f"{path}: missing '# time-records' header")
-    nt = int(_parse_header_line(lines[1], "nt", path, 2))
-    dt = float(_parse_header_line(lines[2], "dt", path, 3))
-    t0 = float(_parse_header_line(lines[3], "t0", path, 4))
+    nt = _parse_header_line(lines, 2, "nt", path, int)
+    dt = _parse_header_line(lines, 3, "dt", path, float)
+    t0 = _parse_header_line(lines, 4, "t0", path, float)
     if dt <= 0:
         raise FileFormatError(f"{path}: dt must be > 0, got {dt}")
     if nt < 2:
@@ -122,20 +127,30 @@ def read_time_records(path):
     keys = []
     row = 4
     while row < len(lines) and lines[row].startswith("trace"):
-        toks = _parse_header_line(lines[row], "trace", path, row + 1).split()
-        if len(toks) != 3 or toks[0][0] != "s" or toks[1][0] != "r" or toks[2] not in _DIR_INDEX:
+        toks = _parse_header_line(lines, row + 1, "trace", path).split()
+        if (len(toks) != 3 or toks[0][0] != "s" or not toks[0][1:].isdecimal()
+                or toks[1][0] != "r" or not toks[1][1:].isdecimal()
+                or toks[2] not in _DIR_INDEX):
             raise FileFormatError(f"{path}:{row + 1}: malformed trace id")
         keys.append((int(toks[0][1:]), int(toks[1][1:]), toks[2]))
         row += 1
     if not keys:
         raise FileFormatError(f"{path}: no traces declared")
 
-    body = [ln for ln in lines[row:] if ln.strip()]
+    body = [(line_no, ln) for line_no, ln in enumerate(lines[row:], start=row + 1)
+            if ln.strip()]
     if len(body) != nt:
         raise FileFormatError(f"{path}: expected {nt} sample rows, found {len(body)}")
-    data = np.array([[float(tok) for tok in ln.split()] for ln in body])
-    if data.shape[1] != len(keys):
-        raise FileFormatError(f"{path}: expected {len(keys)} columns")
+    data = np.empty((nt, len(keys)))
+    for n, (line_no, ln) in enumerate(body):
+        toks = ln.split()
+        if len(toks) != len(keys):
+            raise FileFormatError(f"{path}:{line_no}: expected {len(keys)} columns, "
+                                  f"found {len(toks)}")
+        try:
+            data[n] = [float(tok) for tok in toks]
+        except ValueError:
+            raise FileFormatError(f"{path}:{line_no}: malformed number") from None
     return {k: sigmod.TimeSeries(data[:, i], dt, t0) for i, k in enumerate(keys)}
 
 
@@ -165,8 +180,8 @@ def read_frequency_records(path):
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != "# frequency-records":
         raise FileFormatError(f"{path}: missing '# frequency-records' header")
-    n_sources = int(_parse_header_line(lines[1], "n_sources", path, 2))
-    n_receivers = int(_parse_header_line(lines[2], "n_receivers", path, 3))
+    n_sources = _parse_header_line(lines, 2, "n_sources", path, int)
+    n_receivers = _parse_header_line(lines, 3, "n_receivers", path, int)
     return _parse_spectrum_rows(path, lines, 3, ("s", "r"), (n_sources, n_receivers))
 
 
@@ -196,7 +211,7 @@ def read_greens_sweep(path):
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != "# greens-sweep":
         raise FileFormatError(f"{path}: missing '# greens-sweep' header")
-    n_receivers = int(_parse_header_line(lines[1], "n_receivers", path, 2))
+    n_receivers = _parse_header_line(lines, 2, "n_receivers", path, int)
     rows = _parse_spectrum_rows(path, lines, 2, ("r",), (n_receivers,))
     omegas = np.array(sorted(rows))
     values = np.stack([rows[w] for w in omegas])
@@ -253,9 +268,9 @@ def read_model_grid(path, mesh) -> matmod.ModelVector:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != "# model-grid":
         raise FileFormatError(f"{path}: missing '# model-grid' header")
-    nx = int(_parse_header_line(lines[1], "nx", path, 2))
-    ny = int(_parse_header_line(lines[2], "ny", path, 3))
-    h = float(_parse_header_line(lines[3], "h", path, 4))
+    nx = _parse_header_line(lines, 2, "nx", path, int)
+    ny = _parse_header_line(lines, 3, "ny", path, int)
+    h = _parse_header_line(lines, 4, "h", path, float)
     if nx != mesh.nx + 1 or ny != mesh.ny + 1 or abs(h - mesh.h) > 1e-12:
         raise FileFormatError(
             f"{path}: grid {nx}x{ny} (h={h}) does not match mesh "
@@ -309,5 +324,16 @@ def cached_spectra(records_path, omegas, layout, cache_dir=None):
     if os.path.exists(cache):
         return read_frequency_records(cache)
     observed = records_to_spectra(read_time_records(records_path), omegas, layout)
-    write_frequency_records(cache, observed, layout.n_sources, layout.n_receivers)
+    # write beside the target and rename over it, so an interrupted run never
+    # leaves a torn cache; a directory that cannot be written means no cache
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        try:
+            write_frequency_records(tmp, observed, layout.n_sources, layout.n_receivers)
+            os.replace(tmp, cache)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass
     return observed

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
                               write_frequency_records, write_model_grid,
                               write_time_records)
 from tunnelfwi.material import ModelVector
-from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
+from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
+                            build_tunnel_mesh)
 from tunnelfwi.signal import TimeSeries
 
 
@@ -144,6 +146,101 @@ def test_time_records_inconsistent_rows(tmp_path):
                     "trace = s0 r0 x\n1.0\n2.0\n")
     with pytest.raises(FileFormatError, match="sample rows"):
         read_time_records(path)
+
+
+def _two_trace_file(tmp_path):
+    path = tmp_path / "rec.txt"
+    traces = {(0, 0, "x"): TimeSeries(np.arange(4.0), 0.5),
+              (0, 0, "y"): TimeSeries(np.arange(4.0) ** 2, 0.5)}
+    write_time_records(path, traces)
+    return path, path.read_text().splitlines()
+
+
+def test_time_records_ragged_row(tmp_path):
+    path, lines = _two_trace_file(tmp_path)
+    lines[-1] = lines[-1].split()[0]  # last sample row cut to one value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f"rec.txt:{len(lines)}: expected 2 columns"):
+        read_time_records(path)
+
+
+def test_time_records_non_numeric_sample(tmp_path):
+    path, lines = _two_trace_file(tmp_path)
+    lines[-2] = lines[-2].split()[0] + " abc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f"rec.txt:{len(lines) - 1}: malformed number"):
+        read_time_records(path)
+
+
+def test_time_records_malformed_header(tmp_path):
+    path, lines = _two_trace_file(tmp_path)
+    bad_nt = lines[:1] + ["nt = four"] + lines[2:]
+    path.write_text("\n".join(bad_nt) + "\n")
+    with pytest.raises(FileFormatError, match="rec.txt:2: malformed nt"):
+        read_time_records(path)
+    bad_id = lines[:4] + ["trace = sx r0 x"] + lines[5:]
+    path.write_text("\n".join(bad_id) + "\n")
+    with pytest.raises(FileFormatError, match="rec.txt:5: malformed trace id"):
+        read_time_records(path)
+
+
+# -- DFT cache ------------------------------------------------------------------------
+
+def _cache_inputs(tmp_path):
+    layout = StationLayout(sources=(Source((1.0, 1.0), (1.0, 0.0)),),
+                           receivers=(Receiver((2.0, 2.0)),))
+    rng = np.random.default_rng(94)
+    traces = {(0, 0, d): TimeSeries(rng.normal(size=16), 1e-4, 0.0) for d in "xy"}
+    path = tmp_path / "time.txt"
+    write_time_records(path, traces)
+    return path, layout, (700.0, 900.0)
+
+
+def _cache_files(directory):
+    return sorted(f for f in os.listdir(directory) if ".dft-" in f)
+
+
+def test_cached_spectra_writes_and_reuses_cache(tmp_path):
+    path, layout, omegas = _cache_inputs(tmp_path)
+    first = fileio.cached_spectra(path, omegas, layout)
+    caches = _cache_files(tmp_path)
+    assert len(caches) == 1 and caches[0].endswith(".txt")  # no temp file left
+    again = fileio.cached_spectra(path, omegas, layout)
+    for w in omegas:
+        np.testing.assert_array_equal(again[w], first[w])
+
+
+def test_cached_spectra_without_writable_cache_dir(tmp_path):
+    path, layout, omegas = _cache_inputs(tmp_path)
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    observed = fileio.cached_spectra(path, omegas, layout, cache_dir=str(not_a_dir))
+    assert set(observed) == set(omegas)
+    assert _cache_files(tmp_path) == []
+
+
+def test_cached_spectra_failed_rename_leaves_no_files(tmp_path, monkeypatch):
+    path, layout, omegas = _cache_inputs(tmp_path)
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    observed = fileio.cached_spectra(path, omegas, layout)
+    assert set(observed) == set(omegas)
+    assert _cache_files(tmp_path) == []
+
+
+def test_cached_spectra_corrupt_cache_names_path(tmp_path):
+    path, layout, omegas = _cache_inputs(tmp_path)
+    fileio.cached_spectra(path, omegas, layout)
+    cache = tmp_path / _cache_files(tmp_path)[0]
+    torn = cache.read_text().rstrip().rsplit(" ", 2)[0]  # last row lacks re, im
+    cache.write_text(torn)
+    with pytest.raises(FileFormatError, match=re.escape(f"{cache}:")):
+        fileio.cached_spectra(path, omegas, layout)
+    cache.write_text("# frequency-records\n")  # cut after its first line
+    with pytest.raises(FileFormatError, match=re.escape(f"{cache}:2")):
+        fileio.cached_spectra(path, omegas, layout)
 
 
 # -- model grids --------------------------------------------------------------------

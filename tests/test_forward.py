@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -199,3 +205,55 @@ def test_greens_sweep_invalid_range():
         greens_sweep(mesh, model, RHO, src, 0.0, 100.0, 10.0, layout, profile, cfg)
     with pytest.raises(ForwardError):
         greens_sweep(mesh, model, RHO, src, 100.0, 50.0, 10.0, layout, profile, cfg)
+
+
+# One case-study solve at the top schedule frequency: the blindtest mesh at
+# p = 3 (72,938 dofs), omega = 5000 rad/s, ambient model, first source.
+# Prints the dof count, the degree, the relative residual and the number of
+# pivoted fallbacks.
+CASE_SCALE_SOLVE = """
+import sys
+import numpy as np
+from tunnelfwi import assembly, config, forward, material, mesh, solver
+cfg = config.load_config(sys.argv[1])
+grid = mesh.build_tunnel_mesh(cfg.geometry())
+full = cfg.layout()
+layout = mesh.StationLayout(sources=full.sources[:1], receivers=full.receivers)
+amb = cfg.ambient()
+model = material.ModelVector.homogeneous(grid, amb.vp, amb.vs)
+disc = cfg.discretization()
+res = forward.forward_solve(grid, model, amb.rho, 5000.0, layout, 1.0,
+                            cfg.profile(), disc)
+src = layout.sources[0]
+b = assembly.assemble_point_source(grid, res.system.dof_map, src.position,
+                                   src.direction, 1.0)
+r = np.linalg.norm(res.system.L @ res.fields[0].u - b) / np.linalg.norm(b)
+print(res.system.dof_map.n_dofs, disc.degree, repr(float(r)), solver.fallback_count())
+"""
+
+
+def test_case_scale_top_frequency_fits_in_memory():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-c", CASE_SCALE_SOLVE,
+                             str(root / "configs" / "blindtest.cfg")],
+                            env=env, stdout=subprocess.PIPE)
+    timer = threading.Timer(120.0, proc.kill)
+    timer.start()
+    try:
+        out = proc.stdout.read()
+        proc.stdout.close()
+        # wait4 gives this child's own peak RSS, whatever other children ran
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    peak_mb = usage.ru_maxrss / 1024.0
+    assert proc.returncode == 0, f"exit {proc.returncode}, peak RSS {peak_mb:.0f} MB"
+    n_dofs, degree, residual, fallbacks = out.split()
+    assert (int(n_dofs), int(degree)) == (72938, 3)
+    assert peak_mb <= 1024.0
+    assert float(residual) <= 1e-10
+    assert int(fallbacks) == 0

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from tunnelfwi import solver
-from tunnelfwi.solver import (SingularMatrixError, SolveError,
-                              factorization_count, factorize)
+from tunnelfwi.solver import (SingularMatrixError, SolveError, factorization_count,
+                              factorize, fallback_count)
 
 
 def random_complex_symmetric(n, seed):
@@ -109,10 +109,54 @@ def test_factorization_counter_increments():
 
 
 def test_residual_check_mode():
+    # the residual guard is always on: a well-conditioned solve passes it
+    # without falling back to a pivoted factorization
     A = sp.csc_matrix(random_complex_symmetric(5, 33))
-    solver.check_residuals = True
-    try:
-        f = factorize(A)
-        f.solve(np.ones(5, dtype=complex))  # passes the post-check
-    finally:
-        solver.check_residuals = False
+    before = fallback_count()
+    f = factorize(A)
+    x = f.solve(np.ones(5, dtype=complex))
+    assert np.linalg.norm(A @ x - 1.0) <= solver.RESIDUAL_BOUND * np.sqrt(5)
+    assert fallback_count() == before
+
+
+def tiny_diagonal_matrix():
+    # unpivoted elimination on a 1e-20 diagonal grows entries by 1e20
+    eps = 1e-20
+    return sp.csc_matrix(np.array([[eps, 1, 1], [1, eps, 1], [1, 1, eps]],
+                                  dtype=complex))
+
+
+def test_failed_residual_falls_back_to_pivoted_lu():
+    A = tiny_diagonal_matrix()
+    b = np.array([1.0, 2.0, 3.0], dtype=complex)
+    f = factorize(A)
+    n_fact, n_fallback = factorization_count(), fallback_count()
+    x = f.solve(b)
+    assert fallback_count() == n_fallback + 1
+    assert factorization_count() == n_fact + 1
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=0, atol=1e-12)
+    # later solves reuse the pivoted factors
+    b2 = np.array([-1.0, 0.5j, 2.0], dtype=complex)
+    x2 = f.solve(b2)
+    assert fallback_count() == n_fallback + 1
+    assert factorization_count() == n_fact + 1
+    np.testing.assert_allclose(x2, np.linalg.solve(A.toarray(), b2), rtol=0, atol=1e-12)
+
+
+def test_solve_error_when_pivoted_residual_fails():
+    # singular values 1 .. 1e-17: numerically singular, no pivoting helps
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    A = Q @ np.diag(np.logspace(0, -17, 6)) @ Q.T
+    f = factorize(sp.csc_matrix(A))
+    before = fallback_count()
+    with pytest.raises(SolveError, match="residual .* after pivoting"):
+        f.solve(rng.normal(size=6) + 0j)
+    assert fallback_count() == before + 1
+
+
+def test_factorize_does_not_copy_complex_csc():
+    A = sp.csc_matrix(random_complex_symmetric(4, 34))
+    f = factorize(A)
+    # the guard keeps the matrix; a complex CSC input must not be copied
+    assert np.shares_memory(f._matrix.data, A.data)
