@@ -2,11 +2,11 @@
 
 The data misfit is the squared modulus of the record residuals summed over
 frequencies, sources, receivers and directions.  Its model gradient comes
-from one extra solve per (frequency, source) on the factorization that
-already exists from the forward pass, followed by an element-wise
-accumulation of the stiffness-derivative bilinear form.  The gradient is
-masked to zero near stations and free surfaces with a linear ramp back to
-one, and normalized by the lumped nodal areas.
+from one multi-column solve per frequency (a column per source) on the
+factorization that already exists from the forward pass, followed by an
+element-wise accumulation of the stiffness-derivative bilinear form.  The
+gradient is masked to zero near stations and free surfaces with a linear
+ramp back to one, and normalized by the lumped nodal areas.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly as asmmod
-from . import mesh as meshmod
 from . import solver as solvermod
 
 
@@ -66,20 +65,18 @@ def misfit(synthetic, observed) -> Misfit:
 
 
 def adjoint_source(delta_u, layout, mesh, dof_map):
-    """Right-hand side that excites -conj(residual) at the receivers."""
+    """Right-hand side ``-R.T conj(residual)`` at the recorded directions.
+
+    ``delta_u`` is one source's (n_receivers, 2) residual slice, or an
+    (n_sources, n_receivers, 2) stack that gives a column per source.
+    """
     delta_u = np.asarray(delta_u)
-    if delta_u.shape != (layout.n_receivers, 2):
+    if delta_u.shape[-2:] != (layout.n_receivers, 2) or delta_u.ndim > 3:
         raise AdjointError(f"residual slice has shape {delta_u.shape}, "
-                           f"expected ({layout.n_receivers}, 2)")
-    rhs = np.zeros(dof_map.n_dofs, dtype=complex)
-    for r, rec in enumerate(layout.receivers):
-        e, xi = meshmod.locate_station(mesh, rec.position)
-        V, _ = asmmod.shape_functions(dof_map.p, np.asarray(xi))
-        dofs = dof_map.element_dofs[e]
-        for d in rec.directions:
-            rhs[dofs[d::2]] += -np.conj(delta_u[r, d]) * V
-    rhs[dof_map.clamped] = 0.0
-    return rhs
+                           f"expected ([n_sources,] {layout.n_receivers}, 2)")
+    R = dof_map.station_operator([r.position for r in layout.receivers])
+    weights = -np.conj(delta_u * layout.direction_mask())
+    return R.T @ weights.reshape(delta_u.shape[:-2] + (-1,)).T
 
 
 def adjoint_field(fact: solvermod.Factorization, rhs):

@@ -193,6 +193,14 @@ class DofMap:
         self.element_dofs = dofs
 
         self.clamped = self._clamped_mask()
+        self._station_operators = {}
+
+    def station_operator(self, points):
+        """``point_operator`` of station points, built once per point set."""
+        key = tuple((float(x), float(y)) for x, y in points)
+        if key not in self._station_operators:
+            self._station_operators[key] = point_operator(self, key)
+        return self._station_operators[key]
 
     def _clamped_mask(self):
         """Dofs fixed to zero on the outer PML boundary."""
@@ -354,19 +362,29 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     return AssembledSystem(L=L, K=K, M=M, dof_map=dof_map, omega=float(omega))
 
 
+def point_operator(dof_map, points, allow_pml=False):
+    """Sparse (2 n_points, n_dofs) R whose row 2k+d samples direction d at point k.
+
+    Records are ``R @ u``; ``R.T`` scatters point forces and adjoint sources,
+    and clamped dofs carry zero weight so that it also keeps the clamp.
+    Points must lie outside the PML unless ``allow_pml`` is set (probes).
+    """
+    locate = meshmod.locate_point if allow_pml else meshmod.locate_station
+    located = [locate(dof_map.mesh, p) for p in points]
+    elems = np.array([e for e, _ in located], dtype=int)
+    V, _ = shape_functions(dof_map.p, np.reshape([xi for _, xi in located], (-1, 2)))
+    dofs = dof_map.element_dofs[elems]
+    cols = np.stack([dofs[:, 0::2], dofs[:, 1::2]], axis=1)  # (point, direction, mode)
+    data = V[:, None, :] * ~dof_map.clamped[cols]
+    indptr = np.arange(cols.shape[0] * 2 + 1) * V.shape[1]
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                         shape=(2 * len(elems), dof_map.n_dofs))
+
+
 def assemble_point_source(mesh, dof_map, s, direction, f_omega):
-    """Right-hand side of a point force: shape values scattered at s."""
-    e, xi = meshmod.locate_station(mesh, s)
-    if mesh.element_region[e] != meshmod.INTERIOR:
-        raise AssemblyError(f"source {tuple(s)} lies inside the PML")
-    V, _ = shape_functions(dof_map.p, np.asarray(xi))
-    rhs = np.zeros(dof_map.n_dofs, dtype=complex)
-    dofs = dof_map.element_dofs[e]
-    d = np.asarray(direction, dtype=float)
-    rhs[dofs[0::2]] += f_omega * V * d[0]
-    rhs[dofs[1::2]] += f_omega * V * d[1]
-    rhs[dof_map.clamped] = 0.0
-    return rhs
+    """Right-hand side of a point force: ``S.T`` times the force at s."""
+    S = dof_map.station_operator([s])
+    return S.T @ np.multiply(f_omega, direction, dtype=complex)
 
 
 # -- derivative of the impedance matrix with respect to the model ------------
@@ -413,7 +431,5 @@ def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg,
 def node_areas(mesh):
     """Lumped support area of every bilinear hat (integral of the hat)."""
     areas = np.zeros(mesh.n_nodes)
-    per_corner = mesh.h * mesh.h / 4.0
-    for quad in mesh.elements:
-        areas[quad] += per_corner
+    np.add.at(areas, mesh.elements, mesh.h * mesh.h / 4.0)
     return areas

@@ -169,7 +169,10 @@ def _parse_line(key, value, line_no, out):
             norm = np.hypot(dx, dy)
             if norm == 0:
                 raise ConfigError(f"line {line_no}: source direction is zero")
-            out["sources"].append(meshmod.Source((x, y), (dx / norm, dy / norm)))
+            # dividing a dumped unit direction again can move its last bit
+            if abs(norm - 1.0) > 1e-15:
+                dx, dy = dx / norm, dy / norm
+            out["sources"].append(meshmod.Source((x, y), (dx, dy)))
         elif key == "receiver":
             if len(parts) not in (2, 3):
                 raise ConfigError(f"line {line_no}: receiver needs 'x y [dirs]'")

@@ -17,6 +17,7 @@ from . import signal as sigmod
 
 _DIR_LETTER = {0: "x", 1: "y"}
 _DIR_INDEX = {"x": 0, "y": 1}
+_VALIDATION_HEADER = "# pml-validation: s num_re num_im ana_re ana_im norm_err usable"
 
 
 def fmt(x):
@@ -26,6 +27,15 @@ def fmt(x):
 
 class FileFormatError(ValueError):
     pass
+
+
+def _read_lines(path, header):
+    """Lines of a text file whose first line must be ``header``."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise FileFormatError(f"{path}: missing '{header}' header")
+    return lines
 
 
 def _parse_header_line(lines, line_no, key, path, convert=str):
@@ -38,6 +48,18 @@ def _parse_header_line(lines, line_no, key, path, convert=str):
         return convert(parts[1].strip())
     except ValueError:
         raise FileFormatError(f"{where}: malformed {key} value") from None
+
+
+def _number_row(path, line_no, line, n_cols):
+    """The ``n_cols`` numbers of one body row, or FileFormatError at path:line."""
+    toks = line.split()
+    if len(toks) != n_cols:
+        raise FileFormatError(f"{path}:{line_no}: expected {n_cols} columns, "
+                              f"found {len(toks)}")
+    try:
+        return [float(tok) for tok in toks]
+    except ValueError:
+        raise FileFormatError(f"{path}:{line_no}: malformed number") from None
 
 
 def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
@@ -112,10 +134,7 @@ def write_time_records(path, traces):
 
 def read_time_records(path):
     """Inverse of write_time_records; returns {(s, r, d): TimeSeries}."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "# time-records":
-        raise FileFormatError(f"{path}: missing '# time-records' header")
+    lines = _read_lines(path, "# time-records")
     nt = _parse_header_line(lines, 2, "nt", path, int)
     dt = _parse_header_line(lines, 3, "dt", path, float)
     t0 = _parse_header_line(lines, 4, "t0", path, float)
@@ -143,14 +162,7 @@ def read_time_records(path):
         raise FileFormatError(f"{path}: expected {nt} sample rows, found {len(body)}")
     data = np.empty((nt, len(keys)))
     for n, (line_no, ln) in enumerate(body):
-        toks = ln.split()
-        if len(toks) != len(keys):
-            raise FileFormatError(f"{path}:{line_no}: expected {len(keys)} columns, "
-                                  f"found {len(toks)}")
-        try:
-            data[n] = [float(tok) for tok in toks]
-        except ValueError:
-            raise FileFormatError(f"{path}:{line_no}: malformed number") from None
+        data[n] = _number_row(path, line_no, ln, len(keys))
     return {k: sigmod.TimeSeries(data[:, i], dt, t0) for i, k in enumerate(keys)}
 
 
@@ -176,10 +188,7 @@ def write_frequency_records(path, observed, n_sources, n_receivers):
 
 def read_frequency_records(path):
     """Inverse of write_frequency_records: {omega: (n_s, n_r, 2) array}."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "# frequency-records":
-        raise FileFormatError(f"{path}: missing '# frequency-records' header")
+    lines = _read_lines(path, "# frequency-records")
     n_sources = _parse_header_line(lines, 2, "n_sources", path, int)
     n_receivers = _parse_header_line(lines, 3, "n_receivers", path, int)
     return _parse_spectrum_rows(path, lines, 3, ("s", "r"), (n_sources, n_receivers))
@@ -207,10 +216,7 @@ def write_greens_sweep(path, omegas, values, n_receivers):
 
 def read_greens_sweep(path):
     """Inverse of write_greens_sweep: (omegas, values (n_f, n_r, 2))."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "# greens-sweep":
-        raise FileFormatError(f"{path}: missing '# greens-sweep' header")
+    lines = _read_lines(path, "# greens-sweep")
     n_receivers = _parse_header_line(lines, 2, "n_receivers", path, int)
     rows = _parse_spectrum_rows(path, lines, 2, ("r",), (n_receivers,))
     omegas = np.array(sorted(rows))
@@ -223,25 +229,20 @@ def read_greens_sweep(path):
 def write_validation_table(path, rows):
     """Rows of (distance, numeric, analytic, normalized error, usable flag)."""
     with open(path, "w") as f:
-        f.write("# pml-validation: s num_re num_im ana_re ana_im norm_err usable\n")
+        f.write(_VALIDATION_HEADER + "\n")
         for dist, num, ana, err, usable in rows:
             f.write(f"{fmt(dist)} {fmt(num.real)} {fmt(num.imag)} {fmt(ana.real)} "
                     f"{fmt(ana.imag)} {fmt(err)} {int(usable)}\n")
 
 
 def read_validation_table(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("# pml-validation"):
-        raise FileFormatError(f"{path}: missing '# pml-validation' header")
+    lines = _read_lines(path, _VALIDATION_HEADER)
     rows = []
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        t = ln.split()
-        rows.append((float(t[0]), complex(float(t[1]), float(t[2])),
-                     complex(float(t[3]), float(t[4])), float(t[5]),
-                     bool(int(t[6]))))
+        t = _number_row(path, line_no, ln, 7)
+        rows.append((t[0], complex(t[1], t[2]), complex(t[3], t[4]), t[5], bool(t[6])))
     return rows
 
 
@@ -264,10 +265,7 @@ def write_model_grid(path, model: matmod.ModelVector, mesh):
 
 def read_model_grid(path, mesh) -> matmod.ModelVector:
     """Read a model grid, checking it matches the mesh node for node."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "# model-grid":
-        raise FileFormatError(f"{path}: missing '# model-grid' header")
+    lines = _read_lines(path, "# model-grid")
     nx = _parse_header_line(lines, 2, "nx", path, int)
     ny = _parse_header_line(lines, 3, "ny", path, int)
     h = _parse_header_line(lines, 4, "h", path, float)
@@ -275,14 +273,15 @@ def read_model_grid(path, mesh) -> matmod.ModelVector:
         raise FileFormatError(
             f"{path}: grid {nx}x{ny} (h={h}) does not match mesh "
             f"{mesh.nx + 1}x{mesh.ny + 1} (h={mesh.h})")
-    body = [ln for ln in lines[5:] if ln.strip()]
+    body = [(line_no, ln) for line_no, ln in enumerate(lines[5:], start=6)
+            if ln.strip()]
     if len(body) != mesh.n_nodes:
         raise FileFormatError(f"{path}: expected {mesh.n_nodes} node rows, "
                               f"found {len(body)}")
     vp = np.empty(mesh.n_nodes)
     vs = np.empty(mesh.n_nodes)
-    for n, ln in enumerate(body):
-        x, y, vpn, vsn = (float(t) for t in ln.split())
+    for n, (line_no, ln) in enumerate(body):
+        x, y, vpn, vsn = _number_row(path, line_no, ln, 4)
         if abs(x - mesh.nodes[n, 0]) > 1e-9 or abs(y - mesh.nodes[n, 1]) > 1e-9:
             raise FileFormatError(f"{path}: node {n} coordinates do not match the mesh")
         if vpn <= 0 or vsn <= 0:

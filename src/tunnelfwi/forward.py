@@ -44,9 +44,6 @@ class RecordSet:
         if nf != len(self.omegas) or nd != 2:
             raise ForwardError("record array shape does not match its index ranges")
 
-    def masked(self):
-        return self.values * self.mask[None, None, :, :]
-
 
 @dataclass
 class ForwardResult:
@@ -57,23 +54,21 @@ class ForwardResult:
 
 def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
                   dof_map=None) -> ForwardResult:
-    """One wave field per source, all from a single factorization.
+    """One wave field per source, all from one multi-column solve.
 
     ``f_omega`` is the complex source amplitude, either a scalar shared by
     all sources or one value per source.
     """
     system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=dof_map)
     fact = solvermod.factorize(system.L)
-    amps = np.broadcast_to(np.asarray(f_omega, dtype=complex), (layout.n_sources,))
-    fields = []
-    for src, amp in zip(layout.sources, amps):
-        if amp == 0.0:
-            u = np.zeros(system.dof_map.n_dofs, dtype=complex)
-        else:
-            rhs = asmmod.assemble_point_source(mesh, system.dof_map, src.position,
-                                               src.direction, amp)
-            u = fact.solve(rhs)
-        fields.append(WaveField(u=u, omega=float(omega), dof_map=system.dof_map))
+    dm, n_s = system.dof_map, layout.n_sources
+    amps = np.broadcast_to(np.asarray(f_omega, dtype=complex), (n_s,))
+    forces = amps[:, None] * np.reshape([s.direction for s in layout.sources], (n_s, 2))
+    # columns[2k + d, k] is source k's force in direction d
+    columns = np.repeat(np.eye(n_s), 2, axis=0) * forces.reshape(-1, 1)
+    S = dm.station_operator([s.position for s in layout.sources])
+    U = fact.solve(S.T @ columns)
+    fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dm) for k in range(n_s)]
     return ForwardResult(fields=fields, system=system, factorization=fact)
 
 
@@ -83,21 +78,13 @@ def evaluate_field(mesh, dof_map, u, p, allow_pml=False):
     Receiver sampling refuses PML points; pass allow_pml=True to probe the
     decay inside the absorbing layer.
     """
-    if allow_pml:
-        e, xi = meshmod.locate_point(mesh, p)
-    else:
-        e, xi = meshmod.locate_station(mesh, p)
-    V, _ = asmmod.shape_functions(dof_map.p, np.asarray(xi))
-    dofs = dof_map.element_dofs[e]
-    return np.array([V @ u[dofs[0::2]], V @ u[dofs[1::2]]])
+    return asmmod.point_operator(dof_map, [p], allow_pml) @ u
 
 
 def sample_receivers(field: WaveField, mesh, layout) -> np.ndarray:
     """(n_receivers, 2) complex displacements at the receiver points."""
-    out = np.zeros((layout.n_receivers, 2), dtype=complex)
-    for r, rec in enumerate(layout.receivers):
-        out[r] = evaluate_field(mesh, field.dof_map, field.u, rec.position)
-    return out
+    R = field.dof_map.station_operator([r.position for r in layout.receivers])
+    return (R @ field.u).reshape(-1, 2)
 
 
 def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
@@ -113,8 +100,7 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
     for fi, omega in enumerate(omegas):
         res = forward_solve(mesh, model, rho, omega, layout, f_omega_of(omega),
                             profile, cfg, dof_map=dof_map)
-        for si, field in enumerate(res.fields):
-            values[fi, si] = sample_receivers(field, mesh, layout)
+        values[fi] = [sample_receivers(field, mesh, layout) for field in res.fields]
         if keep:
             kept.append(res)
     records = RecordSet(omegas=omegas, values=values,

@@ -295,17 +295,13 @@ def _group_misfit(model, omegas, data: InversionData, observed, keep=False):
 
 
 def _group_gradient(model, omegas, data: InversionData, delta, kept):
-    """Adjoint solves per (frequency, source) on the kept factorizations."""
+    """One multi-column adjoint solve per frequency on the kept factorizations."""
     pairs = {}
     for fi, omega in enumerate(omegas):
         res = kept[fi]
-        plist = []
-        for si in range(data.layout.n_sources):
-            rhs = adjmod.adjoint_source(delta[fi, si], data.layout, data.mesh,
-                                        data.dof_map)
-            u_adj = adjmod.adjoint_field(res.factorization, rhs)
-            plist.append((res.fields[si].u, u_adj))
-        pairs[omega] = plist
+        rhs = adjmod.adjoint_source(delta[fi], data.layout, data.mesh, data.dof_map)
+        u_adj = adjmod.adjoint_field(res.factorization, rhs)
+        pairs[omega] = [(f.u, u_adj[:, si]) for si, f in enumerate(res.fields)]
     grad = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
                                       data.profile, data.cfg, data.dof_map,
                                       areas=data.node_areas)

@@ -7,9 +7,10 @@ The impedance matrix is complex symmetric, so SuperLU runs in symmetric
 mode: a minimum-degree ordering of A + Aᵀ with pivots kept on the diagonal
 (off it only where a diagonal entry is exactly zero), so the elimination
 follows that ordering and its fill stays the same at every ω.  Unpivoted
-elimination can be unstable, so every solve checks its relative residual
-(one sparse matvec).  A solve that misses the bound refactorizes the matrix
-once with partial pivoting, and that factorization serves the later solves.
+elimination can be unstable, so every solve checks the relative residual
+of each right-hand-side column (one sparse product).  A solve with any
+column over the bound refactorizes the matrix once with partial pivoting,
+re-solves all its columns, and that factorization serves the later solves.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ def fallback_count():
 
 
 def _norm(v):
-    """2-norm by a numpy reduction, without BLAS.
+    """2-norm of a vector or of each column, by a numpy reduction, without BLAS.
 
     Between solves inside an inversion, np.linalg.norm (a BLAS dot) took
     about 5 ms on a 10,230-entry vector with two OpenBLAS threads; this sum
     takes about 0.1 ms.
     """
-    return np.sqrt(np.sum(np.abs(v) ** 2))
+    return np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
 
 
 def _splu(A, **options):
@@ -73,14 +74,14 @@ class Factorization:
         self.n = matrix.shape[0]
 
     def _residual(self, x, b):
-        """Relative residual; a zero right-hand side needs a zero solution."""
+        """Largest relative residual of the columns; a zero column needs x = 0."""
         r = _norm(self._matrix @ x - b)
-        if r == 0:
-            return 0.0
-        norm_b = _norm(b)
-        return r / norm_b if norm_b > 0 else np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(r == 0, 0.0, r / _norm(b))
+        return float(np.max(rel, initial=0.0))
 
     def solve(self, rhs):
+        """Solution of A x = rhs for an (n,) or (n, k) right-hand side."""
         global _n_fallbacks
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.n:

@@ -282,6 +282,21 @@ def test_model_grid_negative_velocity(tmp_path):
         read_model_grid(path, mesh)
 
 
+def test_model_grid_short_or_non_numeric_row(tmp_path):
+    mesh = build_tunnel_mesh(TunnelGeometry(2, 1, 0, 1, 0, 0, 1))
+    path = tmp_path / "model.txt"
+    write_model_grid(path, ModelVector.homogeneous(mesh, 4000.0, 2400.0), mesh)
+    lines = path.read_text().splitlines()
+    short = lines[:6] + [" ".join(lines[6].split()[:3])] + lines[7:]
+    path.write_text("\n".join(short) + "\n")
+    with pytest.raises(FileFormatError, match="model.txt:7: expected 4 columns, found 3"):
+        read_model_grid(path, mesh)
+    word = lines[:7] + [lines[7].replace("4000.0", "fast")] + lines[8:]
+    path.write_text("\n".join(word) + "\n")
+    with pytest.raises(FileFormatError, match="model.txt:8: malformed number"):
+        read_model_grid(path, mesh)
+
+
 # -- frequency records ----------------------------------------------------------------
 
 def test_frequency_records_round_trip(tmp_path):
@@ -369,6 +384,20 @@ def test_validation_table_round_trip(tmp_path):
     path = tmp_path / "table.txt"
     fileio.write_validation_table(path, rows)
     assert fileio.read_validation_table(path) == rows
+
+
+def test_validation_table_short_or_non_numeric_row(tmp_path):
+    rows = [(0.5, 1.0 + 2.0j, 1.1 + 1.9j, 0.05, True),
+            (1.5, -0.25 + 0.0j, -0.2 + 0.1j, 0.5, False)]
+    path = tmp_path / "table.txt"
+    fileio.write_validation_table(path, rows)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, " ".join(second.split()[:3])]) + "\n")
+    with pytest.raises(FileFormatError, match="table.txt:3: expected 7 columns, found 3"):
+        fileio.read_validation_table(path)
+    path.write_text("\n".join([header, first.replace("0.05", "n/a"), second]) + "\n")
+    with pytest.raises(FileFormatError, match="table.txt:2: malformed number"):
+        fileio.read_validation_table(path)
 
 
 def test_convergence_log_round_trip():

@@ -1,0 +1,144 @@
+"""Property tests: every fileio writer/reader pair and the config dump are
+lossless for any data they accept."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tunnelfwi import fileio
+from tunnelfwi.config import format_config, parse_config
+from tunnelfwi.material import ModelVector
+from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
+from tunnelfwi.signal import TimeSeries
+
+SETTINGS = settings(max_examples=50, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False)
+coordinate = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+complex_values = st.builds(complex, finite, finite)
+
+
+def _complex_array(shape):
+    return st.lists(complex_values, min_size=int(np.prod(shape)),
+                    max_size=int(np.prod(shape))).map(
+        lambda v: np.array(v, dtype=complex).reshape(shape))
+
+
+@st.composite
+def time_records(draw):
+    nt = draw(st.integers(2, 6))
+    dt, t0 = draw(positive), draw(finite)
+    keys = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.sampled_from("xy")), min_size=1, max_size=5))
+    return {k: TimeSeries(np.array(draw(st.lists(finite, min_size=nt, max_size=nt))),
+                          dt, t0) for k in keys}
+
+
+@SETTINGS
+@given(traces=time_records())
+def test_time_records_round_trip(tmp_path_factory, traces):
+    path = tmp_path_factory.mktemp("rt") / "rec.txt"
+    fileio.write_time_records(path, traces)
+    back = fileio.read_time_records(path)
+    assert set(back) == set(traces)
+    for k, t in traces.items():
+        assert np.array_equal(back[k].samples, t.samples)
+        assert (back[k].dt, back[k].t0) == (t.dt, t.t0)
+
+
+@st.composite
+def frequency_records(draw):
+    n_s, n_r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    omegas = draw(st.sets(positive, min_size=1, max_size=3))
+    return {w: draw(_complex_array((n_s, n_r, 2))) for w in omegas}, n_s, n_r
+
+
+@SETTINGS
+@given(case=frequency_records())
+def test_frequency_records_round_trip(tmp_path_factory, case):
+    observed, n_s, n_r = case
+    path = tmp_path_factory.mktemp("rt") / "freq.txt"
+    fileio.write_frequency_records(path, observed, n_s, n_r)
+    back = fileio.read_frequency_records(path)
+    assert set(back) == set(observed)
+    for w, values in observed.items():
+        assert np.array_equal(back[w], values)
+
+
+@st.composite
+def greens_sweeps(draw):
+    n_r = draw(st.integers(1, 3))
+    omegas = np.array(sorted(draw(st.sets(positive, min_size=1, max_size=4))))
+    return omegas, draw(_complex_array((len(omegas), n_r, 2))), n_r
+
+
+@SETTINGS
+@given(case=greens_sweeps())
+def test_greens_sweep_round_trip(tmp_path_factory, case):
+    omegas, values, n_r = case
+    path = tmp_path_factory.mktemp("rt") / "sweep.txt"
+    fileio.write_greens_sweep(path, omegas, values, n_r)
+    w, v = fileio.read_greens_sweep(path)
+    assert np.array_equal(w, omegas)
+    assert np.array_equal(v, values)
+
+
+validation_rows = st.lists(st.tuples(finite, complex_values, complex_values, finite,
+                                     st.booleans()), max_size=5)
+
+
+@SETTINGS
+@given(rows=validation_rows)
+def test_validation_table_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rt") / "table.txt"
+    fileio.write_validation_table(path, rows)
+    assert fileio.read_validation_table(path) == rows
+
+
+GRID = build_tunnel_mesh(TunnelGeometry(4, 2, 0, 2, 0, 0, 1))
+
+
+@SETTINGS
+@given(values=st.lists(positive, min_size=2 * GRID.n_nodes, max_size=2 * GRID.n_nodes))
+def test_model_grid_round_trip(tmp_path_factory, values):
+    model = ModelVector(np.array(values))
+    path = tmp_path_factory.mktemp("rt") / "model.txt"
+    fileio.write_model_grid(path, model, GRID)
+    assert np.array_equal(fileio.read_model_grid(path, GRID).values, model.values)
+
+
+@st.composite
+def config_texts(draw):
+    """Config files with stations, an explicit schedule, frequency lists and
+    scalars that no cross-module invariant constrains."""
+    lines = [f"wavelet_peak_hz = {draw(positive)!r}",
+             f"step_fraction = {draw(positive)!r}",
+             f"station_radius = {draw(st.floats(0.0, 10.0))!r}",
+             f"max_iterations = {draw(st.integers(1, 50))}"]
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(coordinate), draw(coordinate)
+        dx, dy = draw(st.tuples(coordinate, coordinate).filter(
+            lambda d: np.hypot(*d) > 1e-3))
+        lines.append(f"source = {x!r} {y!r} {dx!r} {dy!r}")
+    for _ in range(draw(st.integers(0, 3))):
+        dirs = draw(st.sampled_from(["x", "y", "xy"]))
+        lines.append(f"receiver = {draw(coordinate)!r} {draw(coordinate)!r} {dirs}")
+    for top in sorted(draw(st.sets(positive, min_size=1, max_size=4))):
+        low = draw(st.lists(st.floats(1e-6, top), max_size=2))
+        lines.append("group = " + " ".join(repr(w) for w in low + [top]))
+    freqs = draw(st.lists(positive, max_size=3))
+    if freqs:
+        lines.append("frequencies = " + " ".join(repr(w) for w in freqs))
+    degrees = draw(st.lists(st.tuples(positive, st.integers(1, 3)), max_size=3))
+    if degrees:
+        lines.append("sweep_degrees = " + " ".join(f"{u!r}:{d}" for u, d in degrees))
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(text=config_texts())
+def test_config_dump_round_trip(text):
+    cfg = parse_config(text)
+    dumped = format_config(cfg)
+    assert parse_config(dumped) == cfg
+    assert format_config(parse_config(dumped)) == dumped

@@ -160,3 +160,39 @@ def test_factorize_does_not_copy_complex_csc():
     f = factorize(A)
     # the guard keeps the matrix; a complex CSC input must not be copied
     assert np.shares_memory(f._matrix.data, A.data)
+
+
+def test_multi_column_solve_matches_single_solves():
+    A = sp.csc_matrix(random_complex_symmetric(12, 35))
+    rng = np.random.default_rng(36)
+    B = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    f = factorize(A)
+    X = f.solve(B)
+    assert X.shape == (12, 3)
+    for k in range(3):
+        x = f.solve(B[:, k])
+        assert np.abs(X[:, k] - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_zero_column_beside_non_zero_column_solves_to_exact_zeros():
+    A = sp.csc_matrix(random_complex_symmetric(6, 37))
+    B = np.zeros((6, 2), dtype=complex)
+    B[:, 1] = np.arange(1, 7) - 2j
+    before = fallback_count()
+    X = factorize(A).solve(B)
+    np.testing.assert_array_equal(X[:, 0], 0.0)
+    assert np.linalg.norm(A @ X[:, 1] - B[:, 1]) <= 1e-10 * np.linalg.norm(B[:, 1])
+    assert fallback_count() == before
+
+
+def test_multi_column_fallback_refactorizes_once_for_all_columns():
+    A = tiny_diagonal_matrix()
+    B = np.array([[1.0, -1.0], [2.0, 0.5j], [3.0, 2.0]], dtype=complex)
+    f = factorize(A)
+    n_fact, n_fallback = factorization_count(), fallback_count()
+    X = f.solve(B)
+    assert fallback_count() == n_fallback + 1
+    assert factorization_count() == n_fact + 1
+    for k in range(2):
+        np.testing.assert_allclose(X[:, k], np.linalg.solve(A.toarray(), B[:, k]),
+                                   rtol=0, atol=1e-12)
