@@ -18,8 +18,8 @@ from .forward import (ForwardResult, RecordSet, WaveField, evaluate_field,
                       forward_solve, greens_sweep, sample_receivers,
                       solve_records)
 from .material import (AmbientProperties, InvalidMaterialError, ModelVector,
-                       clamp_to_valid, evaluate_velocities, isotropic_stiffness,
-                       lame_parameters, velocities_from_lame)
+                       clamp_to_valid, evaluate_velocities, lame_parameters,
+                       velocities_from_lame)
 from .mesh import (Mesh, MeshError, PointNotFoundError, Receiver, Source,
                    StationLayout, TunnelGeometry, build_tunnel_mesh,
                    build_unbounded_mesh, locate_point, locate_station,
@@ -29,7 +29,7 @@ from .optimize import (FrequencySchedule, InversionData, InversionSettings,
                        OptimizerState, blindtest_schedule, format_log,
                        lbfgs_direction, line_search, minimize_lbfgs, parse_log,
                        run_frequency_group, run_inversion)
-from .pml import PmlProfile, damping, mass_weight, stretched_stiffness, stretching
+from .pml import PmlProfile, damping, stretching
 from .signal import (Spectrum, TimeSeries, deconvolve, dft, dft_many,
                      idft_synthesize, ricker, ricker_spectrum, sample_ricker)
 from .solver import Factorization, SingularMatrixError, factorization_count, factorize

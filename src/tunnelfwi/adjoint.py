@@ -74,6 +74,7 @@ def adjoint_source(delta_u, layout, mesh, dof_map):
     if delta_u.shape[-2:] != (layout.n_receivers, 2) or delta_u.ndim > 3:
         raise AdjointError(f"residual slice has shape {delta_u.shape}, "
                            f"expected ([n_sources,] {layout.n_receivers}, 2)")
+    asmmod.check_dof_map(dof_map, mesh)
     R = dof_map.station_operator([r.position for r in layout.receivers])
     weights = -np.conj(delta_u * layout.direction_mask())
     return R.T @ weights.reshape(delta_u.shape[:-2] + (-1,)).T

@@ -148,7 +148,11 @@ def quad_table(p, nq):
 # -- dof map ----------------------------------------------------------------
 
 class DofMap:
-    """Global numbering of modes and their two displacement dofs."""
+    """Global numbering of modes and their two displacement dofs.
+
+    Operators that depend only on the numbering (station operators, the
+    system pattern) are built on first use and kept here.
+    """
 
     def __init__(self, mesh, p):
         self.mesh = mesh
@@ -183,8 +187,8 @@ class DofMap:
             for i in range(n_edge):
                 modes[:, 4 + loc * n_edge + i] = nv + elem_edges[:, loc] * n_edge + i
         base = nv + ne * n_edge
-        for e in range(mesh.n_elements):
-            modes[e, 4 + 4 * n_edge:] = base + e * n_int + np.arange(n_int)
+        modes[:, 4 + 4 * n_edge:] = (base + np.arange(mesh.n_elements)[:, None] * n_int
+                                     + np.arange(n_int))
         self.element_modes = modes
 
         dofs = np.empty((mesh.n_elements, 2 * modes.shape[1]), dtype=int)
@@ -194,6 +198,7 @@ class DofMap:
 
         self.clamped = self._clamped_mask()
         self._station_operators = {}
+        self._system_pattern = None
 
     def station_operator(self, points):
         """``point_operator`` of station points, built once per point set."""
@@ -201,6 +206,12 @@ class DofMap:
         if key not in self._station_operators:
             self._station_operators[key] = point_operator(self, key)
         return self._station_operators[key]
+
+    def system_pattern(self):
+        """``SystemPattern`` of the clamped system, built on first use."""
+        if self._system_pattern is None:
+            self._system_pattern = SystemPattern(self)
+        return self._system_pattern
 
     def _clamped_mask(self):
         """Dofs fixed to zero on the outer PML boundary."""
@@ -237,14 +248,14 @@ def _axis_stretch(coord, ref, omega, profile):
 def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
     """Vectorized per-element quadrature data for a batch sharing one rule.
 
-    Returns (wq, V, G, vp, vs, ex, ey) with element-by-point material and
-    stretch arrays; V/G/wq are shared across the batch (uniform squares).
+    Returns (rule, h, vp, vs, ex, ey): ``rule`` = (degree, points per axis)
+    keys ``quad_table`` and ``_product_tables``, which every element of the
+    batch shares (uniform squares of side h); the rest are element-by-point
+    material and stretch arrays, real ones where unstretched.
     """
-    nq = cfg.n_quad_pml if stretched else cfg.n_quad
-    pts, w, V, G = quad_table(cfg.degree, nq)
+    rule = (cfg.degree, cfg.n_quad_pml if stretched else cfg.n_quad)
+    pts, _, V, _ = quad_table(*rule)
     h = mesh.h
-    wq = w * (h * h / 4.0)
-    Gg = G * (2.0 / h)
 
     corners = mesh.elements[elems]
     vp = model.vp[corners] @ V[:, :4].T  # (E, q)
@@ -256,14 +267,14 @@ def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
                                 omega, profile)
                   for x0, x, ref in zip(origins.T, pts.T, mesh.pml_ref[elems].T))
     else:
-        ex = np.ones((len(elems), len(wq)))
-        ey = np.ones((len(elems), len(wq)))
-    return wq, V, Gg, vp, vs, ex, ey
+        ex = np.ones((len(elems), len(pts)))
+        ey = np.ones((len(elems), len(pts)))
+    return rule, h, vp, vs, ex, ey
 
 
 def _stretch_factor(ex, ey):
     """F[..., i, k] = eps_x*eps_y / (eps_i*eps_k) with eps_0=ex, eps_1=ey."""
-    F = np.empty(np.shape(ex) + (2, 2), dtype=complex)
+    F = np.empty(np.shape(ex) + (2, 2), dtype=np.result_type(ex, ey))
     F[..., 0, 0] = ey / ex
     F[..., 0, 1] = 1.0
     F[..., 1, 0] = 1.0
@@ -271,51 +282,165 @@ def _stretch_factor(ex, ey):
     return F
 
 
-def _batch_matrices(wq, V, G, vp, vs, ex, ey, rho):
-    """Complex symmetric (K_e, M_e) stacks of one batch, dofs interleaved per mode."""
+_PRODUCT_TABLES = {}
+
+
+def _product_tables(p, nq):
+    """Cached real tables (TK, TM) that turn quadrature coefficients into
+    element matrices.
+
+    Columns run over the (a, i, b, k) entries of an element matrix, dofs
+    interleaved per mode.  TK rows run over (point, lambda or mu, i, k):
+    lambda couples G_ai G_bk into block (i, k); mu couples G_ak G_bi into
+    block (i, k), and its i = k row also adds G_ai G_bi to both diagonal
+    blocks.  TM rows run over points: V_a V_b on the diagonal blocks.
+    """
+    key = (p, nq)
+    if key not in _PRODUCT_TABLES:
+        _, _, V, G = quad_table(p, nq)
+        nqq, n = V.shape
+        d = np.eye(2)
+        GG = np.einsum("qai,qbk->qikab", G, G)
+        TK = np.empty((nqq, 2, 2, 2, n, 2, n, 2))
+        TK[:, 0] = np.einsum("qikab,ij,kl->qikajbl", GG, d, d)
+        TK[:, 1] = (np.einsum("qkiab,ij,kl->qikajbl", GG, d, d)
+                    + np.einsum("qiiab,ik,jl->qikajbl", GG, d, d))
+        TM = np.einsum("qa,qb,ik->qaibk", V, V, d)
+        _PRODUCT_TABLES[key] = (TK.reshape(nqq * 8, -1), TM.reshape(nqq, -1))
+    return _PRODUCT_TABLES[key]
+
+
+def _table_product(coef, table):
+    """coef @ table for a real table: one real GEMM, with real and imaginary
+    parts of complex coefficients stacked as rows."""
+    if not np.iscomplexobj(coef):
+        return coef @ table
+    re, im = np.split(np.concatenate([coef.real, coef.imag]) @ table, 2)
+    return re + 1j * im
+
+
+def _batch_matrices(rule, h, vp, vs, ex, ey, rho):
+    """(K_e, M_e) stacks of one batch, dofs interleaved per mode.
+
+    Both are linear in per-point coefficients (lambda w F, mu w F and
+    eps_x eps_y rho w), so each is one product with ``_product_tables``;
+    they are real where the batch is unstretched and complex symmetric
+    otherwise.
+    """
+    _, w, V, _ = quad_table(*rule)
+    TK, TM = _product_tables(*rule)
+    nel, width = vp.shape[0], 2 * V.shape[1]
     lam = rho * (vp ** 2 - 2.0 * vs ** 2)
     mu = rho * vs ** 2
-    n = V.shape[1]
-    nel = vp.shape[0]
-    F = _stretch_factor(ex, ey)
+    # the stiffness integrand scales as h^2/4 (4/h^2) = 1 in 2D
+    cK = (np.stack([lam, mu], axis=2) * w[:, None])[..., None, None] \
+        * _stretch_factor(ex, ey)[:, :, None]
+    cM = (w * (h * h / 4.0) * rho) * ex * ey
+    K = _table_product(cK.reshape(nel, -1), TK)
+    M = _table_product(cM, TM)
+    return K.reshape(nel, width, width), M.reshape(nel, width, width)
 
-    # lambda term and the first mu term carry 1/(eps_i eps_k) factors that
-    # coincide for both index conventions; the second mu term weights the
-    # gradient dot product by the derivative direction (eps_y/eps_x, eps_x/eps_y)
-    wl = wq[None, :] * lam
-    wm = wq[None, :] * mu
-    K = np.einsum("eq,eqik,qai,qbk->eaibk", wl, F, G, G, optimize=True)
-    K += np.einsum("eq,eqik,qak,qbi->eaibk", wm, F, G, G, optimize=True)
-    Fdiag = F[:, :, (0, 1), (0, 1)]
-    Dw = np.einsum("eq,eqj,qaj,qbj->eab", wm, Fdiag, G, G, optimize=True)
-    K[:, :, 0, :, 0] += Dw
-    K[:, :, 1, :, 1] += Dw
-    K = K.reshape(nel, 2 * n, 2 * n)
 
-    wmass = wq[None, :] * (ex * ey) * rho
-    Mab = np.einsum("eq,qa,qb->eab", wmass, V, V, optimize=True)
-    M = np.zeros((nel, n, 2, n, 2), dtype=complex)
-    M[:, :, 0, :, 0] = Mab
-    M[:, :, 1, :, 1] = Mab
-    return K, M.reshape(nel, 2 * n, 2 * n)
+class SystemPattern:
+    """CSC structure of the clamped impedance matrix, and the sparse sum
+    that carries element matrix entries into it.
+
+    ``summation`` is a (nnz, n_elements w^2) operator of ones: row s sums
+    the entries (e, a, b), flattened in element order, that land on CSC
+    slot s.  Entries on a clamped row or column are in no row; clamped dofs
+    keep a unit diagonal at slots ``fixed``.  Nothing here depends on the
+    model, omega or which elements are stretched.
+    """
+
+    def __init__(self, dof_map):
+        dofs = dof_map.element_dofs
+        nel, width = dofs.shape
+        n = dof_map.n_dofs
+        clamped = dof_map.clamped
+        # visit the entries column by column: the (element, local column)
+        # occurrences of each dof in dof order, each element's rows ascending,
+        # so that the key sort below only merges short sorted runs
+        occ = np.argsort(dofs.ravel(), kind="stable")
+        e, b = np.divmod(occ, width)
+        a = np.argsort(dofs, axis=1)[e]
+        rows = np.take_along_axis(dofs[e], a, axis=1)
+        cols = dofs.ravel()[occ]
+        live = ~(clamped[rows] | clamped[cols][:, None])
+        entries = ((e[:, None] * width + a) * width + b[:, None])[live]
+        fixed = np.flatnonzero(clamped)
+        keys = np.concatenate([(cols[:, None] * n + rows)[live], fixed * (n + 1)])
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        new = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+        slot = np.cumsum(new) - 1
+        unique = sorted_keys[new]
+        is_entry = order < len(entries)
+
+        self.shape = (n, n)
+        self.nnz = len(unique)
+        self.indices = (unique % n).astype(np.int32)
+        self.indptr = np.searchsorted(unique // n, np.arange(n + 1)).astype(np.int32)
+        # every assembled L shares these two arrays
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
+        self.fixed = slot[~is_entry]
+        per_slot = np.bincount(slot[is_entry], minlength=self.nnz)
+        self.summation = sp.csr_matrix(
+            (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
+             np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
+            shape=(self.nnz, nel * width * width))
+
+    def matrix(self, element_values):
+        """CSC matrix that sums complex (n_elements, w, w) element matrices."""
+        # real and imaginary parts as two columns of one real product
+        pairs = np.ascontiguousarray(element_values, dtype=complex).view(float)
+        data = (self.summation @ pairs.reshape(-1, 2)).view(complex).ravel()
+        data[self.fixed] = 1.0
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass
 class AssembledSystem:
-    """Impedance system L = K - omega^2 M on the clamped dof set."""
+    """Impedance matrix L = K - omega^2 M on the clamped dof set.
+
+    Clamped rows and columns are zero except for a unit diagonal.  K and M
+    are never formed globally: element matrices are combined first and
+    summed once through the dof map's ``SystemPattern``.
+    """
 
     L: sp.csc_matrix
-    K: sp.csc_matrix
-    M: sp.csc_matrix
     dof_map: DofMap
     omega: float
 
 
-def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
-    """Scatter all element contributions and apply the boundary clamp.
+def check_dof_map(dof_map, mesh, degree=None):
+    """Raise AssemblyError unless ``dof_map`` numbers ``mesh`` (at ``degree``)."""
+    if dof_map.mesh is not mesh:
+        raise AssemblyError(
+            f"dof map belongs to another mesh ({_describe(dof_map.mesh)}) "
+            f"than the one given ({_describe(mesh)})")
+    if degree is not None and dof_map.p != degree:
+        raise AssemblyError(f"dof map has degree {dof_map.p}, "
+                            f"the discretization asks for degree {degree}")
 
-    Clamped rows/columns are dropped and replaced by a unit diagonal in K
-    (zero in M) so that L = K - omega^2 M holds entrywise.
+
+def _describe(mesh):
+    return f"{mesh.n_elements} elements, {mesh.n_nodes} nodes, h = {mesh.h:g}"
+
+
+def _batches(mesh, profile):
+    """(element indices, stretched) for the unstretched and stretched batch."""
+    stretched = (profile.c_pml > 0.0) & (mesh.element_region != meshmod.INTERIOR)
+    for flag in (False, True):
+        elems = np.flatnonzero(stretched == flag)
+        if len(elems):
+            yield elems, flag
+
+
+def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
+    """Form every element's K_e - omega^2 M_e and sum them in one scatter.
+
+    Clamped rows/columns are dropped and replaced by a unit diagonal.
     """
     cfg.validate()
     profile.validate()
@@ -323,43 +448,17 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
         raise AssemblyError(f"omega must be > 0, got {omega}")
     if dof_map is None:
         dof_map = DofMap(mesh, cfg.degree)
+    check_dof_map(dof_map, mesh, cfg.degree)
 
-    stretched_mask = (profile.c_pml > 0.0) & (mesh.element_region != meshmod.INTERIOR)
-    rows, cols, kvals, mvals = [], [], [], []
-    for flag in (False, True):
-        elems = np.flatnonzero(stretched_mask == flag)
-        if not len(elems):
-            continue
-        data = _batch_quadrature(mesh, elems, model, omega, profile, cfg, flag)
-        K_b, M_b = _batch_matrices(*data, rho)
-        dofs = dof_map.element_dofs[elems]  # (E, 2n)
-        width = dofs.shape[1]
-        rows.append(np.repeat(dofs, width, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, width)).ravel())
-        kvals.append(K_b.ravel())
-        mvals.append(M_b.ravel())
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    kvals = np.concatenate(kvals)
-    mvals = np.concatenate(mvals)
-
-    clamped = dof_map.clamped
-    keep = ~(clamped[rows] | clamped[cols])
-    rows, cols = rows[keep], cols[keep]
-    kvals, mvals = kvals[keep], mvals[keep]
-
-    fixed = np.flatnonzero(clamped)
-    rows = np.concatenate([rows, fixed])
-    cols = np.concatenate([cols, fixed])
-    kvals = np.concatenate([kvals, np.ones(len(fixed), dtype=complex)])
-    mvals = np.concatenate([mvals, np.zeros(len(fixed), dtype=complex)])
-
-    shape = (dof_map.n_dofs, dof_map.n_dofs)
-    K = sp.coo_matrix((kvals, (rows, cols)), shape=shape).tocsc()
-    M = sp.coo_matrix((mvals, (rows, cols)), shape=shape).tocsc()
-    L = (K - omega ** 2 * M).tocsc()
-    return AssembledSystem(L=L, K=K, M=M, dof_map=dof_map, omega=float(omega))
+    width = dof_map.element_dofs.shape[1]
+    values = np.empty((mesh.n_elements, width, width), dtype=complex)
+    for elems, flag in _batches(mesh, profile):
+        K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
+                                                  profile, cfg, flag), rho)
+        K -= omega ** 2 * M
+        values[elems] = K
+    L = dof_map.system_pattern().matrix(values)
+    return AssembledSystem(L=L, dof_map=dof_map, omega=float(omega))
 
 
 def point_operator(dof_map, points, allow_pml=False):
@@ -383,6 +482,7 @@ def point_operator(dof_map, points, allow_pml=False):
 
 def assemble_point_source(mesh, dof_map, s, direction, f_omega):
     """Right-hand side of a point force: ``S.T`` times the force at s."""
+    check_dof_map(dof_map, mesh)
     S = dof_map.station_operator([s])
     return S.T @ np.multiply(f_omega, direction, dtype=complex)
 
@@ -396,15 +496,15 @@ def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg,
     Density is constant, so these are also the products with dL/dm_k.
     Returns a complex vector aligned with the model vector.
     """
+    check_dof_map(dof_map, mesh, cfg.degree)
     n = model.n_nodes
     out = np.zeros(2 * n, dtype=complex)
-    stretched_mask = (profile.c_pml > 0.0) & (mesh.element_region != meshmod.INTERIOR)
-    for flag in (False, True):
-        elems = np.flatnonzero(stretched_mask == flag)
-        if not len(elems):
-            continue
-        wq, V, G, vp, vs, ex, ey = _batch_quadrature(
+    for elems, flag in _batches(mesh, profile):
+        rule, h, vp, vs, ex, ey = _batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
+        _, w, V, G = quad_table(*rule)
+        wq = w * (h * h / 4.0)
+        G = G * (2.0 / h)
         F = _stretch_factor(ex, ey)
         Fdiag = F[:, :, (0, 1), (0, 1)]
         phi = V[:, :4]

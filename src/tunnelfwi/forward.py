@@ -78,11 +78,13 @@ def evaluate_field(mesh, dof_map, u, p, allow_pml=False):
     Receiver sampling refuses PML points; pass allow_pml=True to probe the
     decay inside the absorbing layer.
     """
+    asmmod.check_dof_map(dof_map, mesh)
     return asmmod.point_operator(dof_map, [p], allow_pml) @ u
 
 
 def sample_receivers(field: WaveField, mesh, layout) -> np.ndarray:
     """(n_receivers, 2) complex displacements at the receiver points."""
+    asmmod.check_dof_map(field.dof_map, mesh)
     R = field.dof_map.station_operator([r.position for r in layout.receivers])
     return (R @ field.u).reshape(-1, 2)
 
@@ -93,6 +95,8 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
 
     ``f_omega_of`` maps omega to the complex source amplitude.
     """
+    if dof_map is None:
+        dof_map = asmmod.DofMap(mesh, cfg.degree)
     omegas = np.asarray(omegas, dtype=float)
     values = np.empty((len(omegas), layout.n_sources, layout.n_receivers, 2),
                       dtype=complex)

@@ -1,4 +1,4 @@
-"""Nodal ground model and isotropic elastic stiffness.
+"""Nodal ground model and Lame parameters.
 
 Wave velocities are stored as one coefficient per mesh vertex: the first
 half of the vector carries P-wave velocities, the second half S-wave
@@ -115,13 +115,3 @@ def lame_parameters(vp, vs, rho):
 
 def velocities_from_lame(lam, mu, rho):
     return np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
-
-
-def isotropic_stiffness(vp, vs, rho):
-    """Fourth-order isotropic stiffness tensor (2D, shape (2, 2, 2, 2))."""
-    lam = rho * (vp ** 2 - 2.0 * vs ** 2)
-    mu = rho * vs ** 2
-    d = np.eye(2)
-    C = (lam * np.einsum("ij,kl->ijkl", d, d)
-         + mu * (np.einsum("il,jk->ijkl", d, d) + np.einsum("ik,jl->ijkl", d, d)))
-    return C

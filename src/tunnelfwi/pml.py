@@ -50,23 +50,3 @@ def stretching(x_star, omega, profile: PmlProfile):
     omega_c = profile.omega_c_ratio * omega
     eps = 1.0 + damping(x_star, profile) / (omega_c + 1j * omega)
     return eps if np.ndim(x_star) else complex(eps)
-
-
-def stretched_stiffness(C, eps_x, eps_y):
-    """Apply the coordinate stretch to a stiffness tensor.
-
-    Each entry is scaled by eps_x*eps_y divided by the stretch factors of
-    the two derivative slots (the indices contracted with the gradients in
-    the weak form).  Attaching the factors to the derivative directions is
-    what keeps the layer reflection-free; weighting the displacement
-    components instead produces an impedance jump at the inner edge.  Major
-    symmetry survives, minor symmetry generally does not.
-    """
-    eps = np.array([eps_x, eps_y], dtype=complex)
-    F = (eps_x * eps_y) / np.outer(eps, eps)
-    return F[None, :, None, :] * np.asarray(C)
-
-
-def mass_weight(eps_x, eps_y):
-    """Multiplier on the density in the mass integrand (eps_z = 1 in 2D)."""
-    return eps_x * eps_y

@@ -5,8 +5,8 @@ from tunnelfwi import solver
 from tunnelfwi.adjoint import (AdjointError, Gradient, accumulate_gradient,
                                adjoint_field, adjoint_source, build_mask,
                                misfit, precondition, residuals)
-from tunnelfwi.assembly import (DiscretizationConfig, DofMap, node_areas,
-                                stiffness_derivative_products)
+from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
+                                node_areas, stiffness_derivative_products)
 from tunnelfwi.forward import RecordSet, forward_solve, sample_receivers
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
@@ -120,6 +120,14 @@ def test_adjoint_source_zero_residual():
     dm = DofMap(mesh, cfg.degree)
     rhs = adjoint_source(np.zeros((2, 2), dtype=complex), layout, mesh, dm)
     np.testing.assert_array_equal(rhs, 0.0)
+
+
+def test_adjoint_source_rejects_foreign_dof_map():
+    mesh, model, cfg, profile, layout = small_problem()
+    other, *_ = small_problem()
+    with pytest.raises(AssemblyError, match="another mesh"):
+        adjoint_source(np.ones((2, 2), dtype=complex), layout, mesh,
+                       DofMap(other, cfg.degree))
 
 
 def test_adjoint_source_nodal_scatter():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tunnelfwi import material as matmod
+import oracles
+from tunnelfwi import assembly as asmmod
 from tunnelfwi import mesh as meshmod
 from tunnelfwi import pml as pmlmod
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
@@ -134,6 +135,41 @@ def test_dofmap_shared_edge_modes():
     np.testing.assert_array_equal(right_of_0, left_of_1)
 
 
+def loop_numbering(mesh, p):
+    """(element_modes, element_dofs) numbered element by element."""
+    n_edge = p - 1
+    n_int = n_edge ** 2
+    edges, elem_edges = {}, np.empty((mesh.n_elements, 4), dtype=int)
+    for e, (n0, n1, n2, n3) in enumerate(mesh.elements):
+        for loc, (a, b) in enumerate(((n0, n1), (n1, n2), (n3, n2), (n0, n3))):
+            elem_edges[e, loc] = edges.setdefault((min(a, b), max(a, b)), len(edges))
+    nv = mesh.n_nodes
+    base = nv + len(edges) * n_edge
+    modes = np.empty((mesh.n_elements, (p + 1) ** 2), dtype=int)
+    for e in range(mesh.n_elements):
+        modes[e, :4] = mesh.elements[e]
+        for loc in range(4):
+            for i in range(n_edge):
+                modes[e, 4 + loc * n_edge + i] = nv + elem_edges[e, loc] * n_edge + i
+        for i in range(n_int):
+            modes[e, 4 + 4 * n_edge + i] = base + e * n_int + i
+    dofs = np.empty((mesh.n_elements, 2 * modes.shape[1]), dtype=int)
+    for e in range(mesh.n_elements):
+        for m in range(modes.shape[1]):
+            dofs[e, 2 * m] = 2 * modes[e, m]
+            dofs[e, 2 * m + 1] = 2 * modes[e, m] + 1
+    return modes, dofs
+
+
+def test_dofmap_numbering_equals_element_loop():
+    mesh = build_tunnel_mesh(TunnelGeometry(6, 2, 1, 2, 3, 1, 1))
+    for p in (1, 2, 3):
+        dm = DofMap(mesh, p)
+        modes, dofs = loop_numbering(mesh, p)
+        assert np.array_equal(dm.element_modes, modes)
+        assert np.array_equal(dm.element_dofs, dofs)
+
+
 def test_interface_continuity_random_field():
     # a random dof vector must be single-valued across a shared edge
     mesh = box_mesh(2, 1)
@@ -263,12 +299,12 @@ def dense_oracle_system(mesh, model, rho, omega, profile, cfg):
                       y0 + 0.5 * (xi[1] + 1) * mesh.h)
                 vp = V[:4] @ vp_c
                 vs = V[:4] @ vs_c
-                C = matmod.isotropic_stiffness(vp, vs, rho)
+                C = oracles.isotropic_stiffness(vp, vs, rho)
                 ex, ey = 1.0 + 0.0j, 1.0 + 0.0j
                 if stretched:
                     ex, ey = (pmlmod.stretching(s, omega, profile)
                               for s in meshmod.pml_local_coordinate(mesh, e, gp))
-                Ct = pmlmod.stretched_stiffness(C, ex, ey)
+                Ct = oracles.stretched_stiffness(C, ex, ey)
                 nm = len(V)
                 for a in range(nm):
                     for i in range(2):
@@ -297,9 +333,10 @@ def test_assembled_system_matches_dense_oracle():
     cfg = DiscretizationConfig(degree=1)
     omega = 1000.0
     sys_ = assemble_system(mesh, model, RHO, omega, NO_PML, cfg)
+    K, _, _ = oracles.coo_system(mesh, model, RHO, omega, NO_PML, cfg, sys_.dof_map)
     Kd, Md, Ld = dense_oracle_system(mesh, model, RHO, omega, NO_PML, cfg)
     np.testing.assert_allclose(sys_.L.toarray(), Ld, rtol=1e-12, atol=1e-3)
-    np.testing.assert_allclose(sys_.K.toarray(), Kd, rtol=1e-12, atol=1e-3)
+    np.testing.assert_allclose(K.toarray(), Kd, rtol=1e-12, atol=1e-3)
 
 
 def test_assembled_system_matches_dense_oracle_pml_p2():
@@ -310,6 +347,83 @@ def test_assembled_system_matches_dense_oracle_pml_p2():
     sys_ = assemble_system(mesh, model, RHO, omega, PML, cfg)
     Kd, Md, Ld = dense_oracle_system(mesh, model, RHO, omega, PML, cfg)
     np.testing.assert_allclose(sys_.L.toarray(), Ld, rtol=1e-11, atol=1e-2)
+
+
+def test_assembled_system_matches_dense_oracle_pml_p3():
+    mesh = box_mesh(2, 1, pml=1)
+    model = random_model(mesh, 19)
+    cfg = DiscretizationConfig(degree=3)
+    omega = 2500.0
+    sys_ = assemble_system(mesh, model, RHO, omega, PML, cfg)
+    Kd, Md, Ld = dense_oracle_system(mesh, model, RHO, omega, PML, cfg)
+    np.testing.assert_allclose(sys_.L.toarray(), Ld, rtol=1e-11, atol=1e-2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
+def test_pattern_scatter_matches_coo_oracle(p, profile):
+    mesh = build_tunnel_mesh(TunnelGeometry(6, 2, 1, 2, 3, 2, 1))
+    model = random_model(mesh, 20)
+    cfg = DiscretizationConfig(degree=p)
+    dm = DofMap(mesh, p)
+    assert dm.clamped.any()
+    L = assemble_system(mesh, model, RHO, 1300.0, profile, cfg, dof_map=dm).L
+    _, _, L_coo = oracles.coo_system(mesh, model, RHO, 1300.0, profile, cfg, dm)
+    assert L.has_sorted_indices
+    assert abs(L - L_coo).max() <= 1e-14 * abs(L_coo).max()
+    # clamped rows and columns hold only their unit diagonal
+    fixed = np.flatnonzero(dm.clamped)
+    block = L[:, fixed]
+    assert block.nnz == len(fixed)
+    np.testing.assert_array_equal(block.toarray()[fixed], np.eye(len(fixed)))
+
+
+def test_dofmap_builds_its_pattern_once(monkeypatch):
+    built = []
+
+    class CountingPattern(asmmod.SystemPattern):
+        def __init__(self, dof_map):
+            built.append(dof_map)
+            super().__init__(dof_map)
+
+    monkeypatch.setattr(asmmod, "SystemPattern", CountingPattern)
+    mesh = box_mesh(4, 2, pml=1)
+    model = random_model(mesh, 21)
+    cfg = DiscretizationConfig(degree=2)
+    dm = DofMap(mesh, 2)
+    assert built == []
+    for omega in (800.0, 1600.0):
+        assemble_system(mesh, model, RHO, omega, PML, cfg, dof_map=dm)
+    assert built == [dm]
+
+
+def test_dof_map_of_another_mesh_or_degree_rejected():
+    mesh = box_mesh(4, 2, pml=1)
+    other = build_tunnel_mesh(TunnelGeometry(4, 2, 0, 2, 0, 1, 0.5))
+    model = random_model(mesh, 22)
+    cfg = DiscretizationConfig(degree=3)
+    with pytest.raises(AssemblyError, match="another mesh"):
+        assemble_system(mesh, model, RHO, 900.0, PML, cfg, dof_map=DofMap(other, 3))
+    with pytest.raises(AssemblyError, match="degree 2"):
+        assemble_system(mesh, model, RHO, 900.0, PML, cfg, dof_map=DofMap(mesh, 2))
+
+
+def test_derivative_products_reject_foreign_dof_map():
+    mesh = box_mesh(4, 2, pml=1)
+    model = random_model(mesh, 23)
+    cfg = DiscretizationConfig(degree=2)
+    for dm in (DofMap(box_mesh(4, 2, pml=1), 2), DofMap(mesh, 1)):
+        u = np.ones(dm.n_dofs, dtype=complex)
+        with pytest.raises(AssemblyError):
+            stiffness_derivative_products([(u, u)], mesh, model, RHO, 900.0,
+                                          PML, cfg, dm)
+
+
+def test_point_source_rejects_foreign_dof_map():
+    mesh = box_mesh(2, 1)
+    dm = DofMap(box_mesh(2, 1), 1)
+    with pytest.raises(AssemblyError, match="another mesh"):
+        assemble_point_source(mesh, dm, (1.0, 1.0), (1.0, 0.0), 1.0)
 
 
 def test_global_symmetry_heterogeneous_pml():
@@ -326,10 +440,11 @@ def test_omega_identity_pml_free():
     model = random_model(mesh, 9)
     cfg = DiscretizationConfig(degree=2)
     omega = 700.0
-    s1 = assemble_system(mesh, model, RHO, omega, NO_PML, cfg)
     s2 = assemble_system(mesh, model, RHO, 2 * omega, NO_PML, cfg)
-    lhs = (s2.L + 4 * omega ** 2 * s2.M).toarray()
-    np.testing.assert_allclose(lhs, s1.K.toarray(), rtol=1e-12, atol=1e-3)
+    K1, _, _ = oracles.coo_system(mesh, model, RHO, omega, NO_PML, cfg, s2.dof_map)
+    _, M2, _ = oracles.coo_system(mesh, model, RHO, 2 * omega, NO_PML, cfg, s2.dof_map)
+    lhs = (s2.L + 4 * omega ** 2 * M2).toarray()
+    np.testing.assert_allclose(lhs, K1.toarray(), rtol=1e-12, atol=1e-3)
 
 
 def test_sparsity_pattern_stable_across_omega():

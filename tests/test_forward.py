@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tunnelfwi import solver
-from tunnelfwi.assembly import DiscretizationConfig, shape_functions
+from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
+                                shape_functions)
 from tunnelfwi.forward import (ForwardError, evaluate_field, forward_solve,
                                greens_sweep, sample_receivers, solve_records)
 from tunnelfwi.material import ModelVector
@@ -36,6 +37,24 @@ def test_zero_amplitude_gives_zero_field():
     assert np.all(res.fields[0].u == 0.0)
     rec = sample_receivers(res.fields[0], mesh, layout)
     np.testing.assert_array_equal(rec, 0.0)
+
+
+def test_sample_receivers_rejects_field_of_another_mesh():
+    mesh, model, profile, cfg = small_setup()
+    other, *_ = small_setup()
+    layout = StationLayout(sources=(Source((8.0, 4.0), (1.0, 0.0)),),
+                           receivers=(Receiver((10.0, 5.0)),))
+    res = forward_solve(other, model, RHO, 1500.0, layout, 1.0, profile, cfg)
+    with pytest.raises(AssemblyError, match="another mesh"):
+        sample_receivers(res.fields[0], mesh, layout)
+
+
+def test_evaluate_field_rejects_foreign_dof_map():
+    mesh, *_ = small_setup()
+    other, *_ = small_setup(w=14)
+    dm = DofMap(other, 2)
+    with pytest.raises(AssemblyError, match="another mesh"):
+        evaluate_field(mesh, dm, np.zeros(dm.n_dofs, dtype=complex), (8.0, 4.0))
 
 
 def test_sources_share_one_factorization():

