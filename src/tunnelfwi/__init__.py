@@ -18,8 +18,7 @@ from .forward import (ForwardResult, RecordSet, WaveField, evaluate_field,
                       forward_solve, greens_sweep, sample_receivers,
                       solve_records)
 from .material import (AmbientProperties, InvalidMaterialError, ModelVector,
-                       clamp_to_valid, evaluate_velocities, lame_parameters,
-                       velocities_from_lame)
+                       clamp_to_valid, evaluate_velocities, lame_parameters)
 from .mesh import (Mesh, MeshError, PointNotFoundError, Receiver, Source,
                    StationLayout, TunnelGeometry, build_tunnel_mesh,
                    build_unbounded_mesh, locate_point, locate_station,

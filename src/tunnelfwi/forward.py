@@ -60,14 +60,18 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     all sources or one value per source.
     """
     system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=dof_map)
-    fact = solvermod.factorize(system.L)
     dm, n_s = system.dof_map, layout.n_sources
     amps = np.broadcast_to(np.asarray(f_omega, dtype=complex), (n_s,))
     forces = amps[:, None] * np.reshape([s.direction for s in layout.sources], (n_s, 2))
     # columns[2k + d, k] is source k's force in direction d
     columns = np.repeat(np.eye(n_s), 2, axis=0) * forces.reshape(-1, 1)
     S = dm.station_operator([s.position for s in layout.sources])
-    U = fact.solve(S.T @ columns)
+    try:  # the solve may refactorize with pivoting
+        fact = solvermod.factorize(system.L)
+        U = fact.solve(S.T @ columns)
+    except solvermod.SolverMemoryError as exc:
+        raise solvermod.SolverMemoryError(
+            f"{exc} at omega = {omega}, degree {dm.p}") from exc
     fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dm) for k in range(n_s)]
     return ForwardResult(fields=fields, system=system, factorization=fact)
 

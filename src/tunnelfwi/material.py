@@ -111,7 +111,3 @@ def lame_parameters(vp, vs, rho):
     if np.any(np.asarray(lam) <= 0):
         raise InvalidMaterialError(f"lambda <= 0 for vp={vp}, vs={vs}")
     return lam, mu
-
-
-def velocities_from_lame(lam, mu, rho):
-    return np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)

@@ -19,9 +19,6 @@ PML_X = 1
 PML_Y = 2
 PML_CORNER = 3
 
-REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
-                PML_CORNER: "pml-corner"}
-
 _SNAP = 1e-9  # relative snap tolerance for points sitting on grid lines
 
 
@@ -368,12 +365,6 @@ def _local_coordinates(mesh: Mesh, e, p):
     return min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta))
 
 
-def local_to_global(mesh: Mesh, e, xi):
-    x0, y0 = mesh.element_origin(e)
-    return (x0 + 0.5 * (xi[0] + 1.0) * mesh.h,
-            y0 + 0.5 * (xi[1] + 1.0) * mesh.h)
-
-
 def pml_local_coordinate(mesh: Mesh, e, p):
     """Distance of p from the inner PML edge, one value per stretched axis."""
     if mesh.element_region[e] == INTERIOR:
@@ -391,20 +382,3 @@ def validate_layout(layout: StationLayout, mesh: Mesh):
         locate_station(mesh, s.position)
     for r in layout.receivers:
         locate_station(mesh, r.position)
-
-
-def dump_mesh(mesh: Mesh, path):
-    """Plain-text node/element/tag tables for debugging."""
-    with open(path, "w") as f:
-        f.write(f"# mesh nx={mesh.nx} ny={mesh.ny} h={float(mesh.h)!r}\n")
-        f.write(f"# nodes {mesh.n_nodes}\n")
-        for n, (x, y) in enumerate(mesh.nodes):
-            f.write(f"node {n} {float(x)!r} {float(y)!r}\n")
-        f.write(f"# elements {mesh.n_elements}\n")
-        for e in range(mesh.n_elements):
-            quad = " ".join(str(n) for n in mesh.elements[e])
-            f.write(f"element {e} {quad} {REGION_NAMES[mesh.element_region[e]]}\n")
-        for a, b in mesh.free_surface_edges:
-            f.write(f"edge {a} {b} free-surface\n")
-        for a, b in mesh.outer_pml_edges:
-            f.write(f"edge {a} {b} outer-pml\n")

@@ -317,6 +317,8 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     The L-BFGS history restarts so the first step follows the negative
     gradient; iteration stops at the cap, at a relative misfit reduction
     below the threshold, or on line-search failure (keeping the best model).
+    The accepted step's misfit, residuals and factorizations are those the
+    line search kept for its best trial; no model is solved twice.
     """
     omegas = tuple(float(w) for w in group)
     observed = data.observed_records(omegas)
@@ -336,18 +338,26 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             break
         if grad_vec is None:
             grad_vec = _group_gradient(model, omegas, data, delta, kept).values
+        kept = None  # live contexts: the best trial kept and the one being solved
         d = lbfgs_direction(history, grad_vec)
         dmax = np.abs(d).max()
         if dmax == 0.0:
             log.append(IterationRecord(group_index, j, chi, 0.0, 0.0, "zero gradient"))
             break
         alpha_init = settings.step_fraction * data.ambient_vs / dmax
+        best = None  # (alpha, model, chi, residuals, kept) of the best trial
 
         def chi_of(a, _m=model, _d=d):
+            nonlocal best
             if a == 0.0:
                 return chi
             trial = matmod.ModelVector(matmod.clamp_to_valid(_m.values + a * _d))
-            return _group_misfit(trial, omegas, data, observed)[0]
+            value, residuals, trial_kept = _group_misfit(trial, omegas, data,
+                                                         observed, keep=True)
+            # line_search accepts the first minimum below chi(0); NaN never
+            if value < chi and (best is None or value < best[2]):
+                best = (a, trial, value, residuals, trial_kept)
+            return value
 
         try:
             alpha, _ = line_search(chi_of, alpha_init, chi0=chi,
@@ -360,8 +370,11 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                 raise
             break
 
-        new_model = matmod.ModelVector(matmod.clamp_to_valid(model.values + alpha * d))
-        chi_new, delta, kept = _group_misfit(new_model, omegas, data, observed, keep=True)
+        if best is None or best[0] != alpha:
+            raise RuntimeError(f"line search accepted alpha = {alpha!r}, "
+                               "which is not the best trial kept")
+        _, new_model, chi_new, delta, kept = best
+        best = None
         new_grad = _group_gradient(new_model, omegas, data, delta, kept).values
         history.push(new_model.values - model.values, new_grad - grad_vec)
         log.append(IterationRecord(group_index, j, chi, alpha,

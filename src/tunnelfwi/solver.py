@@ -11,9 +11,17 @@ elimination can be unstable, so every solve checks the relative residual
 of each right-hand-side column (one sparse product).  A solve with any
 column over the bound refactorizes the matrix once with partial pivoting,
 re-solves all its columns, and that factorization serves the later solves.
+
+SuperLU runs with one BLAS thread.  numpy and scipy each load their own
+OpenBLAS with its own thread pool; with two pools of two threads on two
+cores, a factorization that follows numpy work ran at half speed.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +38,10 @@ class SingularMatrixError(RuntimeError):
 
 
 class SolveError(RuntimeError):
+    pass
+
+
+class SolverMemoryError(MemoryError):
     pass
 
 
@@ -53,13 +65,66 @@ def _norm(v):
     return np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
 
 
+# (get, set) thread-count symbols in the order tried; a library binds the
+# first pair it exports
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_pools():
+    """(get, set) thread-count functions of every OpenBLAS in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()
+                           and ln.split()[-1].startswith("/")})
+    except OSError:  # no /proc: another platform
+        return ()
+    pools = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(handle, get_name) and hasattr(handle, set_name):
+                get, set_ = getattr(handle, get_name), getattr(handle, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                pools.append((get, set_))
+                break
+    return tuple(pools)
+
+
+@contextmanager
+def _serial_blas():
+    """Run the body with one thread in every OpenBLAS pool, then restore."""
+    pools = _blas_pools()
+    saved = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(pools, saved):
+            set_(n)
+
+
 def _splu(A, **options):
     """Counted SuperLU factors of ``A``; partial pivoting unless overridden."""
     global _n_factorizations
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", **options)
+        with _serial_blas():
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A", **options)
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
+    except MemoryError as exc:
+        raise SolverMemoryError(f"out of memory factorizing n = {A.shape[0]}, "
+                                f"nnz = {A.nnz}") from exc
     _n_factorizations += 1
     return lu
 
@@ -87,13 +152,15 @@ class Factorization:
         if rhs.shape[0] != self.n:
             raise SolveError(f"rhs has dimension {rhs.shape[0]}, expected {self.n}")
         b = rhs.astype(complex)
-        x = self._lu.solve(b)
+        with _serial_blas():
+            x = self._lu.solve(b)
         residual = self._residual(x, b)
         if not residual <= RESIDUAL_BOUND and not self._pivoted:
             self._lu = _splu(self._matrix)
             self._pivoted = True
             _n_fallbacks += 1
-            x = self._lu.solve(b)
+            with _serial_blas():
+                x = self._lu.solve(b)
             residual = self._residual(x, b)
         if not residual <= RESIDUAL_BOUND:
             raise SolveError(f"relative residual {residual:.3e} exceeds "

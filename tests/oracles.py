@@ -1,16 +1,48 @@
-"""Reference formulas and assembly paths that only the tests use.
+"""Reference formulas, assembly paths and helpers that only the tests use.
 
 The stiffness tensor and its PML stretch are the textbook forms the dense
 assembly oracle in ``test_assembly.py`` contracts at every quadrature
 point; ``coo_system`` is the COO -> CSC assembly that the production
 one-pass ``SystemPattern`` scatter replaced, and the only place that forms
-the global K and M.
+the global K and M.  ``velocities_from_lame``, ``local_to_global`` and
+``dump_mesh`` invert or print what the program computes.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from tunnelfwi import assembly as asmmod
+from tunnelfwi.mesh import INTERIOR, PML_CORNER, PML_X, PML_Y, Mesh
+
+REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
+                PML_CORNER: "pml-corner"}
+
+
+def velocities_from_lame(lam, mu, rho):
+    return np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
+
+
+def local_to_global(mesh: Mesh, e, xi):
+    x0, y0 = mesh.element_origin(e)
+    return (x0 + 0.5 * (xi[0] + 1.0) * mesh.h,
+            y0 + 0.5 * (xi[1] + 1.0) * mesh.h)
+
+
+def dump_mesh(mesh: Mesh, path):
+    """Plain-text node/element/tag tables for debugging."""
+    with open(path, "w") as f:
+        f.write(f"# mesh nx={mesh.nx} ny={mesh.ny} h={float(mesh.h)!r}\n")
+        f.write(f"# nodes {mesh.n_nodes}\n")
+        for n, (x, y) in enumerate(mesh.nodes):
+            f.write(f"node {n} {float(x)!r} {float(y)!r}\n")
+        f.write(f"# elements {mesh.n_elements}\n")
+        for e in range(mesh.n_elements):
+            quad = " ".join(str(n) for n in mesh.elements[e])
+            f.write(f"element {e} {quad} {REGION_NAMES[mesh.element_region[e]]}\n")
+        for a, b in mesh.free_surface_edges:
+            f.write(f"edge {a} {b} free-surface\n")
+        for a, b in mesh.outer_pml_edges:
+            f.write(f"edge {a} {b} outer-pml\n")
 
 
 def isotropic_stiffness(vp, vs, rho):

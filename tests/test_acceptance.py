@@ -264,6 +264,7 @@ def _recovery_layout(pml):
     return StationLayout(sources=srcs, receivers=recs)
 
 
+@pytest.mark.slow
 def test_criterion_7_inversion_recovery():
     t0 = time.time()
     cfg3 = DiscretizationConfig(degree=3)

@@ -164,6 +164,19 @@ def test_pml_decay_along_ray():
     assert a_90 <= 0.2 * a_in
 
 
+def test_out_of_memory_names_frequency_and_degree(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    mesh, model, profile, cfg = small_setup()
+    layout = StationLayout(sources=(Source((8.0, 4.0), (1.0, 0.0)),),
+                           receivers=(Receiver((10.0, 5.0)),))
+    monkeypatch.setattr(solver, "splu", no_memory)
+    with pytest.raises(solver.SolverMemoryError,
+                       match=r"n = \d+, nnz = \d+ at omega = 1500.0, degree 2"):
+        forward_solve(mesh, model, RHO, 1500.0, layout, 1.0, profile, cfg)
+
+
 def test_solve_records_shape_and_keep():
     mesh, model, profile, cfg = small_setup()
     layout = StationLayout(sources=(Source((7.0, 4.0), (1.0, 0.0)),
@@ -253,6 +266,7 @@ print(res.system.dof_map.n_dofs, disc.degree, repr(float(r)), solver.fallback_co
 """
 
 
+@pytest.mark.slow
 def test_case_scale_top_frequency_fits_in_memory():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

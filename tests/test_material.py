@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import isotropic_stiffness
+from oracles import isotropic_stiffness, velocities_from_lame
 from tunnelfwi.material import (AmbientProperties, InvalidMaterialError,
                                 ModelVector, clamp_to_valid,
-                                evaluate_velocities, lame_parameters,
-                                velocities_from_lame)
+                                evaluate_velocities, lame_parameters)
 from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import dump_mesh, local_to_global
 from tunnelfwi import mesh as meshmod
 from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, MeshError,
                             PointNotFoundError, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh,
-                            build_unbounded_mesh, locate_point, local_to_global,
+                            build_unbounded_mesh, locate_point,
                             pml_local_coordinate)
 
 
@@ -193,6 +194,6 @@ def test_station_layout_validation():
 def test_mesh_dump_runs(tmp_path):
     mesh = build_tunnel_mesh(TunnelGeometry(4, 2, 0, 2, 0, 0, 1))
     path = tmp_path / "mesh.txt"
-    meshmod.dump_mesh(mesh, path)
+    dump_mesh(mesh, path)
     text = path.read_text()
     assert "element 0" in text and "node 0" in text

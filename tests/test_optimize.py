@@ -364,6 +364,19 @@ def test_run_inversion_records_singular_group(monkeypatch):
     np.testing.assert_array_equal(res.model.values, truth.values)
 
 
+def test_run_inversion_propagates_out_of_memory(monkeypatch):
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "splu", no_memory)
+    with pytest.raises(solver.SolverMemoryError, match="omega = 1200.0, degree 1"):
+        run_inversion(truth, FrequencySchedule(((1200.0,), (1200.0, 2000.0))),
+                      data, InversionSettings(max_iterations=2))
+
+
 def test_factorizations_per_iteration_counts_frequencies():
     from tunnelfwi import solver
     mesh, data, truth = toy_problem()
@@ -377,3 +390,49 @@ def test_factorizations_per_iteration_counts_frequencies():
     # never frequencies x sources x solves
     assert n_fact % 2 == 0
     assert n_fact <= 2 * (2 + settings.max_iterations * 8)
+
+
+def test_group_reuses_the_accepted_trial(monkeypatch):
+    from tunnelfwi import optimize, solver
+    mesh, data, truth = toy_problem()
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    omegas = (1200.0, 2000.0)
+    solved = []  # (model, chi) of every group misfit, in order
+    group_misfit = optimize._group_misfit
+
+    def recording_misfit(model, *args, **kwargs):
+        out = group_misfit(model, *args, **kwargs)
+        solved.append((model, out[0]))
+        return out
+
+    searches = []  # (chi evaluations, accepted chi) of every line search
+    search = optimize.line_search
+
+    def recording_search(chi, *args, **kwargs):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return chi(a)
+        found = search(counted, *args, **kwargs)
+        searches.append((sum(a != 0.0 for a in calls), found[1]))
+        return found
+
+    monkeypatch.setattr(optimize, "_group_misfit", recording_misfit)
+    monkeypatch.setattr(optimize, "line_search", recording_search)
+    before = solver.factorization_count()
+    out = run_frequency_group(OptimizerState(model=start), omegas, data,
+                              InversionSettings(max_iterations=3))
+    n_fact = solver.factorization_count() - before
+    n_chi = sum(n for n, _ in searches)
+    assert out.iteration == len(searches) >= 2
+    # the initial misfit and one per trial; no solve of an accepted model
+    assert n_fact == len(omegas) * (1 + n_chi)
+    assert len(solved) == 1 + n_chi
+    # the final model is the accepted trial's own array
+    accepted = [m for m, chi in solved if chi == searches[-1][1]]
+    assert out.model.values is accepted[-1].values
+    monkeypatch.undo()
+    fresh = optimize._group_misfit(out.model, omegas, data,
+                                   data.observed_records(omegas))[0]
+    assert out.log[-1].chi == fresh

@@ -196,3 +196,83 @@ def test_multi_column_fallback_refactorizes_once_for_all_columns():
     for k in range(2):
         np.testing.assert_allclose(X[:, k], np.linalg.solve(A.toarray(), B[:, k]),
                                    rtol=0, atol=1e-12)
+
+
+# -- one BLAS thread inside SuperLU ---------------------------------------------
+
+def blas_threads():
+    return [get() for get, _ in solver._blas_pools()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS pool at 2 threads for the test, then as it was."""
+    pools = solver._blas_pools()
+    saved = blas_threads()
+    for _, set_ in pools:
+        set_(2)
+    yield blas_threads()
+    for (_, set_), n in zip(pools, saved):
+        set_(n)
+
+
+def needs_blas_pools():
+    if not solver._blas_pools():
+        pytest.skip("no OpenBLAS with a thread-count API is loaded in this process")
+
+
+class RecordingLU:
+    """SuperLU factors whose solves record the BLAS thread counts they see."""
+
+    def __init__(self, lu, seen):
+        self.lu, self.seen = lu, seen
+
+    def solve(self, b):
+        self.seen.append(("solve", blas_threads()))
+        return self.lu.solve(b)
+
+
+def test_superlu_calls_run_with_one_blas_thread(monkeypatch, two_blas_threads):
+    needs_blas_pools()
+    seen = []
+    splu = solver.splu
+
+    def recording_splu(*args, **kwargs):
+        seen.append(("splu", blas_threads()))
+        return RecordingLU(splu(*args, **kwargs), seen)
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    # the 1e-20 diagonal fails the guard, so the pivoted splu and solve run too
+    f = factorize(tiny_diagonal_matrix())
+    assert blas_threads() == two_blas_threads
+    f.solve(np.array([1.0, 2.0, 3.0], dtype=complex))
+    one = [1] * len(two_blas_threads)
+    assert seen == [("splu", one), ("solve", one), ("splu", one), ("solve", one)]
+    assert blas_threads() == two_blas_threads
+
+
+def test_blas_threads_restored_when_factorization_fails(two_blas_threads):
+    needs_blas_pools()
+    A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)  # rank 1
+    with pytest.raises(SingularMatrixError):
+        factorize(sp.csc_matrix(A))
+    assert blas_threads() == two_blas_threads
+
+
+def test_out_of_memory_names_the_system(monkeypatch, two_blas_threads):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "splu", no_memory)
+    A = sp.csc_matrix(random_complex_symmetric(5, 38))
+    with pytest.raises(solver.SolverMemoryError, match="n = 5, nnz = 25"):
+        factorize(A)
+    assert blas_threads() == two_blas_threads
+
+
+def test_solves_without_blas_pools_give_the_same_x(monkeypatch):
+    A = sp.csc_matrix(random_complex_symmetric(12, 39))
+    B = np.random.default_rng(40).normal(size=(12, 2)) + 0j
+    x = factorize(A).solve(B)
+    monkeypatch.setattr(solver, "_blas_pools", lambda: ())
+    np.testing.assert_array_equal(factorize(A).solve(B), x)
