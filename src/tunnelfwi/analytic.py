@@ -1,9 +1,7 @@
 """Closed-form 2D wave field of a vertical point force in full space.
 
 Used to calibrate the absorbing-layer amplitude and to validate the solver.
-The Bessel functions underneath are evaluated from their power series for
-small arguments and from the large-argument (Hankel) expansions beyond,
-accurate to roughly 1e-10 over the ranges that occur here.
+The Hankel functions underneath come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -12,108 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EULER_GAMMA = 0.57721566490153286061
-
-_SERIES_SWITCH = 12.0
-_MAX_SERIES_TERMS = 120
-_MAX_ASYMPTOTIC_TERMS = 40
-
 
 class AnalyticError(ValueError):
     pass
 
 
-# -- Bessel functions of order 0 and 1 ---------------------------------------
-
-def _j0_y0_series(x):
-    q = 0.25 * x * x
-    term = 1.0
-    j0 = 1.0
-    ysum = 0.0
-    hk = 0.0
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * k)
-        j0 += term
-        hk += 1.0 / k
-        ysum += -term * hk  # (-1)^(k+1) H_k q^k / (k!)^2
-        if abs(term) < 1e-18 * max(1.0, abs(j0)):
-            break
-    y0 = (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0 + ysum)
-    return j0, y0
-
-
-def _j1_y1_series(x):
-    q = 0.25 * x * x
-    # signed term (-1)^k q^k / (k! (k+1)!) feeds both sums
-    term = 1.0
-    s = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    wsum = term * (hk + hk1)
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * (k + 1))
-        s += term
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        wsum += term * (hk + hk1)
-        if abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    j1 = 0.5 * x * s
-    y1 = (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j1
-                          - 1.0 / x - 0.25 * x * wsum)
-    return j1, y1
-
-
-def _jy_asymptotic(n, x):
-    """Large-argument expansion, truncated at the smallest term."""
-    mu = 4.0 * n * n
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    sign_p = -1.0
-    sign_q = 1.0
-    prev = abs(term)
-    for k in range(1, _MAX_ASYMPTOTIC_TERMS):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
-            break  # divergent tail reached
-        prev = abs(term)
-        if k % 2:  # odd k feeds Q
-            q += sign_q * term
-            sign_q = -sign_q
-        else:  # even k feeds P
-            p += sign_p * term
-            sign_p = -sign_p
-    chi = x - (2.0 * n + 1.0) * np.pi / 4.0
-    amp = np.sqrt(2.0 / (np.pi * x))
-    jn = amp * (p * np.cos(chi) - q * np.sin(chi))
-    yn = amp * (p * np.sin(chi) + q * np.cos(chi))
-    return jn, yn
-
-
-def bessel_j0_y0(x):
-    x = float(x)
-    if x <= 0:
-        raise AnalyticError(f"argument must be > 0, got {x}")
-    return _j0_y0_series(x) if x < _SERIES_SWITCH else _jy_asymptotic(0, x)
-
-
-def bessel_j1_y1(x):
-    x = float(x)
-    if x <= 0:
-        raise AnalyticError(f"argument must be > 0, got {x}")
-    return _j1_y1_series(x) if x < _SERIES_SWITCH else _jy_asymptotic(1, x)
-
-
 def hankel2(order, x):
     """Hankel function of the second kind, order 0 or 1: J_n - i Y_n."""
-    if order == 0:
-        j, y = bessel_j0_y0(x)
-    elif order == 1:
-        j, y = bessel_j1_y1(x)
-    else:
+    x = float(x)
+    if x <= 0:
+        raise AnalyticError(f"argument must be > 0, got {x}")
+    if order not in (0, 1):
         raise AnalyticError(f"order must be 0 or 1, got {order}")
-    return complex(j, -y)
+    # imported here: loading scipy.special adds about 4 MB to every process
+    # that imports tunnelfwi, and only validation needs it
+    from scipy import special
+    return complex(special.hankel2(order, x))
 
 
 # -- full-space response ------------------------------------------------------

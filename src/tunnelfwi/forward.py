@@ -140,6 +140,8 @@ def greens_sweep(mesh, model, rho, source, omega_start, omega_end, d_omega,
             res = forward_solve(mesh, model, rho, omega, sweep_layout, 1.0,
                                 profile, run_cfg, dof_map=maps[p])
             values[fi] = sample_receivers(res.fields[0], mesh, sweep_layout)
+        except solvermod.SolverMemoryError:
+            raise  # forward_solve's message already names omega and the degree
         except Exception as exc:
             raise ForwardError(f"sweep failed at omega = {omega}: {exc}") from exc
     return omegas, values

@@ -4,7 +4,8 @@ multi-scale inversion loop.
 Each frequency group is minimized on its own: the first step follows the
 negative (preconditioned) gradient, later steps use the limited-memory
 two-loop recursion; the step length comes from fitting a parabola through
-three misfit samples and iterating the fit.  Groups run in order of rising
+three misfit samples and iterating the fit until its vertex settles within
+``SETTLE_RTOL`` of a sample already taken.  Groups run in order of rising
 top frequency and hand their model to the next group.
 """
 
@@ -19,6 +20,11 @@ from . import assembly as asmmod
 from . import forward as fwdmod
 from . import material as matmod
 from . import solver as solvermod
+
+
+# the parabola fit has settled once its vertex lies within this fraction of
+# itself from a sample of the current triple; relative, so any step scale
+SETTLE_RTOL = 1e-2
 
 
 class ScheduleError(ValueError):
@@ -138,7 +144,10 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10):
     ``chi`` maps a step length along the current search direction to the
     misfit.  Samples at {0, alpha_init, 2 alpha_init} seed the fit, the
     proposal moves the bracket toward the minimizer, and a non-convex fit
-    falls back to halving.  Returns (alpha, chi(alpha)) with
+    falls back to halving.  The fit stops, without evaluating its vertex,
+    once that vertex lies within ``SETTLE_RTOL`` of itself from a sample of
+    the current triple (after re-bracketing, the triple holds the previous
+    vertex); ``rounds`` caps the refits.  Returns (alpha, chi(alpha)) with
     chi(alpha) < chi(0) or raises LineSearchError.
     """
     if alpha_init <= 0:
@@ -173,8 +182,8 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10):
             backtrack(alpha_init)
             break
         vertex = min(vertex, 4.0 * max(triple))  # cap runaway extrapolation
-        if any(abs(vertex - a) <= 1e-12 * max(1.0, abs(vertex)) for a in triple):
-            break  # fit reproduces an existing sample: settled
+        if any(abs(vertex - a) <= SETTLE_RTOL * vertex for a in triple):
+            break  # fit lands on a sample already taken: settled
         evaluate(vertex)
         # re-bracket around the best sample seen so far
         pts = sorted(samples.items())

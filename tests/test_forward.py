@@ -229,6 +229,26 @@ def test_greens_sweep_degree_schedule():
     assert np.abs(values[1] - v1[0]).max() > 0
 
 
+@pytest.mark.parametrize("raised, expected, message", [
+    (MemoryError, solver.SolverMemoryError,
+     r"^out of memory factorizing n = \d+, nnz = \d+ at omega = 500.0, degree 1$"),
+    (RuntimeError, ForwardError, r"^sweep failed at omega = 500.0: factorization failed"),
+])
+def test_greens_sweep_errors_name_omega_once(monkeypatch, raised, expected, message):
+    # an out-of-memory factorization escapes as it is; other errors are wrapped
+    def failing(*args, **kwargs):
+        raise raised
+
+    mesh, model, profile, cfg = small_setup(degree=1)
+    src = Source((8.0, 4.0), (0.0, 1.0))
+    layout = StationLayout(sources=(src,), receivers=(Receiver((10.0, 4.0)),))
+    monkeypatch.setattr(solver, "splu", failing)
+    with pytest.raises(expected, match=message) as info:
+        greens_sweep(mesh, model, RHO, src, 500.0, 600.0, 100.0,
+                     layout, profile, cfg)
+    assert str(info.value).count("omega") == 1
+
+
 def test_greens_sweep_invalid_range():
     mesh, model, profile, cfg = small_setup(degree=1)
     src = Source((8.0, 4.0), (0.0, 1.0))

@@ -161,6 +161,37 @@ def test_line_search_failure():
         line_search(chi, 1.0)
 
 
+def counted_cosh(scale, calls):
+    """Convex, non-quadratic misfit with its minimum at a = 1.3 * scale."""
+    def chi(a):
+        calls.append(a)
+        return float(np.cosh(a / scale - 1.3))
+    return chi
+
+
+def test_line_search_is_scale_invariant():
+    # the settle test is relative, so only the step's scale changes
+    found = {}
+    for scale in (1e-12, 1.0, 1e12):
+        calls = []
+        alpha, _ = line_search(counted_cosh(scale, calls), scale)
+        found[scale] = (len(calls), alpha / scale)
+    counts = {n for n, _ in found.values()}
+    assert len(counts) == 1
+    for _, ratio in found.values():
+        assert ratio == pytest.approx(found[1.0][1], rel=1e-12)
+
+
+def test_line_search_stops_once_the_vertex_settles():
+    calls = []
+    rounds = 5
+    alpha, value = line_search(counted_cosh(1.0, calls), 1.0, rounds=rounds)
+    # chi(0), the two seed trials and two vertices; the third fit settles
+    assert len(calls) == 5 < 3 + rounds
+    assert alpha == pytest.approx(1.3, rel=2e-2)
+    assert value < np.cosh(1.3)
+
+
 def test_line_search_requires_positive_init():
     with pytest.raises(LineSearchError):
         line_search(lambda a: a * a, 0.0)
@@ -426,6 +457,9 @@ def test_group_reuses_the_accepted_trial(monkeypatch):
     n_fact = solver.factorization_count() - before
     n_chi = sum(n for n, _ in searches)
     assert out.iteration == len(searches) >= 2
+    # the first search overshoots and evaluates three vertices; the later
+    # ones settle after their first
+    assert max(n for n, _ in searches) == 5
     # the initial misfit and one per trial; no solve of an accepted model
     assert n_fact == len(omegas) * (1 + n_chi)
     assert len(solved) == 1 + n_chi
