@@ -18,11 +18,11 @@ from .forward import (ForwardResult, RecordSet, WaveField, evaluate_field,
                       forward_solve, greens_sweep, sample_receivers,
                       solve_records)
 from .material import (AmbientProperties, InvalidMaterialError, ModelVector,
-                       clamp_to_valid, evaluate_velocities, lame_parameters)
+                       clamp_to_valid)
 from .mesh import (Mesh, MeshError, PointNotFoundError, Receiver, Source,
                    StationLayout, TunnelGeometry, build_tunnel_mesh,
                    build_unbounded_mesh, locate_point, locate_station,
-                   pml_local_coordinate, validate_layout)
+                   validate_layout)
 from .optimize import (FrequencySchedule, InversionData, InversionSettings,
                        IterationRecord, LbfgsHistory, LineSearchError,
                        OptimizerState, blindtest_schedule, format_log,
@@ -30,7 +30,7 @@ from .optimize import (FrequencySchedule, InversionData, InversionSettings,
                        run_frequency_group, run_inversion)
 from .pml import PmlProfile, damping, stretching
 from .signal import (Spectrum, TimeSeries, deconvolve, dft, dft_many,
-                     idft_synthesize, ricker, ricker_spectrum, sample_ricker)
+                     idft_synthesize, ricker, sample_ricker)
 from .solver import Factorization, SingularMatrixError, factorization_count, factorize
 
 __version__ = "0.1.0"

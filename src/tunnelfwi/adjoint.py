@@ -3,9 +3,10 @@
 The data misfit is the squared modulus of the record residuals summed over
 frequencies, sources, receivers and directions.  Its model gradient comes
 from one multi-column solve per frequency (a column per source) on the
-factorization that already exists from the forward pass, followed by an
-element-wise accumulation of the stiffness-derivative bilinear form.  The
-gradient is masked to zero near stations and free surfaces with a linear
+factorization that already exists from the forward pass.  The bilinear form
+u . dL/dm . u_adj is the transpose of the table product that assembles L:
+the element outer products of all pairs are summed first and multiplied
+once by the stiffness table.  The gradient is masked to zero near stations and free surfaces with a linear
 ramp back to one, and normalized by the lumped nodal areas.
 """
 

@@ -10,7 +10,9 @@ then element-interior modes.
 The assembled impedance matrix is L = K - omega^2 M with
 K = integral of B^T Ctilde B and M = integral of eps_x eps_y rho N^T N.
 Dofs on the outer PML boundary are clamped to zero, which is where the
-absorbed field is assumed to have died out.
+absorbed field is assumed to have died out.  Element matrices are products
+of per-point coefficients with cached real tables; the model derivative of
+u . K . u_adj runs the stiffness product backwards through the same table.
 """
 
 from __future__ import annotations
@@ -160,21 +162,8 @@ class DofMap:
         n_edge = self.p - 1
         n_int = n_edge ** 2
 
-        edges = {}
-        elem_edges = np.empty((mesh.n_elements, 4), dtype=int)
-        for e in range(mesh.n_elements):
-            n0, n1, n2, n3 = mesh.elements[e]
-            # bottom, right, top, left; canonical key = sorted node pair
-            for loc, (a, b) in enumerate(((n0, n1), (n1, n2), (n3, n2), (n0, n3))):
-                key = (a, b) if a < b else (b, a)
-                if key not in edges:
-                    edges[key] = len(edges)
-                elem_edges[e, loc] = edges[key]
-        self.edge_ids = edges
-        self.n_edges = len(edges)
-
         nv = mesh.n_nodes
-        ne = self.n_edges
+        ne = len(mesh.edges)
         self.n_vertex_modes = nv
         self.n_edge_modes = ne * n_edge
         self.n_interior_modes = mesh.n_elements * n_int
@@ -183,9 +172,8 @@ class DofMap:
 
         modes = np.empty((mesh.n_elements, n_modes(self.p)), dtype=int)
         modes[:, :4] = mesh.elements
-        for loc in range(4):
-            for i in range(n_edge):
-                modes[:, 4 + loc * n_edge + i] = nv + elem_edges[:, loc] * n_edge + i
+        modes[:, 4:4 + 4 * n_edge] = nv + (mesh.element_edges[:, :, None] * n_edge
+                                           + np.arange(n_edge)).reshape(mesh.n_elements, -1)
         base = nv + ne * n_edge
         modes[:, 4 + 4 * n_edge:] = (base + np.arange(mesh.n_elements)[:, None] * n_int
                                      + np.arange(n_int))
@@ -215,18 +203,15 @@ class DofMap:
 
     def _clamped_mask(self):
         """Dofs fixed to zero on the outer PML boundary."""
-        clamped = np.zeros(self.n_dofs, dtype=bool)
+        mesh = self.mesh
         n_edge = self.p - 1
-        nv = self.mesh.n_nodes
-        for a, b in self.mesh.outer_pml_edges:
-            for node in (a, b):
-                clamped[2 * node:2 * node + 2] = True
-            if n_edge:
-                eid = self.edge_ids[(a, b) if a < b else (b, a)]
-                for i in range(n_edge):
-                    m = nv + eid * n_edge + i
-                    clamped[2 * m:2 * m + 2] = True
-        return clamped
+        nv = mesh.n_nodes
+        outer = mesh.outer_pml_edges
+        clamped = np.zeros(self.n_modes, dtype=bool)
+        clamped[outer] = True
+        eids = np.flatnonzero(np.isin(mesh.edges @ [nv, 1], outer @ [nv, 1]))
+        clamped[nv + (eids[:, None] * n_edge + np.arange(n_edge)).ravel()] = True
+        return np.repeat(clamped, 2)
 
 
 # -- element matrices --------------------------------------------------------
@@ -488,43 +473,43 @@ def assemble_point_source(mesh, dof_map, s, direction, f_omega):
 
 
 # -- derivative of the impedance matrix with respect to the model ------------
+#
+# u_e . K_e . w_e = vec(u_e w_e^T) . vec(K_e), and vec(K_e) is the row of
+# per-point coefficients (lambda w F, mu w F) times TK.  Summing the pairs'
+# outer products P_e first and multiplying once by TK^T therefore gives the
+# derivative of the summed products with respect to every coefficient; the
+# chain rule carries it through lambda = rho (vp^2 - 2 vs^2), mu = rho vs^2
+# and the bilinear velocity interpolation to the corner nodes.
 
 def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg, dof_map):
-    """Element-wise sum of u . (dK/dm_k) . u_adj over all coefficients.
+    """Sum over pairs of u . (dK/dm_k) . u_adj for every model coefficient.
 
     ``fields`` is a list of (u, u_adj) dof-vector pairs sharing one omega.
     Density is constant, so these are also the products with dL/dm_k.
-    Returns a complex vector aligned with the model vector.
+    Each element batch costs one product with the transposed stiffness
+    table of ``_product_tables``, whatever the number of pairs.  Returns a
+    complex vector aligned with the model vector.
     """
     check_dof_map(dof_map, mesh, cfg.degree)
     n = model.n_nodes
+    U = np.stack([u for u, _ in fields], axis=1)
+    W = np.stack([v for _, v in fields], axis=1)
     out = np.zeros(2 * n, dtype=complex)
     for elems, flag in _batches(mesh, profile):
-        rule, h, vp, vs, ex, ey = _batch_quadrature(
+        rule, _, vp, vs, ex, ey = _batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
-        _, w, V, G = quad_table(*rule)
-        wq = w * (h * h / 4.0)
-        G = G * (2.0 / h)
-        F = _stretch_factor(ex, ey)
-        Fdiag = F[:, :, (0, 1), (0, 1)]
-        phi = V[:, :4]
+        _, w, V, _ = quad_table(*rule)
+        TK, _ = _product_tables(*rule)
         dofs = dof_map.element_dofs[elems]
+        P = U[dofs] @ W[dofs].transpose(0, 2, 1)
+        D = _table_product(P.reshape(len(elems), -1), TK.T)
+        # d(u K u_adj)/d(lambda, mu) at every point
+        S = np.einsum("eqlik,eqik->eql", D.reshape(len(elems), len(w), 2, 2, 2),
+                      _stretch_factor(ex, ey)) * w[:, None]
         corners = mesh.elements[elems]
-        for u, u_adj in fields:
-            U = u[dofs].reshape(len(elems), -1, 2)
-            W = u_adj[dofs].reshape(len(elems), -1, 2)
-            A = np.einsum("emi,qmj->eqij", U, G, optimize=True)
-            B = np.einsum("emi,qmj->eqij", W, G, optimize=True)
-            S_lam = np.einsum("eqik,eqii,eqkk->eq", F, A, B, optimize=True)
-            S_mu = np.einsum("eqik,eqik,eqki->eq", F, A, B, optimize=True)
-            S_mu += np.einsum("eqj,eqij,eqij->eq", Fdiag, A, B, optimize=True)
-            c_vp = np.einsum("q,eq,qa->ea", wq, 2.0 * rho * vp * S_lam, phi,
-                             optimize=True)
-            c_vs = np.einsum("q,eq,qa->ea", wq,
-                             rho * vs * (2.0 * S_mu - 4.0 * S_lam), phi,
-                             optimize=True)
-            np.add.at(out, corners, c_vp)
-            np.add.at(out, n + corners, c_vs)
+        np.add.at(out, corners, (2.0 * rho * vp * S[..., 0]) @ V[:, :4])
+        np.add.at(out, n + corners,
+                  (2.0 * rho * vs * (S[..., 1] - 2.0 * S[..., 0])) @ V[:, :4])
     return out
 
 

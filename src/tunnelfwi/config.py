@@ -49,7 +49,6 @@ _SCALAR_DEFAULTS = {
     "reduction_threshold": 1e-3,
     "lbfgs_capacity": 5,
     "step_fraction": 0.01,
-    "strict": 0,
     # gradient mask
     "station_radius": 2.5,
     "station_transition": 2.5,
@@ -67,7 +66,7 @@ _SCALAR_DEFAULTS = {
     "validate_source_y": -1.0,
 }
 
-_INT_KEYS = {"degree", "quad_points", "max_iterations", "lbfgs_capacity", "strict"}
+_INT_KEYS = {"degree", "quad_points", "max_iterations", "lbfgs_capacity"}
 _LIST_KEYS = {"frequencies", "sweep_degrees"}
 _REPEAT_KEYS = {"source", "receiver", "group"}
 
@@ -132,8 +131,7 @@ class RunConfig:
             max_iterations=s["max_iterations"],
             reduction_threshold=s["reduction_threshold"],
             lbfgs_capacity=s["lbfgs_capacity"],
-            step_fraction=s["step_fraction"],
-            strict=bool(s["strict"]))
+            step_fraction=s["step_fraction"])
 
     def degree_for(self):
         """Sweep degree lookup: omega -> polynomial degree, or None."""

@@ -1,4 +1,4 @@
-"""Nodal ground model and Lame parameters.
+"""Nodal ground model.
 
 Wave velocities are stored as one coefficient per mesh vertex: the first
 half of the vector carries P-wave velocities, the second half S-wave
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import mesh as meshmod
 
 SQRT2 = np.sqrt(2.0)
 
@@ -89,25 +87,3 @@ def clamp_to_valid(values, margin=1e-6, floor=1.0):
     limit = v[:n] / SQRT2 * (1.0 - margin)
     np.minimum(v[n:], limit, out=v[n:])
     return v
-
-
-def evaluate_velocities(model: ModelVector, mesh, p):
-    """Bilinear (vp, vs) at an arbitrary point."""
-    e, (xi, eta) = meshmod.locate_point(mesh, p)
-    w = _bilinear(xi, eta)
-    corners = mesh.elements[e]
-    return float(w @ model.vp[corners]), float(w @ model.vs[corners])
-
-
-def _bilinear(xi, eta):
-    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-
-
-def lame_parameters(vp, vs, rho):
-    """First and second Lame parameter from wave velocities."""
-    mu = rho * vs ** 2
-    lam = rho * vp ** 2 - 2.0 * mu
-    if np.any(np.asarray(lam) <= 0):
-        raise InvalidMaterialError(f"lambda <= 0 for vp={vp}, vs={vs}")
-    return lam, mu

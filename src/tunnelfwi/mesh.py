@@ -204,40 +204,42 @@ class Mesh:
         self._tag_edges()
 
     def _tag_edges(self):
-        """Classify boundary edges (edges owned by exactly one element)."""
-        nx, ny = self.nx, self.ny
-        counts = {}
-        owner = {}
-        for e in range(len(self.elements)):
-            n0, n1, n2, n3 = self.elements[e]
-            for a, b in ((n0, n1), (n1, n2), (n3, n2), (n0, n3)):
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-                owner[key] = e
+        """Number the element edges and classify the boundary ones.
 
-        free, outer = [], []
-        w = nx * self.h
-        htop = ny * self.h
-        for key, c in counts.items():
-            if c != 1:
-                continue
-            xa, ya = self.nodes[key[0]]
-            xb, yb = self.nodes[key[1]]
-            on_outer = (min(xa, xb) >= w - 1e-12 or max(xa, xb) <= 1e-12 or
-                        min(ya, yb) >= htop - 1e-12 or max(ya, yb) <= 1e-12)
-            on_surface = min(ya, yb) >= htop - 1e-12
-            if on_surface and self.free_top:
-                free.append(key)
-            elif on_outer:
-                if self.element_region[owner[key]] != INTERIOR:
-                    outer.append(key)
-                # outer edges of interior elements (pml width 0) stay untagged
-            else:
-                free.append(key)  # tunnel walls and faces
+        ``edges`` holds each edge's sorted node pair, numbered in first-seen
+        order over the elements' local edges (bottom, right, top, left);
+        ``element_edges`` gives every element's four edge ids and
+        ``edge_owners`` how many elements share an edge.  Boundary edges
+        (one owner) are free on the surface and tunnel walls, and outer
+        where they bound a PML element.
+        """
+        n0, n1, n2, n3 = self.elements.T
+        ends = np.sort(np.stack([n0, n1, n1, n2, n3, n2, n0, n3], axis=1)
+                       .reshape(-1, 2), axis=1)
+        # np.unique sorts the pairs; renumber them in first-seen order
+        _, first, inverse, counts = np.unique(ends @ [self.n_nodes, 1],
+                                              return_index=True, return_inverse=True,
+                                              return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.edges = ends[first[order]]
+        self.element_edges = rank[inverse].reshape(-1, 4)
+        self.edge_owners = counts[order]
 
-        self.edge_counts = counts
-        self.free_surface_edges = np.asarray(sorted(free), dtype=int).reshape(-1, 2)
-        self.outer_pml_edges = np.asarray(sorted(outer), dtype=int).reshape(-1, 2)
+        # boundary edges in sorted pair order, with their one owner
+        keys = ends[first[counts == 1]]
+        owner = first[counts == 1] // 4
+        (xa, ya), (xb, yb) = self.nodes[keys[:, 0]].T, self.nodes[keys[:, 1]].T
+        w, htop = self.extent
+        on_surface = np.minimum(ya, yb) >= htop - 1e-12
+        on_outer = (on_surface | (np.minimum(xa, xb) >= w - 1e-12)
+                    | (np.maximum(xa, xb) <= 1e-12) | (np.maximum(ya, yb) <= 1e-12))
+        surface = on_surface & self.free_top
+        # outer edges of interior elements (pml width 0) stay untagged
+        outer = ~surface & on_outer & (self.element_region[owner] != INTERIOR)
+        self.free_surface_edges = keys[surface | ~on_outer]
+        self.outer_pml_edges = keys[outer]
 
     # -- queries -----------------------------------------------------------
 
@@ -363,16 +365,6 @@ def _local_coordinates(mesh: Mesh, e, p):
     xi = 2.0 * (p[0] - x0) / mesh.h - 1.0
     eta = 2.0 * (p[1] - y0) / mesh.h - 1.0
     return min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta))
-
-
-def pml_local_coordinate(mesh: Mesh, e, p):
-    """Distance of p from the inner PML edge, one value per stretched axis."""
-    if mesh.element_region[e] == INTERIOR:
-        raise MeshError(f"element {e} is not a PML element")
-    rx, ry = mesh.pml_ref[e]
-    sx = abs(p[0] - rx) if np.isfinite(rx) else 0.0
-    sy = abs(p[1] - ry) if np.isfinite(ry) else 0.0
-    return sx, sy
 
 
 def validate_layout(layout: StationLayout, mesh: Mesh):

@@ -244,7 +244,6 @@ class InversionSettings:
     lbfgs_capacity: int = 5
     step_fraction: float = 0.01  # of the ambient S velocity, caps |alpha d|
     line_search_rounds: int = 5
-    strict: bool = False
 
 
 @dataclass
@@ -375,8 +374,6 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             log.append(IterationRecord(group_index, j, chi, 0.0,
                                        float(np.linalg.norm(grad_vec)),
                                        f"line search failed: {exc}"))
-            if settings.strict:
-                raise
             break
 
         if best is None or best[0] != alpha:
@@ -427,8 +424,6 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
             state = run_frequency_group(state, group, data, settings, group_index=gi)
         except (LineSearchError, solvermod.SingularMatrixError) as exc:
             failures.append((gi, str(exc)))
-            if settings.strict:
-                raise
         group_models.append(state.model)
     return InversionResult(model=state.model, state=state,
                            group_models=group_models, failures=failures)

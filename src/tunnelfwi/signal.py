@@ -85,10 +85,6 @@ def dft_many(series: TimeSeries, omegas) -> Spectrum:
     return Spectrum(omegas, kernel @ series.samples * series.dt)
 
 
-def ricker_spectrum(f_peak, omegas) -> Spectrum:
-    return dft_many(sample_ricker(f_peak), omegas)
-
-
 def _check_shared_grid(a: Spectrum, b: Spectrum):
     if a.omegas.shape != b.omegas.shape or not np.array_equal(a.omegas, b.omegas):
         raise SignalError("spectra do not share the same frequency list")

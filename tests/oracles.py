@@ -4,22 +4,64 @@ The stiffness tensor and its PML stretch are the textbook forms the dense
 assembly oracle in ``test_assembly.py`` contracts at every quadrature
 point; ``coo_system`` is the COO -> CSC assembly that the production
 one-pass ``SystemPattern`` scatter replaced, and the only place that forms
-the global K and M.  ``velocities_from_lame``, ``local_to_global`` and
-``dump_mesh`` invert or print what the program computes.
+the global K and M; ``derivative_products_oracle`` is the per-pair gradient
+kernel that the production transposed table product replaced.
+``lame_parameters``, ``velocities_from_lame``, ``evaluate_velocities``,
+``pml_local_coordinate``, ``local_to_global``, ``ricker_spectrum`` and
+``dump_mesh`` convert, evaluate or print what the program computes.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from tunnelfwi import assembly as asmmod
-from tunnelfwi.mesh import INTERIOR, PML_CORNER, PML_X, PML_Y, Mesh
+from tunnelfwi.material import InvalidMaterialError, ModelVector
+from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, Mesh, MeshError,
+                            locate_point)
+from tunnelfwi.signal import Spectrum, dft_many, sample_ricker
 
 REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
                 PML_CORNER: "pml-corner"}
 
 
+def lame_parameters(vp, vs, rho):
+    """First and second Lame parameter from wave velocities."""
+    mu = rho * vs ** 2
+    lam = rho * vp ** 2 - 2.0 * mu
+    if np.any(np.asarray(lam) <= 0):
+        raise InvalidMaterialError(f"lambda <= 0 for vp={vp}, vs={vs}")
+    return lam, mu
+
+
 def velocities_from_lame(lam, mu, rho):
     return np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
+
+
+def evaluate_velocities(model: ModelVector, mesh, p):
+    """Bilinear (vp, vs) at an arbitrary point."""
+    e, (xi, eta) = locate_point(mesh, p)
+    w = _bilinear(xi, eta)
+    corners = mesh.elements[e]
+    return float(w @ model.vp[corners]), float(w @ model.vs[corners])
+
+
+def _bilinear(xi, eta):
+    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
+                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
+
+
+def pml_local_coordinate(mesh: Mesh, e, p):
+    """Distance of p from the inner PML edge, one value per stretched axis."""
+    if mesh.element_region[e] == INTERIOR:
+        raise MeshError(f"element {e} is not a PML element")
+    rx, ry = mesh.pml_ref[e]
+    sx = abs(p[0] - rx) if np.isfinite(rx) else 0.0
+    sy = abs(p[1] - ry) if np.isfinite(ry) else 0.0
+    return sx, sy
+
+
+def ricker_spectrum(f_peak, omegas) -> Spectrum:
+    return dft_many(sample_ricker(f_peak), omegas)
 
 
 def local_to_global(mesh: Mesh, e, xi):
@@ -106,3 +148,43 @@ def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     K = sp.coo_matrix((kvals.astype(complex), (rows, cols)), shape=shape).tocsc()
     M = sp.coo_matrix((mvals.astype(complex), (rows, cols)), shape=shape).tocsc()
     return K, M, (K - omega ** 2 * M).tocsc()
+
+
+def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, dof_map):
+    """``stiffness_derivative_products`` contracted pair by pair.
+
+    Each (u, u_adj) pair's displacement gradients A and B at the quadrature
+    points give the lambda product (F_ik A_ii B_kk) and the mu product
+    (F_ik A_ik B_ki plus the diagonal F_jj A_ij B_ij) directly, without
+    the element tables; the chain rule to the corner velocities is the same.
+    """
+    asmmod.check_dof_map(dof_map, mesh, cfg.degree)
+    n = model.n_nodes
+    out = np.zeros(2 * n, dtype=complex)
+    for elems, flag in asmmod._batches(mesh, profile):
+        rule, h, vp, vs, ex, ey = asmmod._batch_quadrature(
+            mesh, elems, model, omega, profile, cfg, flag)
+        _, w, V, G = asmmod.quad_table(*rule)
+        wq = w * (h * h / 4.0)
+        G = G * (2.0 / h)
+        F = asmmod._stretch_factor(ex, ey)
+        Fdiag = F[:, :, (0, 1), (0, 1)]
+        phi = V[:, :4]
+        dofs = dof_map.element_dofs[elems]
+        corners = mesh.elements[elems]
+        for u, u_adj in fields:
+            U = u[dofs].reshape(len(elems), -1, 2)
+            W = u_adj[dofs].reshape(len(elems), -1, 2)
+            A = np.einsum("emi,qmj->eqij", U, G, optimize=True)
+            B = np.einsum("emi,qmj->eqij", W, G, optimize=True)
+            S_lam = np.einsum("eqik,eqii,eqkk->eq", F, A, B, optimize=True)
+            S_mu = np.einsum("eqik,eqik,eqki->eq", F, A, B, optimize=True)
+            S_mu += np.einsum("eqj,eqij,eqij->eq", Fdiag, A, B, optimize=True)
+            c_vp = np.einsum("q,eq,qa->ea", wq, 2.0 * rho * vp * S_lam, phi,
+                             optimize=True)
+            c_vs = np.einsum("q,eq,qa->ea", wq,
+                             rho * vs * (2.0 * S_mu - 4.0 * S_lam), phi,
+                             optimize=True)
+            np.add.at(out, corners, c_vp)
+            np.add.at(out, n + corners, c_vs)
+    return out

@@ -303,7 +303,7 @@ def dense_oracle_system(mesh, model, rho, omega, profile, cfg):
                 ex, ey = 1.0 + 0.0j, 1.0 + 0.0j
                 if stretched:
                     ex, ey = (pmlmod.stretching(s, omega, profile)
-                              for s in meshmod.pml_local_coordinate(mesh, e, gp))
+                              for s in oracles.pml_local_coordinate(mesh, e, gp))
                 Ct = oracles.stretched_stiffness(C, ex, ey)
                 nm = len(V)
                 for a in range(nm):
@@ -558,6 +558,23 @@ def test_dL_dm_matches_fd_with_pml():
         Lm = assemble_system(mesh, ModelVector(mm), RHO, omega, PML, cfg, dof_map=dm).L
         fd = u @ ((Lp - Lm) / (2 * step)) @ v
         assert got == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_derivative_products_match_oracle(p, profile):
+    # the transposed table product against the per-pair gradient kernel
+    mesh = build_tunnel_mesh(TunnelGeometry(6, 2, 1, 2, 3, 1, 1))
+    model = random_model(mesh, 19)
+    cfg = DiscretizationConfig(degree=p)
+    dm = DofMap(mesh, p)
+    rng = np.random.default_rng(20 + p)
+    pairs = [tuple(rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
+                   for _ in range(2)) for _ in range(3)]
+    args = (mesh, model, RHO, 1300.0, profile, cfg, dm)
+    np.testing.assert_allclose(stiffness_derivative_products(pairs, *args),
+                               oracles.derivative_products_oracle(pairs, *args),
+                               rtol=1e-12)
 
 
 def test_node_areas():

@@ -39,6 +39,8 @@ def test_default_schedule_is_blindtest():
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="foo"):
         parse_config("foo = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'strict'"):
+        parse_config("strict = 1\n")
 
 
 def test_negative_mask_distance_rejected():

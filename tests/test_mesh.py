@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import dump_mesh, local_to_global
+from oracles import dump_mesh, local_to_global, pml_local_coordinate
 from tunnelfwi import mesh as meshmod
 from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, MeshError,
                             PointNotFoundError, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh,
-                            build_unbounded_mesh, locate_point,
-                            pml_local_coordinate)
+                            build_unbounded_mesh, locate_point)
 
 
 def blindtest_geometry():
@@ -71,9 +70,10 @@ def test_area_identity():
 
 def test_free_surface_edges_unique_owner():
     mesh = build_tunnel_mesh(blindtest_geometry())
+    ids = {tuple(edge): k for k, edge in enumerate(mesh.edges.tolist())}
     for a, b in mesh.free_surface_edges:
         key = (min(a, b), max(a, b))
-        assert mesh.edge_counts[key] == 1
+        assert mesh.edge_owners[ids[key]] == 1
 
 
 def test_free_surface_only_on_surface_and_tunnel():
