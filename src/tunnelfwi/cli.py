@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -144,14 +145,20 @@ def cmd_invert(cfg, args):
         source_amplitude=_source_amplitude(cfg), mask=mask)
 
     os.makedirs(args.output, exist_ok=True)
-    result = optmod.run_inversion(initial, schedule, data, cfg.settings())
-    for gi, model in enumerate(result.group_models):
-        fileio.write_model_grid(os.path.join(args.output, f"model_group_{gi:02d}.txt"),
-                                model, mesh)
+
+    def on_group_end(gi, state):
+        # each finished group's model and the log so far survive a later kill
+        fileio.write_atomically(
+            os.path.join(args.output, f"model_group_{gi:02d}.txt"),
+            lambda tmp: fileio.write_model_grid(tmp, state.model, mesh))
+        log = optmod.format_log(state.log)
+        fileio.write_atomically(os.path.join(args.output, "convergence.txt"),
+                                lambda tmp: pathlib.Path(tmp).write_text(log))
+
+    result = optmod.run_inversion(initial, schedule, data, cfg.settings(),
+                                  on_group_end=on_group_end)
     fileio.write_model_grid(os.path.join(args.output, "final_model.txt"),
                             result.model, mesh)
-    with open(os.path.join(args.output, "convergence.txt"), "w") as f:
-        f.write(optmod.format_log(result.state.log))
     for gi, msg in result.failures:
         print(f"group {gi} failed: {msg}", file=sys.stderr)
     print(f"inversion finished after {result.state.iteration} iterations; "

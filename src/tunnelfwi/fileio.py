@@ -323,16 +323,21 @@ def cached_spectra(records_path, omegas, layout, cache_dir=None):
     if os.path.exists(cache):
         return read_frequency_records(cache)
     observed = records_to_spectra(read_time_records(records_path), omegas, layout)
-    # write beside the target and rename over it, so an interrupted run never
-    # leaves a torn cache; a directory that cannot be written means no cache
-    tmp = f"{cache}.{os.getpid()}.tmp"
     try:
-        try:
-            write_frequency_records(tmp, observed, layout.n_sources, layout.n_receivers)
-            os.replace(tmp, cache)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_atomically(cache, lambda tmp: write_frequency_records(
+            tmp, observed, layout.n_sources, layout.n_receivers))
     except OSError:
-        pass
+        pass  # a directory that cannot be written means no cache
     return observed
+
+
+def write_atomically(path, write):
+    """Run ``write(tmp)`` on a file beside ``path`` and rename it over
+    ``path``, so an interrupted run never leaves a torn file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

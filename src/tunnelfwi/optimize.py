@@ -5,8 +5,12 @@ Each frequency group is minimized on its own: the first step follows the
 negative (preconditioned) gradient, later steps use the limited-memory
 two-loop recursion; the step length comes from fitting a parabola through
 three misfit samples and iterating the fit until its vertex settles within
-``SETTLE_RTOL`` of a sample already taken.  Groups run in order of rising
-top frequency and hand their model to the next group.
+``SETTLE_RTOL`` of a sample already taken.  The second sample is the vertex
+of the parabola through chi(0), chi'(0) and the first trial when that
+parabola is convex, where chi'(0) is the adjoint gradient of the current
+model along the search direction.
+Groups run in order of rising top frequency and hand their model to the
+next group.
 """
 
 from __future__ import annotations
@@ -138,17 +142,23 @@ def _parabola_vertex(alphas, values):
     return 0.5 * (a1 + a2) - d21 / (2.0 * curv), curv
 
 
-def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10):
+def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10,
+                slope0=None):
     """Step length from iterated three-point parabola fits.
 
     ``chi`` maps a step length along the current search direction to the
-    misfit.  Samples at {0, alpha_init, 2 alpha_init} seed the fit, the
-    proposal moves the bracket toward the minimizer, and a non-convex fit
-    falls back to halving.  The fit stops, without evaluating its vertex,
-    once that vertex lies within ``SETTLE_RTOL`` of itself from a sample of
-    the current triple (after re-bracketing, the triple holds the previous
-    vertex); ``rounds`` caps the refits.  Returns (alpha, chi(alpha)) with
-    chi(alpha) < chi(0) or raises LineSearchError.
+    misfit and ``slope0`` is its derivative at 0, if known.  A negative
+    slope and the first trial at ``alpha_init`` fit a parabola; when it is
+    convex, its vertex (capped at 4 alpha_init) is the second trial, and a
+    vertex within ``SETTLE_RTOL`` of an improving first trial accepts that
+    trial at once (Nocedal & Wright, Numerical Optimization, section 3.5).
+    Without such a fit the second trial is 2 alpha_init.  The three samples
+    seed the fit, the proposal moves the bracket toward the minimizer, and
+    a non-convex fit falls back to halving.  The fit stops, without
+    evaluating its vertex, once that vertex lies within ``SETTLE_RTOL`` of
+    itself from a sample of the current triple (after re-bracketing, the
+    triple holds the previous vertex); ``rounds`` caps the refits.  Returns
+    (alpha, chi(alpha)) with chi(alpha) < chi(0) or raises LineSearchError.
     """
     if alpha_init <= 0:
         raise LineSearchError(f"alpha_init must be > 0, got {alpha_init}")
@@ -172,10 +182,17 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10):
             if evaluate(a) < f0:
                 return
 
-    evaluate(alpha_init)
-    evaluate(2.0 * alpha_init)
+    f1 = evaluate(alpha_init)
+    second = 2.0 * alpha_init
+    if slope0 is not None and slope0 < 0.0:
+        curv = (f1 - f0 - slope0 * alpha_init) / alpha_init ** 2
+        if np.isfinite(curv) and curv > 0.0:
+            second = min(-slope0 / (2.0 * curv), 4.0 * alpha_init)
+            if abs(second - alpha_init) <= SETTLE_RTOL * second and f1 < f0:
+                return alpha_init, f1
+    evaluate(second)
 
-    triple = [0.0, alpha_init, 2.0 * alpha_init]
+    triple = sorted([0.0, alpha_init, second])
     for _ in range(rounds):
         vertex, _ = _parabola_vertex(triple, [samples[a] for a in triple])
         if vertex is None or vertex <= 0.0:
@@ -223,7 +240,7 @@ def minimize_lbfgs(fun, grad, x0, max_iterations=50, capacity=5, grad_tol=1e-8,
         a0 = alpha_init if step_limit is None else step_limit / np.abs(d).max()
         try:
             alpha, f_new = line_search(lambda a: float(fun(x + a * d)),
-                                       a0, chi0=f)
+                                       a0, chi0=f, slope0=float(g @ d))
         except LineSearchError:
             break
         x_new = x + alpha * d
@@ -303,7 +320,12 @@ def _group_misfit(model, omegas, data: InversionData, observed, keep=False):
 
 
 def _group_gradient(model, omegas, data: InversionData, delta, kept):
-    """One multi-column adjoint solve per frequency on the kept factorizations."""
+    """One multi-column adjoint solve per frequency on the kept factorizations.
+
+    Returns (raw, grad): ``raw`` is the derivative of the misfit with respect
+    to the model vector, ``grad`` the area-normalized gradient, masked when
+    the data carry a mask, that drives L-BFGS.
+    """
     pairs = {}
     for fi, omega in enumerate(omegas):
         res = kept[fi]
@@ -313,9 +335,10 @@ def _group_gradient(model, omegas, data: InversionData, delta, kept):
     grad = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
                                       data.profile, data.cfg, data.dof_map,
                                       areas=data.node_areas)
+    raw = grad.values * np.concatenate([grad.node_areas, grad.node_areas])
     if data.mask is not None:
         grad = adjmod.precondition(grad, data.mask)
-    return grad
+    return raw, grad.values
 
 
 def run_frequency_group(state: OptimizerState, group, data: InversionData,
@@ -326,7 +349,9 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     gradient; iteration stops at the cap, at a relative misfit reduction
     below the threshold, or on line-search failure (keeping the best model).
     The accepted step's misfit, residuals and factorizations are those the
-    line search kept for its best trial; no model is solved twice.
+    line search kept for its best trial; no model is solved twice.  The line
+    search gets the misfit's slope along the direction from the raw gradient
+    of the current model, which is already computed.
     """
     omegas = tuple(float(w) for w in group)
     observed = data.observed_records(omegas)
@@ -345,7 +370,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
         if chi_prev is not None and (chi_prev - chi) < settings.reduction_threshold * chi_prev:
             break
         if grad_vec is None:
-            grad_vec = _group_gradient(model, omegas, data, delta, kept).values
+            raw_vec, grad_vec = _group_gradient(model, omegas, data, delta, kept)
         kept = None  # live contexts: the best trial kept and the one being solved
         d = lbfgs_direction(history, grad_vec)
         dmax = np.abs(d).max()
@@ -369,7 +394,8 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
 
         try:
             alpha, _ = line_search(chi_of, alpha_init, chi0=chi,
-                                   rounds=settings.line_search_rounds)
+                                   rounds=settings.line_search_rounds,
+                                   slope0=float(raw_vec @ d))
         except LineSearchError as exc:
             log.append(IterationRecord(group_index, j, chi, 0.0,
                                        float(np.linalg.norm(grad_vec)),
@@ -381,7 +407,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                                "which is not the best trial kept")
         _, new_model, chi_new, delta, kept = best
         best = None
-        new_grad = _group_gradient(new_model, omegas, data, delta, kept).values
+        raw_vec, new_grad = _group_gradient(new_model, omegas, data, delta, kept)
         history.push(new_model.values - model.values, new_grad - grad_vec)
         log.append(IterationRecord(group_index, j, chi, alpha,
                                    float(np.linalg.norm(grad_vec))))
@@ -402,31 +428,30 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
 class InversionResult:
     model: matmod.ModelVector
     state: OptimizerState
-    group_models: list
     failures: list
 
 
 def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionData,
-                  settings: InversionSettings) -> InversionResult:
+                  settings: InversionSettings, on_group_end=None) -> InversionResult:
     """Sequential multi-scale loop; each group seeds the next one.
 
     A group that ends in a line-search failure or a singular system is
     recorded in ``failures`` and the next group starts from the last model;
-    any other error propagates.
+    any other error propagates.  ``on_group_end(group_index, state)``, if
+    given, runs after every group, failed ones included.
     """
     schedule.validate()
     initial_model.validate()
     state = OptimizerState(model=initial_model)
-    group_models = []
     failures = []
     for gi, group in enumerate(schedule.groups):
         try:
             state = run_frequency_group(state, group, data, settings, group_index=gi)
         except (LineSearchError, solvermod.SingularMatrixError) as exc:
             failures.append((gi, str(exc)))
-        group_models.append(state.model)
-    return InversionResult(model=state.model, state=state,
-                           group_models=group_models, failures=failures)
+        if on_group_end is not None:
+            on_group_end(gi, state)
+    return InversionResult(model=state.model, state=state, failures=failures)
 
 
 def format_log(entries):

@@ -481,6 +481,34 @@ def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):
     assert (outdir / "model_group_01.txt").exists()
 
 
+def test_cli_invert_writes_each_group_as_it_ends(box_config, tmp_path,
+                                                 monkeypatch):
+    from tunnelfwi import optimize
+    records = tmp_path / "obs.txt"
+    assert cli_dispatch(["make-synthetic", "--config", box_config,
+                         "--output", str(records)]) == 0
+    group = optimize.run_frequency_group
+
+    def killed_in_group_1(state, grp, data, settings, group_index=0):
+        if group_index == 1:
+            raise RuntimeError("killed")
+        return group(state, grp, data, settings, group_index=group_index)
+
+    monkeypatch.setattr(optimize, "run_frequency_group", killed_in_group_1)
+    outdir = tmp_path / "inv"
+    rc = cli_dispatch(["invert", "--config", box_config,
+                       "--records", str(records), "--output", str(outdir)])
+    assert rc != 0
+    assert sorted(os.listdir(outdir)) == ["convergence.txt", "model_group_00.txt"]
+    mesh = build_tunnel_mesh(load_config(box_config).geometry())
+    snapshot = read_model_grid(outdir / "model_group_00.txt", mesh)
+    ambient = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    np.testing.assert_array_equal(snapshot.values, ambient.values)
+    log = optimize.parse_log((outdir / "convergence.txt").read_text())
+    assert log and {r.group for r in log} == {0}
+    assert log[-1].note == "group end"
+
+
 def test_cli_dft_subcommand(box_config, tmp_path):
     # synthesize simple time records for every (source, receiver, direction)
     rng = np.random.default_rng(92)

@@ -170,16 +170,50 @@ def counted_cosh(scale, calls):
 
 
 def test_line_search_is_scale_invariant():
-    # the settle test is relative, so only the step's scale changes
-    found = {}
-    for scale in (1e-12, 1.0, 1e12):
+    # the settle test is relative, so only the step's scale changes; the
+    # slope of cosh(a/s - 1.3) at 0 scales as 1/s
+    for slope in (None, np.sinh(-1.3)):
+        found = {}
+        for scale in (1e-12, 1.0, 1e12):
+            calls = []
+            slope0 = None if slope is None else slope / scale
+            alpha, _ = line_search(counted_cosh(scale, calls), scale,
+                                   slope0=slope0)
+            found[scale] = (len(calls), alpha / scale)
+        counts = {n for n, _ in found.values()}
+        assert len(counts) == 1
+        for _, ratio in found.values():
+            assert ratio == pytest.approx(found[1.0][1], rel=1e-12)
+
+
+def test_line_search_slope_seed_on_exact_quadratic():
+    # chi = (a - 1)^2 with chi'(0) = -2: the fit through chi(0), chi'(0) and
+    # chi(alpha_init) is chi itself, so its vertex is the minimizer
+    for alpha_init, n_trials in ((1.0, 1), (0.5, 2)):
         calls = []
-        alpha, _ = line_search(counted_cosh(scale, calls), scale)
-        found[scale] = (len(calls), alpha / scale)
-    counts = {n for n, _ in found.values()}
-    assert len(counts) == 1
-    for _, ratio in found.values():
-        assert ratio == pytest.approx(found[1.0][1], rel=1e-12)
+
+        def chi(a):
+            calls.append(a)
+            return (a - 1.0) ** 2
+
+        alpha, value = line_search(chi, alpha_init, slope0=-2.0)
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert value == pytest.approx(0.0, abs=1e-24)
+        assert sum(a != 0.0 for a in calls) == n_trials
+
+
+# the trials of line_search(counted_cosh(1.0, calls), 1.0) under the blind
+# 2 alpha_init seed: chi(0), the two seeds and two vertices
+BLIND_SEED_TRIALS = [0.0, 1.0, 2.0, 1.3151934610898728, 1.2966457065269257]
+
+
+@pytest.mark.parametrize("slope0", [None, 1.0, float("nan"), -0.5],
+                         ids=["none", "ascent", "nan", "nonconvex_fit"])
+def test_line_search_without_a_usable_slope_keeps_the_blind_seed(slope0):
+    # -0.5 is shallower than the secant to alpha_init (-0.93): a concave fit
+    calls = []
+    line_search(counted_cosh(1.0, calls), 1.0, slope0=slope0)
+    assert calls == pytest.approx(BLIND_SEED_TRIALS, rel=1e-12)
 
 
 def test_line_search_stops_once_the_vertex_settles():
@@ -389,9 +423,11 @@ def test_run_inversion_records_singular_group(monkeypatch):
 
     monkeypatch.setattr(solver, "factorize", first_fails)
     sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
-    res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3))
+    ended = []
+    res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3),
+                        on_group_end=lambda gi, state: ended.append(gi))
     assert res.failures == [(0, "zero pivot")]
-    assert len(res.group_models) == 2
+    assert ended == [0, 1]
     np.testing.assert_array_equal(res.model.values, truth.values)
 
 
@@ -457,9 +493,10 @@ def test_group_reuses_the_accepted_trial(monkeypatch):
     n_fact = solver.factorization_count() - before
     n_chi = sum(n for n, _ in searches)
     assert out.iteration == len(searches) >= 2
-    # the first search overshoots and evaluates three vertices; the later
-    # ones settle after their first
-    assert max(n for n, _ in searches) == 5
+    # the slope-seeded vertex is each search's second trial: the first
+    # search overshoots and refits four times, the second is capped at
+    # 4 alpha_init and refits twice, the third settles on the seeded vertex
+    assert [n for n, _ in searches] == [6, 4, 2]
     # the initial misfit and one per trial; no solve of an accepted model
     assert n_fact == len(omegas) * (1 + n_chi)
     assert len(solved) == 1 + n_chi
@@ -470,3 +507,41 @@ def test_group_reuses_the_accepted_trial(monkeypatch):
     fresh = optimize._group_misfit(out.model, omegas, data,
                                    data.observed_records(omegas))[0]
     assert out.log[-1].chi == fresh
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+def test_group_slope_matches_finite_differences(monkeypatch, masked):
+    from tunnelfwi import adjoint, optimize
+    mesh, data, truth = toy_problem()
+    if masked:
+        data.mask = adjoint.build_mask(data.layout, mesh, 1.0, 1.0, 1.0, 1.0)
+        assert 0.0 in data.mask.factors and 1.0 in data.mask.factors
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    omegas = (1200.0, 2000.0)
+    directions, searches = [], []
+    direction, search = optimize.lbfgs_direction, optimize.line_search
+
+    def recording_direction(*args):
+        directions.append(direction(*args))
+        return directions[-1]
+
+    def recording_search(chi, alpha_init, **kwargs):
+        searches.append((alpha_init, kwargs["slope0"]))
+        return search(chi, alpha_init, **kwargs)
+
+    monkeypatch.setattr(optimize, "lbfgs_direction", recording_direction)
+    monkeypatch.setattr(optimize, "line_search", recording_search)
+    run_frequency_group(OptimizerState(model=start), omegas, data,
+                        InversionSettings(max_iterations=1))
+    (alpha_init, slope0), = searches
+    d = directions[0]
+    observed = data.observed_records(omegas)
+    h = 1e-3 * alpha_init
+
+    def chi(a):
+        model = ModelVector(start.values + a * d)
+        return optimize._group_misfit(model, omegas, data, observed)[0]
+
+    assert slope0 < 0.0
+    fd = (chi(h) - chi(-h)) / (2.0 * h)
+    assert abs(slope0 - fd) <= 1e-5 * abs(fd)
