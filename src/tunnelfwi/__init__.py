@@ -6,9 +6,8 @@ fields from seismic records via adjoint gradients, L-BFGS and a multi-scale
 frequency schedule.
 """
 
-from .adjoint import (Gradient, Misfit, PreconditionMask, accumulate_gradient,
-                      adjoint_field, adjoint_source, build_mask, misfit,
-                      precondition)
+from .adjoint import (Misfit, accumulate_gradient, adjoint_field,
+                      adjoint_source, build_mask, misfit, precondition)
 from .analytic import AnalyticQuery, greens_x_analytic, greens_x_polar, hankel2
 from .assembly import (AssembledSystem, DiscretizationConfig, DofMap,
                        assemble_point_source, assemble_system, node_areas,

@@ -6,8 +6,11 @@ from one multi-column solve per frequency (a column per source) on the
 factorization that already exists from the forward pass.  The bilinear form
 u . dL/dm . u_adj is the transpose of the table product that assembles L:
 the element outer products of all pairs are summed first and multiplied
-once by the stiffness table.  The gradient is masked to zero near stations and free surfaces with a linear
-ramp back to one, and normalized by the lumped nodal areas.
+once by the stiffness table.  ``accumulate_gradient`` returns the plain
+derivative of the misfit with respect to the model vector;
+``precondition`` turns it into the gradient that drives L-BFGS: divided by
+the lumped nodal areas and masked to zero near stations and free surfaces
+with a linear ramp back to one.
 """
 
 from __future__ import annotations
@@ -27,23 +30,7 @@ class AdjointError(ValueError):
 @dataclass(frozen=True)
 class Misfit:
     value: float
-    partials: dict  # (frequency index, source index) -> partial sum
     residuals: np.ndarray  # masked record residuals, (n_f, n_s, n_r, 2)
-
-
-@dataclass(frozen=True)
-class Gradient:
-    values: np.ndarray      # length 2 n_nodes, aligned with the model vector
-    node_areas: np.ndarray  # length n_nodes
-
-
-@dataclass(frozen=True)
-class PreconditionMask:
-    factors: np.ndarray  # per-node scale in [0, 1]
-    station_radius: float
-    station_transition: float
-    surface_distance: float
-    surface_transition: float
 
 
 def residuals(synthetic, observed):
@@ -57,12 +44,10 @@ def residuals(synthetic, observed):
 
 
 def misfit(synthetic, observed) -> Misfit:
-    """Least-squares record misfit with per-(frequency, source) partials."""
+    """Least-squares record misfit."""
     delta = residuals(synthetic, observed)
     per_fs = np.sum((delta * delta.conj()).real, axis=(2, 3))
-    partials = {(f, s): float(per_fs[f, s])
-                for f in range(per_fs.shape[0]) for s in range(per_fs.shape[1])}
-    return Misfit(value=float(per_fs.sum()), partials=partials, residuals=delta)
+    return Misfit(value=float(per_fs.sum()), residuals=delta)
 
 
 def adjoint_source(delta_u, layout, mesh, dof_map):
@@ -87,23 +72,20 @@ def adjoint_field(fact: solvermod.Factorization, rhs):
 
 
 def accumulate_gradient(pairs_by_omega, mesh, model, rho, profile, cfg,
-                        dof_map, areas=None) -> Gradient:
-    """Model gradient from forward/adjoint field pairs.
+                        dof_map):
+    """Misfit derivative with respect to the model vector, from field pairs.
 
     ``pairs_by_omega`` maps omega to a list of (u, u_adjoint) dof vectors.
-    The entries are 2 Re(u . dL/dm_k . u_adj) summed over all pairs, divided
-    by the lumped area of the coefficient's hat function.  The factor two is
-    the derivative of |residual|^2 with respect to the real model parameters;
-    the finite-difference oracle in the tests pins this convention.
+    The entries are 2 Re(u . dL/dm_k . u_adj) summed over all pairs.  The
+    factor two is the derivative of |residual|^2 with respect to the real
+    model parameters; the finite-difference oracle in the tests pins this
+    convention.
     """
-    if areas is None:
-        areas = asmmod.node_areas(mesh)
     raw = np.zeros(2 * model.n_nodes, dtype=complex)
     for omega in sorted(pairs_by_omega):
         raw += asmmod.stiffness_derivative_products(
             pairs_by_omega[omega], mesh, model, rho, omega, profile, cfg, dof_map)
-    values = 2.0 * raw.real / np.concatenate([areas, areas])
-    return Gradient(values=values, node_areas=areas)
+    return 2.0 * raw.real
 
 
 def _segment_distances(points, a, b):
@@ -125,7 +107,7 @@ def _ramp(d, inner, width):
 
 
 def build_mask(layout, mesh, station_radius, surface_distance,
-               station_transition=None, surface_transition=None) -> PreconditionMask:
+               station_transition=None, surface_transition=None):
     """Per-node gradient scale: zero at stations/free surfaces, ramped to one."""
     if station_radius < 0 or surface_distance < 0:
         raise AdjointError("mask distances must be >= 0")
@@ -149,18 +131,17 @@ def build_mask(layout, mesh, station_radius, surface_distance,
             d = np.minimum(d, _segment_distances(nodes, nodes[a], nodes[b]))
         factors = np.minimum(factors, _ramp(d, surface_distance, surface_transition))
 
-    return PreconditionMask(factors=factors,
-                            station_radius=float(station_radius),
-                            station_transition=float(station_transition),
-                            surface_distance=float(surface_distance),
-                            surface_transition=float(surface_transition))
+    return factors
 
 
-def precondition(gradient: Gradient, mask: PreconditionMask) -> Gradient:
-    """Entrywise product; both velocity blocks share the nodal mask."""
-    n2 = len(gradient.values)
-    if len(mask.factors) * 2 != n2:
-        raise AdjointError(f"mask length {len(mask.factors)} does not match "
-                           f"gradient length {n2}")
-    scale = np.concatenate([mask.factors, mask.factors])
-    return Gradient(values=gradient.values * scale, node_areas=gradient.node_areas)
+def precondition(values, mask, areas):
+    """L-BFGS gradient from dchi/dm: divided by the lumped nodal areas, then
+    scaled by the per-node ``mask`` (None: no mask); both velocity blocks
+    share the nodal factors."""
+    if mask is not None and len(mask) * 2 != len(values):
+        raise AdjointError(f"mask length {len(mask)} does not match "
+                           f"gradient length {len(values)}")
+    grad = values / np.concatenate([areas, areas])
+    if mask is not None:
+        grad = grad * np.concatenate([mask, mask])
+    return grad

@@ -56,20 +56,25 @@ def _source_amplitude(cfg):
     return f_omega
 
 
-def cmd_forward(cfg, args):
-    if not cfg.frequencies:
-        raise CliError("forward needs a 'frequencies = ...' config entry")
+def _write_model_records(cfg, args, omegas):
+    """Records of ``--model`` (default: the ambient model) at ``omegas``,
+    written to ``--output``."""
     mesh, ambient, model = _build_context(cfg)
     if args.model:
         model = fileio.read_model_grid(args.model, mesh)
     layout = _require_stations(cfg, mesh)
-    f_omega = _source_amplitude(cfg)
-    records = fwdmod.solve_records(mesh, model, ambient.rho, cfg.frequencies,
-                                   layout, f_omega, cfg.profile(),
+    records = fwdmod.solve_records(mesh, model, ambient.rho, omegas, layout,
+                                   _source_amplitude(cfg), cfg.profile(),
                                    cfg.discretization())
     observed = {float(w): records.values[i] for i, w in enumerate(records.omegas)}
     fileio.write_frequency_records(args.output, observed,
                                    layout.n_sources, layout.n_receivers)
+
+
+def cmd_forward(cfg, args):
+    if not cfg.frequencies:
+        raise CliError("forward needs a 'frequencies = ...' config entry")
+    _write_model_records(cfg, args, cfg.frequencies)
     print(f"wrote {len(cfg.frequencies)} frequencies to {args.output}")
     return 0
 
@@ -88,18 +93,8 @@ def cmd_greens(cfg, args):
 
 
 def cmd_make_synthetic(cfg, args):
-    mesh, ambient, model = _build_context(cfg)
-    if args.model:
-        model = fileio.read_model_grid(args.model, mesh)
-    layout = _require_stations(cfg, mesh)
-    schedule = cfg.schedule()
-    omegas = schedule.all_frequencies()
-    f_omega = _source_amplitude(cfg)
-    records = fwdmod.solve_records(mesh, model, ambient.rho, omegas, layout,
-                                   f_omega, cfg.profile(), cfg.discretization())
-    observed = {float(w): records.values[i] for i, w in enumerate(records.omegas)}
-    fileio.write_frequency_records(args.output, observed,
-                                   layout.n_sources, layout.n_receivers)
+    omegas = cfg.schedule().all_frequencies()
+    _write_model_records(cfg, args, omegas)
     print(f"wrote synthetic records at {len(omegas)} frequencies to {args.output}")
     return 0
 

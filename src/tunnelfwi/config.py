@@ -54,8 +54,6 @@ _SCALAR_DEFAULTS = {
     "station_transition": 2.5,
     "surface_distance": 1.75,
     "surface_transition": 1.75,
-    # spectral division
-    "water_level": 1e-4,
     # frequency sweep
     "sweep_start": 100.0,
     "sweep_end": 9000.0,
@@ -257,8 +255,6 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
     if s["max_iterations"] < 1:
         raise ConfigError("max_iterations must be >= 1")
-    if not 0 < s["water_level"] < 1:
-        raise ConfigError("water_level must be in (0, 1)")
     if s["sweep_end"] < s["sweep_start"]:
         raise ConfigError("sweep_end must be >= sweep_start")
     if any(w <= 0 for w in cfg.frequencies):

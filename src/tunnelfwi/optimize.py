@@ -29,6 +29,8 @@ from . import solver as solvermod
 # the parabola fit has settled once its vertex lies within this fraction of
 # itself from a sample of the current triple; relative, so any step scale
 SETTLE_RTOL = 1e-2
+# halvings of the first trial step before the line search gives up
+MAX_BACKTRACKS = 10
 
 
 class ScheduleError(ValueError):
@@ -142,8 +144,7 @@ def _parabola_vertex(alphas, values):
     return 0.5 * (a1 + a2) - d21 / (2.0 * curv), curv
 
 
-def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10,
-                slope0=None):
+def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
     """Step length from iterated three-point parabola fits.
 
     ``chi`` maps a step length along the current search direction to the
@@ -177,7 +178,7 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, max_backtracks=10,
 
     def backtrack(start):
         a = start
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             a *= 0.5
             if evaluate(a) < f0:
                 return
@@ -275,7 +276,7 @@ class InversionData:
     ambient_vs: float
     observed: dict          # omega -> (n_s, n_r, 2) complex array
     source_amplitude: object  # callable omega -> complex amplitude
-    mask: object = None     # PreconditionMask or None
+    mask: np.ndarray = None  # per-node factors from adjoint.build_mask, or None
 
     def __post_init__(self):
         self.dof_map = asmmod.DofMap(self.mesh, self.cfg.degree)
@@ -304,17 +305,15 @@ class IterationRecord:
 class OptimizerState:
     model: matmod.ModelVector
     iteration: int = 0
-    gradient: np.ndarray = None
     alpha: float = None
     log: list = field(default_factory=list)
 
 
-def _group_misfit(model, omegas, data: InversionData, observed, keep=False):
-    """Misfit and residuals over a group, optionally keeping solve context."""
-    out = fwdmod.solve_records(data.mesh, model, data.rho, omegas, data.layout,
-                               data.source_amplitude, data.profile, data.cfg,
-                               dof_map=data.dof_map, keep=keep)
-    synthetic, kept = out if keep else (out, None)
+def _group_misfit(model, omegas, data: InversionData, observed):
+    """Misfit, residuals and the kept solve context over a group."""
+    synthetic, kept = fwdmod.solve_records(
+        data.mesh, model, data.rho, omegas, data.layout, data.source_amplitude,
+        data.profile, data.cfg, dof_map=data.dof_map, keep=True)
     fit = adjmod.misfit(synthetic, observed)
     return fit.value, fit.residuals, kept
 
@@ -323,8 +322,7 @@ def _group_gradient(model, omegas, data: InversionData, delta, kept):
     """One multi-column adjoint solve per frequency on the kept factorizations.
 
     Returns (raw, grad): ``raw`` is the derivative of the misfit with respect
-    to the model vector, ``grad`` the area-normalized gradient, masked when
-    the data carry a mask, that drives L-BFGS.
+    to the model vector, ``grad`` its preconditioned form that drives L-BFGS.
     """
     pairs = {}
     for fi, omega in enumerate(omegas):
@@ -332,13 +330,9 @@ def _group_gradient(model, omegas, data: InversionData, delta, kept):
         rhs = adjmod.adjoint_source(delta[fi], data.layout, data.mesh, data.dof_map)
         u_adj = adjmod.adjoint_field(res.factorization, rhs)
         pairs[omega] = [(f.u, u_adj[:, si]) for si, f in enumerate(res.fields)]
-    grad = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
-                                      data.profile, data.cfg, data.dof_map,
-                                      areas=data.node_areas)
-    raw = grad.values * np.concatenate([grad.node_areas, grad.node_areas])
-    if data.mask is not None:
-        grad = adjmod.precondition(grad, data.mask)
-    return raw, grad.values
+    raw = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
+                                     data.profile, data.cfg, data.dof_map)
+    return raw, adjmod.precondition(raw, data.mask, data.node_areas)
 
 
 def run_frequency_group(state: OptimizerState, group, data: InversionData,
@@ -347,7 +341,8 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
 
     The L-BFGS history restarts so the first step follows the negative
     gradient; iteration stops at the cap, at a relative misfit reduction
-    below the threshold, or on line-search failure (keeping the best model).
+    below the threshold, or when the line search fails or a trial's system is
+    singular (keeping the last accepted model).
     The accepted step's misfit, residuals and factorizations are those the
     line search kept for its best trial; no model is solved twice.  The line
     search gets the misfit's slope along the direction from the raw gradient
@@ -361,7 +356,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     alpha = state.alpha
     grad_vec = None
 
-    chi, delta, kept = _group_misfit(model, omegas, data, observed, keep=True)
+    chi, delta, kept = _group_misfit(model, omegas, data, observed)
     chi_prev = None
     iterations = 0
     for j in range(settings.max_iterations):
@@ -386,7 +381,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                 return chi
             trial = matmod.ModelVector(matmod.clamp_to_valid(_m.values + a * _d))
             value, residuals, trial_kept = _group_misfit(trial, omegas, data,
-                                                         observed, keep=True)
+                                                         observed)
             # line_search accepts the first minimum below chi(0); NaN never
             if value < chi and (best is None or value < best[2]):
                 best = (a, trial, value, residuals, trial_kept)
@@ -396,7 +391,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             alpha, _ = line_search(chi_of, alpha_init, chi0=chi,
                                    rounds=settings.line_search_rounds,
                                    slope0=float(raw_vec @ d))
-        except LineSearchError as exc:
+        except (LineSearchError, solvermod.SingularMatrixError) as exc:
             log.append(IterationRecord(group_index, j, chi, 0.0,
                                        float(np.linalg.norm(grad_vec)),
                                        f"line search failed: {exc}"))
@@ -421,7 +416,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                                float(np.linalg.norm(grad_vec)) if grad_vec is not None else 0.0,
                                "group end"))
     return OptimizerState(model=model, iteration=state.iteration + iterations,
-                          gradient=grad_vec, alpha=alpha, log=log)
+                          alpha=alpha, log=log)
 
 
 @dataclass
@@ -435,10 +430,10 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
                   settings: InversionSettings, on_group_end=None) -> InversionResult:
     """Sequential multi-scale loop; each group seeds the next one.
 
-    A group that ends in a line-search failure or a singular system is
-    recorded in ``failures`` and the next group starts from the last model;
-    any other error propagates.  ``on_group_end(group_index, state)``, if
-    given, runs after every group, failed ones included.
+    A group whose first solve meets a singular system is recorded in
+    ``failures`` and the next group starts from the last model; any other
+    error propagates.  ``on_group_end(group_index, state)``, if given, runs
+    after every group, failed ones included.
     """
     schedule.validate()
     initial_model.validate()
@@ -447,7 +442,7 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
     for gi, group in enumerate(schedule.groups):
         try:
             state = run_frequency_group(state, group, data, settings, group_index=gi)
-        except (LineSearchError, solvermod.SingularMatrixError) as exc:
+        except solvermod.SingularMatrixError as exc:
             failures.append((gi, str(exc)))
         if on_group_end is not None:
             on_group_end(gi, state)

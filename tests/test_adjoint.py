@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tunnelfwi import solver
-from tunnelfwi.adjoint import (AdjointError, Gradient, accumulate_gradient,
+from tunnelfwi.adjoint import (AdjointError, accumulate_gradient,
                                adjoint_field, adjoint_source, build_mask,
                                misfit, precondition, residuals)
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
@@ -35,7 +35,6 @@ def test_misfit_zero_for_identical_records():
     b = record_set(vals.copy(), layout, [100.0, 200.0])
     m = misfit(a, b)
     assert m.value == 0.0
-    assert all(v == 0.0 for v in m.partials.values())
 
 
 def test_misfit_single_entry():
@@ -68,7 +67,6 @@ def test_misfit_quadratic_scaling():
     m3 = misfit(record_set(obs + 3.0 * (syn - obs), layout, [1.0]),
                 record_set(obs, layout, [1.0]))
     assert m3.value == pytest.approx(9.0 * m1.value, rel=1e-12)
-    assert m1.value == pytest.approx(sum(m1.partials.values()), rel=1e-12)
 
 
 def test_misfit_index_mismatch():
@@ -188,7 +186,7 @@ def test_zero_adjoint_fields_zero_gradient():
     u = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
     pairs = {omega: [(u, np.zeros_like(u))]}
     g = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
-    np.testing.assert_array_equal(g.values, 0.0)
+    np.testing.assert_array_equal(g, 0.0)
 
 
 def _chi_of_model(values, mesh, cfg, profile, layout, omegas, observed):
@@ -212,9 +210,7 @@ def adjoint_gradient_unnormalized(mesh, model, cfg, profile, layout, omegas, obs
         rhs = adjoint_source(delta, layout, mesh, dm)
         u_adj = adjoint_field(res.factorization, rhs)
         pairs[omega] = [(res.fields[0].u, u_adj)]
-    grad = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
-    areas = np.concatenate([grad.node_areas, grad.node_areas])
-    return grad.values * areas, pairs
+    return accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm), pairs
 
 
 @pytest.mark.parametrize("pml", [0, 1])
@@ -266,10 +262,11 @@ def test_gradient_area_normalization():
     u = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
     v = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
     pairs = {omega: [(u, v)]}
-    g1 = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
-    doubled = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm,
-                                  areas=2.0 * node_areas(mesh))
-    np.testing.assert_allclose(doubled.values, 0.5 * g1.values, rtol=1e-14)
+    raw = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
+    areas = node_areas(mesh)
+    g1 = precondition(raw, None, areas)
+    doubled = precondition(raw, None, 2.0 * areas)
+    np.testing.assert_allclose(doubled, 0.5 * g1, rtol=1e-14)
 
 
 def test_mask_values():
@@ -279,13 +276,13 @@ def test_mask_values():
     mask = build_mask(layout, mesh, station_radius=2.5, surface_distance=0.0,
                       station_transition=2.5, surface_transition=0.0)
     node_at = lambda x, y: mesh.node_grid[y, x]
-    assert mask.factors[node_at(10, 9)] == 0.0          # 1 m from the source
-    assert mask.factors[node_at(10, 10)] == 0.0         # on the source
+    assert mask[node_at(10, 9)] == 0.0          # 1 m from the source
+    assert mask[node_at(10, 10)] == 0.0         # on the source
     d = np.hypot(3.0, 0.0)
     # node 3.75 m away sits mid-ramp at (3.75-2.5)/2.5 = 0.5? use exact 2.5+1.25
     # place a probe via interpolation over factors instead: check monotone ramp
     r = np.array([np.hypot(x - 10.0, 0.0) for x in range(10, 20)])
-    f = np.array([mask.factors[node_at(x, 10)] for x in range(10, 20)])
+    f = np.array([mask[node_at(x, 10)] for x in range(10, 20)])
     inside = r <= 2.5
     beyond = r >= 5.0
     assert np.all(f[inside] == 0.0)
@@ -302,7 +299,7 @@ def test_mask_midpoint_half():
     # node at distance 2.5 + 1.25 sits exactly mid-transition
     j = int(10.0 / 0.25)
     i = int((10.0 + 3.75) / 0.25)
-    assert mask.factors[mesh.node_grid[j, i]] == pytest.approx(0.5)
+    assert mask[mesh.node_grid[j, i]] == pytest.approx(0.5)
 
 
 def test_mask_far_node_is_one():
@@ -311,7 +308,7 @@ def test_mask_far_node_is_one():
                            receivers=())
     mask = build_mask(layout, mesh, 2.5, 1.75)
     far = mesh.node_grid[10, 30]  # 20+ m from the station, 10 m from surface
-    assert mask.factors[far] == 1.0
+    assert mask[far] == 1.0
 
 
 def test_mask_surface_distance():
@@ -320,7 +317,7 @@ def test_mask_surface_distance():
     mask = build_mask(layout, mesh, 0.0, 1.75, 0.0, 1.75)
     H = mesh.ny * mesh.h
     for j, want in ((10, 0.0), (9, 0.0), (8, (2.0 - 1.75) / 1.75), (6, 1.0)):
-        got = mask.factors[mesh.node_grid[j, 10]]
+        got = mask[mesh.node_grid[j, 10]]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -335,20 +332,21 @@ def test_precondition_entrywise():
     mesh = build_tunnel_mesh(TunnelGeometry(6, 3, 0, 3, 0, 0, 1))
     n = mesh.n_nodes
     rng = np.random.default_rng(76)
-    g = Gradient(values=rng.normal(size=2 * n), node_areas=np.ones(n))
+    values = rng.normal(size=2 * n)
+    areas = rng.uniform(0.5, 2.0, n)
+    scaled = values / np.concatenate([areas, areas])
+    np.testing.assert_array_equal(precondition(values, None, areas), scaled)
+
     layout = StationLayout(sources=(), receivers=())
     ones = build_mask(layout, mesh, 0.0, 0.0, 0.0, 0.0)
-    np.testing.assert_array_equal(precondition(g, ones).values, g.values)
+    np.testing.assert_array_equal(precondition(values, ones, areas), scaled)
 
-    from tunnelfwi.adjoint import PreconditionMask
-    zeros = PreconditionMask(np.zeros(n), 0.0, 0.0, 0.0, 0.0)
-    np.testing.assert_array_equal(precondition(g, zeros).values, 0.0)
+    np.testing.assert_array_equal(precondition(values, np.zeros(n), areas), 0.0)
 
-    mixed = PreconditionMask(rng.uniform(0, 1, n), 0.0, 0.0, 0.0, 0.0)
-    got = precondition(g, mixed).values
-    want = g.values * np.concatenate([mixed.factors, mixed.factors])
+    mixed = rng.uniform(0, 1, n)
+    got = precondition(values, mixed, areas)
+    want = scaled * np.concatenate([mixed, mixed])
     np.testing.assert_array_equal(got, want)
 
-    short = PreconditionMask(np.zeros(3), 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(AdjointError):
-        precondition(g, short)
+        precondition(values, np.zeros(3), areas)

@@ -41,6 +41,8 @@ def test_unknown_key_rejected_by_name():
         parse_config("foo = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'strict'"):
         parse_config("strict = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'water_level'"):
+        parse_config("water_level = 1e-4\n")
 
 
 def test_negative_mask_distance_rejected():

@@ -352,11 +352,9 @@ def test_two_parameter_toy_recovers_truth():
             rhs = adjoint_source(delta[0], layout, mesh, dm)
             u_adj = adjoint_field(res.factorization, rhs)
             pairs[omega] = [(res.fields[0].u, u_adj)]
-        g = accumulate_gradient(pairs, mesh, model, RHO, data.profile,
-                                data.cfg, dm)
-        areas = np.concatenate([g.node_areas, g.node_areas])
-        raw = g.values * areas  # plain chain rule: sum nodal entries per block
-        n = mesh.n_nodes
+        raw = accumulate_gradient(pairs, mesh, model, RHO, data.profile,
+                                  data.cfg, dm)
+        n = mesh.n_nodes  # plain chain rule: sum nodal entries per block
         return np.array([raw[:n].sum(), raw[n:].sum()])
 
     x, info = minimize_lbfgs(fun, grad, np.array([4000.0, 2400.0]),
@@ -429,6 +427,48 @@ def test_run_inversion_records_singular_group(monkeypatch):
     assert res.failures == [(0, "zero pivot")]
     assert ended == [0, 1]
     np.testing.assert_array_equal(res.model.values, truth.values)
+
+
+def test_singular_trial_keeps_the_accepted_iterations(monkeypatch):
+    from tunnelfwi import adjoint, optimize, solver
+    mesh, data, truth = toy_problem()
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    factorize, accumulate = solver.factorize, adjoint.accumulate_gradient
+    gradients, failed = [], []
+
+    def counted_gradient(*args, **kwargs):
+        gradients.append(1)
+        return accumulate(*args, **kwargs)
+
+    def fails_after_first_step(A):
+        # the second gradient belongs to the first accepted model
+        if len(gradients) == 2 and not failed:
+            failed.append(1)
+            raise solver.SingularMatrixError("zero pivot")
+        return factorize(A)
+
+    group = optimize.run_frequency_group
+    starts = []
+
+    def recording_group(state, *args, **kwargs):
+        starts.append(state.model.values)
+        return group(state, *args, **kwargs)
+
+    monkeypatch.setattr(adjoint, "accumulate_gradient", counted_gradient)
+    monkeypatch.setattr(solver, "factorize", fails_after_first_step)
+    monkeypatch.setattr(optimize, "run_frequency_group", recording_group)
+    sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
+    ended = {}
+    res = run_inversion(start, sched, data, InversionSettings(max_iterations=3),
+                        on_group_end=lambda gi, state: ended.setdefault(gi, state))
+    assert failed and res.failures == []
+    first = [r for r in ended[0].log if r.group == 0]
+    assert [r.note for r in first] == ["", "line search failed: zero pivot",
+                                       "group end"]
+    assert first[0].alpha > 0.0 and first[-1].chi < first[0].chi
+    assert ended[0].iteration == 1
+    assert not np.array_equal(ended[0].model.values, start.values)
+    np.testing.assert_array_equal(starts[1], ended[0].model.values)
 
 
 def test_run_inversion_propagates_out_of_memory(monkeypatch):
@@ -515,7 +555,7 @@ def test_group_slope_matches_finite_differences(monkeypatch, masked):
     mesh, data, truth = toy_problem()
     if masked:
         data.mask = adjoint.build_mask(data.layout, mesh, 1.0, 1.0, 1.0, 1.0)
-        assert 0.0 in data.mask.factors and 1.0 in data.mask.factors
+        assert 0.0 in data.mask and 1.0 in data.mask
     start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
     omegas = (1200.0, 2000.0)
     directions, searches = [], []
