@@ -13,9 +13,8 @@ from .assembly import (AssembledSystem, DiscretizationConfig, DofMap,
                        assemble_point_source, assemble_system, node_areas,
                        shape_functions)
 from .config import RunConfig, format_config, load_config, parse_config
-from .forward import (ForwardResult, RecordSet, WaveField, evaluate_field,
-                      forward_solve, greens_sweep, sample_receivers,
-                      solve_records)
+from .forward import (ForwardResult, RecordSet, WaveField, forward_solve,
+                      greens_sweep, sample_receivers, solve_records)
 from .material import (AmbientProperties, InvalidMaterialError, ModelVector,
                        clamp_to_valid)
 from .mesh import (Mesh, MeshError, PointNotFoundError, Receiver, Source,

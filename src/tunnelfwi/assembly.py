@@ -27,6 +27,10 @@ from . import mesh as meshmod
 from . import pml as pmlmod
 
 MAX_DEGREE = 3
+# dof columns per block of the system pattern build: at p = 3 on the
+# case-study mesh a block's temporaries stay near 40 MB, where one block
+# over all columns reached about 400 MB
+PATTERN_BLOCK = 4096
 
 
 class AssemblyError(ValueError):
@@ -344,35 +348,55 @@ class SystemPattern:
         clamped = dof_map.clamped
         # visit the entries column by column: the (element, local column)
         # occurrences of each dof in dof order, each element's rows ascending,
-        # so that the key sort below only merges short sorted runs
+        # so that each block's key sort only merges short sorted runs
         occ = np.argsort(dofs.ravel(), kind="stable")
-        e, b = np.divmod(occ, width)
-        a = np.argsort(dofs, axis=1)[e]
-        rows = np.take_along_axis(dofs[e], a, axis=1)
-        cols = dofs.ravel()[occ]
-        live = ~(clamped[rows] | clamped[cols][:, None])
-        entries = ((e[:, None] * width + a) * width + b[:, None])[live]
-        fixed = np.flatnonzero(clamped)
-        keys = np.concatenate([(cols[:, None] * n + rows)[live], fixed * (n + 1)])
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        new = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-        slot = np.cumsum(new) - 1
-        unique = sorted_keys[new]
-        is_entry = order < len(entries)
+        occ_cols = dofs.ravel()[occ]
+        local = np.argsort(dofs, axis=1)
+        sorted_dofs = np.take_along_axis(dofs, local, axis=1)
+        # keys run column-major, so contiguous column blocks sort and number
+        # their slots on their own; a block's slots follow the blocks before it
+        edges = np.append(np.arange(0, n, PATTERN_BLOCK), n)
+        spans = np.searchsorted(occ_cols, edges)
+        per_column = np.empty(n, dtype=int)
+        summed = np.empty(np.sum(np.sum(~clamped[dofs], axis=1) ** 2), dtype=np.int32)
+        indices, fixed, slot_ends = [], [], [np.zeros(1, dtype=np.int32)]
+        nnz = done = 0
+        for c0, c1, lo, hi in zip(edges[:-1], edges[1:], spans[:-1], spans[1:]):
+            e, b = np.divmod(occ[lo:hi], width)
+            a = local[e]
+            rows = sorted_dofs[e]
+            cols = occ_cols[lo:hi]
+            live = ~(clamped[rows] | clamped[cols][:, None])
+            entries = ((e[:, None] * width + a) * width + b[:, None])[live]
+            keys = np.concatenate([(cols[:, None] * n + rows)[live],
+                                   (c0 + np.flatnonzero(clamped[c0:c1])) * (n + 1)])
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            new = np.ones(len(keys), dtype=bool)
+            new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+            slot = np.cumsum(new) - 1
+            unique = sorted_keys[new]
+            is_entry = order < len(entries)
+
+            indices.append((unique % n).astype(np.int32))
+            per_column[c0:c1] = np.bincount(unique // n - c0, minlength=c1 - c0)
+            fixed.append(nnz + slot[~is_entry])
+            per_slot = np.bincount(slot[is_entry], minlength=len(unique))
+            slot_ends.append((done + np.cumsum(per_slot)).astype(np.int32))
+            summed[done:done + len(entries)] = entries[order[is_entry]]
+            nnz += len(unique)
+            done += len(entries)
 
         self.shape = (n, n)
-        self.nnz = len(unique)
-        self.indices = (unique % n).astype(np.int32)
-        self.indptr = np.searchsorted(unique // n, np.arange(n + 1)).astype(np.int32)
+        self.nnz = nnz
+        self.indices = np.concatenate(indices)
+        self.indptr = np.concatenate([[0], np.cumsum(per_column)]).astype(np.int32)
         # every assembled L shares these two arrays
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        self.fixed = slot[~is_entry]
-        per_slot = np.bincount(slot[is_entry], minlength=self.nnz)
+        self.fixed = np.concatenate(fixed)
         self.summation = sp.csr_matrix(
-            (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
-             np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
+            (np.ones(len(summed)), summed, np.concatenate(slot_ends)),
             shape=(self.nnz, nel * width * width))
 
     def matrix(self, element_values):

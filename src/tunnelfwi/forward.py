@@ -59,31 +59,31 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     ``f_omega`` is the complex source amplitude, either a scalar shared by
     all sources or one value per source.
     """
-    system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=dof_map)
-    dm, n_s = system.dof_map, layout.n_sources
+    if dof_map is None:
+        cfg.validate()  # an invalid degree fails here, not in the numbering
+        dof_map = asmmod.DofMap(mesh, cfg.degree)
+    try:
+        system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg,
+                                        dof_map=dof_map)
+    except MemoryError as exc:
+        raise solvermod.SolverMemoryError(
+            f"out of memory assembling n = {dof_map.n_dofs} at omega = {omega}, "
+            f"degree {dof_map.p}") from exc
+    n_s = layout.n_sources
     amps = np.broadcast_to(np.asarray(f_omega, dtype=complex), (n_s,))
     forces = amps[:, None] * np.reshape([s.direction for s in layout.sources], (n_s, 2))
     # columns[2k + d, k] is source k's force in direction d
     columns = np.repeat(np.eye(n_s), 2, axis=0) * forces.reshape(-1, 1)
-    S = dm.station_operator([s.position for s in layout.sources])
+    S = dof_map.station_operator([s.position for s in layout.sources])
     try:  # the solve may refactorize with pivoting
         fact = solvermod.factorize(system.L)
         U = fact.solve(S.T @ columns)
     except solvermod.SolverMemoryError as exc:
         raise solvermod.SolverMemoryError(
-            f"{exc} at omega = {omega}, degree {dm.p}") from exc
-    fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dm) for k in range(n_s)]
+            f"{exc} at omega = {omega}, degree {dof_map.p}") from exc
+    fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dof_map)
+              for k in range(n_s)]
     return ForwardResult(fields=fields, system=system, factorization=fact)
-
-
-def evaluate_field(mesh, dof_map, u, p, allow_pml=False):
-    """Displacement vector at an arbitrary point via shape evaluation.
-
-    Receiver sampling refuses PML points; pass allow_pml=True to probe the
-    decay inside the absorbing layer.
-    """
-    asmmod.check_dof_map(dof_map, mesh)
-    return asmmod.point_operator(dof_map, [p], allow_pml) @ u
 
 
 def sample_receivers(field: WaveField, mesh, layout) -> np.ndarray:
@@ -97,7 +97,9 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
                   dof_map=None, keep=False):
     """Records over a frequency list; optionally keep fields/factorizations.
 
-    ``f_omega_of`` maps omega to the complex source amplitude.
+    ``f_omega_of`` maps omega to the complex source amplitude.  Unless kept,
+    each frequency's system, factors and fields are released once its
+    records are sampled, before the next frequency is assembled.
     """
     if dof_map is None:
         dof_map = asmmod.DofMap(mesh, cfg.degree)
@@ -111,6 +113,7 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
         values[fi] = [sample_receivers(field, mesh, layout) for field in res.fields]
         if keep:
             kept.append(res)
+        del res
     records = RecordSet(omegas=omegas, values=values,
                         mask=layout.direction_mask(), layout=layout)
     return (records, kept) if keep else records
@@ -140,6 +143,7 @@ def greens_sweep(mesh, model, rho, source, omega_start, omega_end, d_omega,
             res = forward_solve(mesh, model, rho, omega, sweep_layout, 1.0,
                                 profile, run_cfg, dof_map=maps[p])
             values[fi] = sample_receivers(res.fields[0], mesh, sweep_layout)
+            del res  # released before the next frequency is assembled
         except solvermod.SolverMemoryError:
             raise  # forward_solve's message already names omega and the degree
         except Exception as exc:

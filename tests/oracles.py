@@ -6,10 +6,14 @@ point; ``coo_system`` is the COO -> CSC assembly that the production
 one-pass ``SystemPattern`` scatter replaced, and the only place that forms
 the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
-``lame_parameters``, ``velocities_from_lame``, ``evaluate_velocities``,
+``system_pattern_oracle`` is the whole-array pattern build that the
+production column-block build replaced.  ``lame_parameters``,
+``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
 ``pml_local_coordinate``, ``local_to_global``, ``ricker_spectrum`` and
 ``dump_mesh`` convert, evaluate or print what the program computes.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +62,16 @@ def pml_local_coordinate(mesh: Mesh, e, p):
     sx = abs(p[0] - rx) if np.isfinite(rx) else 0.0
     sy = abs(p[1] - ry) if np.isfinite(ry) else 0.0
     return sx, sy
+
+
+def evaluate_field(mesh, dof_map, u, p, allow_pml=False):
+    """Displacement vector at an arbitrary point via shape evaluation.
+
+    Receiver sampling refuses PML points; pass allow_pml=True to probe the
+    decay inside the absorbing layer.
+    """
+    asmmod.check_dof_map(dof_map, mesh)
+    return asmmod.point_operator(dof_map, [p], allow_pml) @ u
 
 
 def ricker_spectrum(f_peak, omegas) -> Spectrum:
@@ -188,3 +202,45 @@ def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, do
             np.add.at(out, corners, c_vp)
             np.add.at(out, n + corners, c_vs)
     return out
+
+
+def system_pattern_oracle(dof_map):
+    """``SystemPattern`` built over whole arrays at once, in one key sort.
+
+    Returns the same ``shape``, ``nnz``, ``indices``, ``indptr``, ``fixed``
+    and ``summation`` that the production build assembles block by block.
+    """
+    dofs = dof_map.element_dofs
+    nel, width = dofs.shape
+    n = dof_map.n_dofs
+    clamped = dof_map.clamped
+    # visit the entries column by column: the (element, local column)
+    # occurrences of each dof in dof order, each element's rows ascending,
+    # so that the key sort below only merges short sorted runs
+    occ = np.argsort(dofs.ravel(), kind="stable")
+    e, b = np.divmod(occ, width)
+    a = np.argsort(dofs, axis=1)[e]
+    rows = np.take_along_axis(dofs[e], a, axis=1)
+    cols = dofs.ravel()[occ]
+    live = ~(clamped[rows] | clamped[cols][:, None])
+    entries = ((e[:, None] * width + a) * width + b[:, None])[live]
+    fixed = np.flatnonzero(clamped)
+    keys = np.concatenate([(cols[:, None] * n + rows)[live], fixed * (n + 1)])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    slot = np.cumsum(new) - 1
+    unique = sorted_keys[new]
+    is_entry = order < len(entries)
+
+    nnz = len(unique)
+    per_slot = np.bincount(slot[is_entry], minlength=nnz)
+    return SimpleNamespace(
+        shape=(n, n), nnz=nnz,
+        indices=(unique % n).astype(np.int32),
+        indptr=np.searchsorted(unique // n, np.arange(n + 1)).astype(np.int32),
+        fixed=slot[~is_entry],
+        summation=sp.csr_matrix(
+            (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
+             np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
+            shape=(nnz, nel * width * width)))

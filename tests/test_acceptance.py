@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import evaluate_field
 from tunnelfwi.adjoint import (adjoint_field, adjoint_source,
                                accumulate_gradient, build_mask)
 from tunnelfwi.analytic import AnalyticQuery, greens_x_analytic
 from tunnelfwi.assembly import DiscretizationConfig, DofMap
-from tunnelfwi.forward import (evaluate_field, forward_solve, sample_receivers,
-                               solve_records)
+from tunnelfwi.forward import forward_solve, sample_receivers, solve_records
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
                             build_tunnel_mesh, build_unbounded_mesh)

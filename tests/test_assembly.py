@@ -378,6 +378,34 @@ def test_pattern_scatter_matches_coo_oracle(p, profile):
     np.testing.assert_array_equal(block.toarray()[fixed], np.eye(len(fixed)))
 
 
+PATTERN_MESHES = {
+    "tunnel": lambda: build_tunnel_mesh(TunnelGeometry(6, 2, 1, 2, 3, 2, 1)),
+    "pml_box": lambda: meshmod.build_unbounded_mesh(4, 3, 2, 1.0),
+    "plain_box": lambda: box_mesh(4, 2, pml=0),
+}
+
+
+# a block of 1 makes every block a single column, 5 several multi-column
+# blocks and a last partial one, 10**9 one block over all columns
+@pytest.mark.parametrize("block", [1, 5, 10 ** 9])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(PATTERN_MESHES))
+def test_pattern_blocks_match_whole_array_build(monkeypatch, kind, p, block):
+    dm = DofMap(PATTERN_MESHES[kind](), p)
+    assert dm.clamped.any() == (kind != "plain_box")
+    monkeypatch.setattr(asmmod, "PATTERN_BLOCK", block)
+    new, old = asmmod.SystemPattern(dm), oracles.system_pattern_oracle(dm)
+    assert (new.shape, new.nnz) == (old.shape, old.nnz)
+    assert new.summation.shape == old.summation.shape
+    pairs = [(new.indices, old.indices), (new.indptr, old.indptr),
+             (new.fixed, old.fixed)]
+    pairs += [(getattr(new.summation, k), getattr(old.summation, k))
+              for k in ("data", "indices", "indptr")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 def test_dofmap_builds_its_pattern_once(monkeypatch):
     built = []
 

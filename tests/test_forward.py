@@ -2,16 +2,19 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import evaluate_field
+from tunnelfwi import assembly as asmmod
 from tunnelfwi import solver
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
                                 shape_functions)
-from tunnelfwi.forward import (ForwardError, evaluate_field, forward_solve,
-                               greens_sweep, sample_receivers, solve_records)
+from tunnelfwi.forward import (ForwardError, forward_solve, greens_sweep,
+                               sample_receivers, solve_records)
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
                             build_tunnel_mesh, build_unbounded_mesh)
@@ -175,6 +178,66 @@ def test_out_of_memory_names_frequency_and_degree(monkeypatch):
     with pytest.raises(solver.SolverMemoryError,
                        match=r"n = \d+, nnz = \d+ at omega = 1500.0, degree 2"):
         forward_solve(mesh, model, RHO, 1500.0, layout, 1.0, profile, cfg)
+
+
+@pytest.mark.parametrize("target", ["SystemPattern", "_table_product"],
+                         ids=["pattern", "element_gemm"])
+def test_out_of_memory_in_assembly_names_frequency_and_degree(monkeypatch, target):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    mesh, model, profile, cfg = small_setup()
+    src = Source((8.0, 4.0), (1.0, 0.0))
+    layout = StationLayout(sources=(src,), receivers=(Receiver((10.0, 5.0)),))
+    monkeypatch.setattr(asmmod, target, no_memory)
+    n_dofs = DofMap(mesh, 2).n_dofs
+    with pytest.raises(solver.SolverMemoryError,
+                       match=rf"^out of memory assembling n = {n_dofs} "
+                             r"at omega = 1500.0, degree 2$"):
+        forward_solve(mesh, model, RHO, 1500.0, layout, 1.0, profile, cfg)
+    with pytest.raises(solver.SolverMemoryError,
+                       match=rf"^out of memory assembling n = {n_dofs} "
+                             r"at omega = 500.0, degree 2$") as info:
+        greens_sweep(mesh, model, RHO, src, 500.0, 600.0, 100.0,
+                     layout, profile, cfg)
+    assert str(info.value).count("omega") == 1
+
+
+def track_factorizations(monkeypatch):
+    """Weak references to every factorization made, and how many of the
+    earlier ones were still alive as each ``factorize`` call started."""
+    refs, alive = [], []
+    factorize = solver.factorize
+
+    def tracked(A):
+        alive.append(sum(ref() is not None for ref in refs))
+        fact = factorize(A)
+        refs.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(solver, "factorize", tracked)
+    return refs, alive
+
+
+def test_frequency_loops_hold_one_factorization_unless_kept(monkeypatch):
+    mesh, model, profile, cfg = small_setup(degree=1)
+    src = Source((8.0, 4.0), (0.0, 1.0))
+    layout = StationLayout(sources=(src,), receivers=(Receiver((10.0, 4.0)),))
+    omegas = [600.0, 800.0, 1000.0]
+
+    refs, alive = track_factorizations(monkeypatch)
+    solve_records(mesh, model, RHO, omegas, layout, lambda w: 1.0, profile, cfg)
+    assert alive == [0, 0, 0]
+
+    refs, alive = track_factorizations(monkeypatch)
+    greens_sweep(mesh, model, RHO, src, 600.0, 1000.0, 200.0, layout, profile, cfg)
+    assert alive == [0, 0, 0]
+
+    refs, alive = track_factorizations(monkeypatch)
+    _, kept = solve_records(mesh, model, RHO, omegas, layout, lambda w: 1.0,
+                            profile, cfg, keep=True)
+    assert alive == [0, 1, 2]
+    assert [ref() for ref in refs] == [res.factorization for res in kept]
 
 
 def test_solve_records_shape_and_keep():
