@@ -6,7 +6,9 @@ from one multi-column solve per frequency (a column per source) on the
 factorization that already exists from the forward pass.  The bilinear form
 u . dL/dm . u_adj is the transpose of the table product that assembles L:
 the element outer products of all pairs are summed first and multiplied
-once by the stiffness table.  ``accumulate_gradient`` returns the plain
+once by the stiffness table.  ``linearized_records`` gives the records'
+first-order change along a model direction from one more solve on that
+factorization.  ``accumulate_gradient`` returns the plain
 derivative of the misfit with respect to the model vector;
 ``precondition`` turns it into the gradient that drives L-BFGS: divided by
 the lumped nodal areas and masked to zero near stations and free surfaces
@@ -50,7 +52,7 @@ def misfit(synthetic, observed) -> Misfit:
     return Misfit(value=float(per_fs.sum()), residuals=delta)
 
 
-def adjoint_source(delta_u, layout, mesh, dof_map):
+def adjoint_source(delta_u, layout, dof_map):
     """Right-hand side ``-R.T conj(residual)`` at the recorded directions.
 
     ``delta_u`` is one source's (n_receivers, 2) residual slice, or an
@@ -60,7 +62,6 @@ def adjoint_source(delta_u, layout, mesh, dof_map):
     if delta_u.shape[-2:] != (layout.n_receivers, 2) or delta_u.ndim > 3:
         raise AdjointError(f"residual slice has shape {delta_u.shape}, "
                            f"expected ([n_sources,] {layout.n_receivers}, 2)")
-    asmmod.check_dof_map(dof_map, mesh)
     R = dof_map.station_operator([r.position for r in layout.receivers])
     weights = -np.conj(delta_u * layout.direction_mask())
     return R.T @ weights.reshape(delta_u.shape[:-2] + (-1,)).T
@@ -69,6 +70,25 @@ def adjoint_source(delta_u, layout, mesh, dof_map):
 def adjoint_field(fact: solvermod.Factorization, rhs):
     """Adjoint wave field from the reused forward factorization."""
     return fact.solve(rhs)
+
+
+def linearized_records(result, direction, layout, mesh, model, rho, profile,
+                       cfg, dof_map):
+    """First-order change J d of one frequency's records along ``direction``.
+
+    ``result`` is the frequency's ``ForwardResult`` for ``model``, kept
+    with its factorization.  J d = -R L^-1 (dL/dm . d) U over its fields U,
+    one multi-column solve.  Returns the (n_sources, n_receivers, 2) change,
+    masked to the recorded directions like ``residuals``, so that
+    2 Re sum(conj(residuals) J d) is the misfit's slope along d.
+    """
+    U = np.stack([f.u for f in result.fields], axis=1)
+    dLU = asmmod.stiffness_direction_product(U, direction, mesh, model, rho,
+                                             result.system.omega, profile, cfg,
+                                             dof_map)
+    R = dof_map.station_operator([r.position for r in layout.receivers])
+    dU = result.factorization.solve(dLU)
+    return -(R @ dU).T.reshape(len(result.fields), -1, 2) * layout.direction_mask()
 
 
 def accumulate_gradient(pairs_by_omega, mesh, model, rho, profile, cfg,

@@ -12,7 +12,9 @@ K = integral of B^T Ctilde B and M = integral of eps_x eps_y rho N^T N.
 Dofs on the outer PML boundary are clamped to zero, which is where the
 absorbed field is assumed to have died out.  Element matrices are products
 of per-point coefficients with cached real tables; the model derivative of
-u . K . u_adj runs the stiffness product backwards through the same table.
+u . K . u_adj runs the stiffness product backwards through the same table,
+and the change of L along a model direction runs it forwards on the
+coefficients' changes.
 """
 
 from __future__ import annotations
@@ -308,26 +310,32 @@ def _table_product(coef, table):
     return re + 1j * im
 
 
+def _batch_stiffness(rule, lam, mu, ex, ey):
+    """K_e stack of one batch from per-point (lambda, mu), dofs interleaved
+    per mode: one product of (lambda w F, mu w F) with the stiffness table
+    of ``_product_tables``; real where the batch is unstretched and complex
+    symmetric otherwise."""
+    _, w, V, _ = quad_table(*rule)
+    TK, _ = _product_tables(*rule)
+    width = 2 * V.shape[1]
+    # the stiffness integrand scales as h^2/4 (4/h^2) = 1 in 2D
+    cK = (np.stack([lam, mu], axis=2) * w[:, None])[..., None, None] \
+        * _stretch_factor(ex, ey)[:, :, None]
+    return _table_product(cK.reshape(len(lam), -1), TK).reshape(-1, width, width)
+
+
 def _batch_matrices(rule, h, vp, vs, ex, ey, rho):
     """(K_e, M_e) stacks of one batch, dofs interleaved per mode.
 
     Both are linear in per-point coefficients (lambda w F, mu w F and
-    eps_x eps_y rho w), so each is one product with ``_product_tables``;
-    they are real where the batch is unstretched and complex symmetric
-    otherwise.
+    eps_x eps_y rho w), so each is one product with ``_product_tables``.
     """
-    _, w, V, _ = quad_table(*rule)
-    TK, TM = _product_tables(*rule)
-    nel, width = vp.shape[0], 2 * V.shape[1]
-    lam = rho * (vp ** 2 - 2.0 * vs ** 2)
-    mu = rho * vs ** 2
-    # the stiffness integrand scales as h^2/4 (4/h^2) = 1 in 2D
-    cK = (np.stack([lam, mu], axis=2) * w[:, None])[..., None, None] \
-        * _stretch_factor(ex, ey)[:, :, None]
+    _, w, _, _ = quad_table(*rule)
+    _, TM = _product_tables(*rule)
+    K = _batch_stiffness(rule, rho * (vp ** 2 - 2.0 * vs ** 2), rho * vs ** 2,
+                         ex, ey)
     cM = (w * (h * h / 4.0) * rho) * ex * ey
-    K = _table_product(cK.reshape(nel, -1), TK)
-    M = _table_product(cM, TM)
-    return K.reshape(nel, width, width), M.reshape(nel, width, width)
+    return K, _table_product(cM, TM).reshape(K.shape)
 
 
 class SystemPattern:
@@ -534,6 +542,43 @@ def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg,
         np.add.at(out, corners, (2.0 * rho * vp * S[..., 0]) @ V[:, :4])
         np.add.at(out, n + corners,
                   (2.0 * rho * vs * (S[..., 1] - 2.0 * S[..., 0])) @ V[:, :4])
+    return out
+
+
+def stiffness_direction_product(U, direction, mesh, model, rho, omega, profile,
+                                cfg, dof_map):
+    """(dL/dm . direction) @ U for dof columns U of shape (n_dofs, k).
+
+    lambda = rho (vp^2 - 2 vs^2) and mu = rho vs^2 are quadratic in the
+    corner velocities and M is model-free, so dL/dm . d is the stiffness
+    of d lambda = 2 rho (vp dvp - 2 vs dvs) and d mu = 2 rho vs dvs, with
+    dvp and dvs interpolated from ``direction`` like the velocities.
+    Clamped rows and columns are zero.  Returns a complex (n_dofs, k) array.
+    """
+    check_dof_map(dof_map, mesh, cfg.degree)
+    n = model.n_nodes
+    live = ~dof_map.clamped
+    U = np.where(live[:, None], U, 0.0).astype(complex, copy=False)
+    out = np.zeros(U.shape, dtype=complex)
+    parts = out.view(float)  # real and imaginary parts as columns
+    for elems, flag in _batches(mesh, profile):
+        rule, _, vp, vs, ex, ey = _batch_quadrature(
+            mesh, elems, model, omega, profile, cfg, flag)
+        _, _, V, _ = quad_table(*rule)
+        corners = mesh.elements[elems]
+        dvp = direction[:n][corners] @ V[:, :4].T
+        dvs = direction[n:][corners] @ V[:, :4].T
+        dK = _batch_stiffness(rule, 2.0 * rho * (vp * dvp - 2.0 * vs * dvs),
+                              2.0 * rho * vs * dvs, ex, ey)
+        dofs = dof_map.element_dofs[elems]
+        if np.iscomplexobj(dK):
+            Y = dK @ U[dofs]
+        else:  # one real product over the real and imaginary parts
+            Y = (dK @ U[dofs].view(float)).view(complex)
+        Y = Y.reshape(-1, U.shape[1]).view(float)
+        for c in range(parts.shape[1]):
+            parts[:, c] += np.bincount(dofs.ravel(), Y[:, c], len(out))
+    out[~live] = 0.0
     return out
 
 

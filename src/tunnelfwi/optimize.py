@@ -3,12 +3,15 @@ multi-scale inversion loop.
 
 Each frequency group is minimized on its own: the first step follows the
 negative (preconditioned) gradient, later steps use the limited-memory
-two-loop recursion; the step length comes from fitting a parabola through
-three misfit samples and iterating the fit until its vertex settles within
-``SETTLE_RTOL`` of a sample already taken.  The second sample is the vertex
-of the parabola through chi(0), chi'(0) and the first trial when that
-parabola is convex, where chi'(0) is the adjoint gradient of the current
-model along the search direction.
+two-loop recursion.  The first trial step is the minimizer of the
+Gauss-Newton model of the misfit along the search direction, computed on
+the current model's factorizations; the second is the vertex of the
+parabola through chi(0), chi'(0) and the first trial when that parabola is
+convex, where chi'(0) is the adjoint gradient of the current model along
+the direction.  A first trial within ``SETTLE_RTOL`` of that vertex is
+accepted at once; otherwise the parabola is refitted through three misfit
+samples until its vertex settles within ``SETTLE_RTOL`` of a sample
+already taken.
 Groups run in order of rising top frequency and hand their model to the
 next group.
 """
@@ -260,7 +263,9 @@ class InversionSettings:
     max_iterations: int = 20
     reduction_threshold: float = 1e-3
     lbfgs_capacity: int = 5
-    step_fraction: float = 0.01  # of the ambient S velocity, caps |alpha d|
+    # first trial max|alpha d| as a fraction of the ambient S velocity, used
+    # only when the Gauss-Newton step is not finite and positive; not a cap
+    step_fraction: float = 0.01
     line_search_rounds: int = 5
 
 
@@ -327,12 +332,25 @@ def _group_gradient(model, omegas, data: InversionData, delta, kept):
     pairs = {}
     for fi, omega in enumerate(omegas):
         res = kept[fi]
-        rhs = adjmod.adjoint_source(delta[fi], data.layout, data.mesh, data.dof_map)
+        rhs = adjmod.adjoint_source(delta[fi], data.layout, data.dof_map)
         u_adj = adjmod.adjoint_field(res.factorization, rhs)
         pairs[omega] = [(f.u, u_adj[:, si]) for si, f in enumerate(res.fields)]
     raw = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
                                      data.profile, data.cfg, data.dof_map)
     return raw, adjmod.precondition(raw, data.mask, data.node_areas)
+
+
+def _gauss_newton_curvature(model, data: InversionData, kept, d):
+    """Curvature sum |J d|^2 of the Gauss-Newton model of the misfit along d.
+
+    chi(a) ~ sum |delta + a J d|^2 over the group's frequencies, sources
+    and recorded directions, so its minimizer is -chi'(0) / (2 sum |J d|^2)
+    (Pratt, Shin & Hicks, GJI 133, 1998).  One multi-column solve per
+    frequency on the kept factorizations.
+    """
+    return sum(float(np.sum(np.abs(adjmod.linearized_records(
+        res, d, data.layout, data.mesh, model, data.rho, data.profile,
+        data.cfg, data.dof_map)) ** 2)) for res in kept)
 
 
 def run_frequency_group(state: OptimizerState, group, data: InversionData,
@@ -346,7 +364,10 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     The accepted step's misfit, residuals and factorizations are those the
     line search kept for its best trial; no model is solved twice.  The line
     search gets the misfit's slope along the direction from the raw gradient
-    of the current model, which is already computed.
+    of the current model, which is already computed, and its first trial is
+    the Gauss-Newton step, solved on the current model's factorizations
+    before they are dropped; only when that step is not finite and positive
+    does the first trial move max|alpha d| = ``step_fraction`` ambient vs.
     """
     omegas = tuple(float(w) for w in group)
     observed = data.observed_records(omegas)
@@ -366,13 +387,17 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             break
         if grad_vec is None:
             raw_vec, grad_vec = _group_gradient(model, omegas, data, delta, kept)
-        kept = None  # live contexts: the best trial kept and the one being solved
         d = lbfgs_direction(history, grad_vec)
         dmax = np.abs(d).max()
         if dmax == 0.0:
             log.append(IterationRecord(group_index, j, chi, 0.0, 0.0, "zero gradient"))
             break
-        alpha_init = settings.step_fraction * data.ambient_vs / dmax
+        slope0 = float(raw_vec @ d)
+        curvature = _gauss_newton_curvature(model, data, kept, d)
+        alpha_init = -slope0 / (2.0 * curvature) if curvature > 0.0 else np.nan
+        if not 0.0 < alpha_init < np.inf:
+            alpha_init = settings.step_fraction * data.ambient_vs / dmax
+        kept = None  # live contexts: the best trial kept and the one being solved
         best = None  # (alpha, model, chi, residuals, kept) of the best trial
 
         def chi_of(a, _m=model, _d=d):
@@ -390,7 +415,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
         try:
             alpha, _ = line_search(chi_of, alpha_init, chi0=chi,
                                    rounds=settings.line_search_rounds,
-                                   slope0=float(raw_vec @ d))
+                                   slope0=slope0)
         except (LineSearchError, solvermod.SingularMatrixError) as exc:
             log.append(IterationRecord(group_index, j, chi, 0.0,
                                        float(np.linalg.norm(grad_vec)),

@@ -7,7 +7,9 @@ one-pass ``SystemPattern`` scatter replaced, and the only place that forms
 the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
 ``system_pattern_oracle`` is the whole-array pattern build that the
-production column-block build replaced.  ``lame_parameters``,
+production column-block build replaced.  ``direction_product_oracle``
+differences two assembled systems for the change of L along a model
+direction.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
 ``pml_local_coordinate``, ``local_to_global``, ``ricker_spectrum`` and
 ``dump_mesh`` convert, evaluate or print what the program computes.
@@ -244,3 +246,16 @@ def system_pattern_oracle(dof_map):
             (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
              np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
             shape=(nnz, nel * width * width)))
+
+
+def direction_product_oracle(U, direction, mesh, model, rho, omega, profile, cfg,
+                             dof_map, eps):
+    """(L(m + eps d) - L(m - eps d)) / (2 eps) @ U from two assembled systems.
+
+    L is quadratic in the model, so the central difference is exact up to
+    rounding whatever ``eps``; the clamped unit diagonals cancel.
+    """
+    L_plus, L_minus = (asmmod.assemble_system(
+        mesh, ModelVector(model.values + s * eps * direction), rho, omega,
+        profile, cfg, dof_map=dof_map).L for s in (1.0, -1.0))
+    return ((L_plus - L_minus) @ U) / (2.0 * eps)

@@ -188,7 +188,7 @@ def test_criterion_5_gradient_vs_finite_differences():
                             dof_map=dm)
         syn = sample_receivers(res.fields[0], mesh, layout)
         delta = syn - observed[fi][0]
-        rhs = adjoint_source(delta, layout, mesh, dm)
+        rhs = adjoint_source(delta, layout, dm)
         u_adj = adjoint_field(res.factorization, rhs)
         pairs[omega] = [(res.fields[0].u, u_adj)]
     adj = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)  # dchi/dm_k

@@ -5,8 +5,8 @@ from tunnelfwi import solver
 from tunnelfwi.adjoint import (AdjointError, accumulate_gradient,
                                adjoint_field, adjoint_source, build_mask,
                                misfit, precondition, residuals)
-from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
-                                node_areas, stiffness_derivative_products)
+from tunnelfwi.assembly import (DiscretizationConfig, DofMap, node_areas,
+                                stiffness_derivative_products)
 from tunnelfwi.forward import RecordSet, forward_solve, sample_receivers
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
@@ -116,16 +116,8 @@ def small_problem(degree=1, pml=0):
 def test_adjoint_source_zero_residual():
     mesh, model, cfg, profile, layout = small_problem()
     dm = DofMap(mesh, cfg.degree)
-    rhs = adjoint_source(np.zeros((2, 2), dtype=complex), layout, mesh, dm)
+    rhs = adjoint_source(np.zeros((2, 2), dtype=complex), layout, dm)
     np.testing.assert_array_equal(rhs, 0.0)
-
-
-def test_adjoint_source_rejects_foreign_dof_map():
-    mesh, model, cfg, profile, layout = small_problem()
-    other, *_ = small_problem()
-    with pytest.raises(AssemblyError, match="another mesh"):
-        adjoint_source(np.ones((2, 2), dtype=complex), layout, mesh,
-                       DofMap(other, cfg.degree))
 
 
 def test_adjoint_source_nodal_scatter():
@@ -135,7 +127,7 @@ def test_adjoint_source_nodal_scatter():
                             receivers=(Receiver((2.0, 2.0), directions=(0,)),))
     delta = np.zeros((1, 2), dtype=complex)
     delta[0, 0] = 1.0
-    rhs = adjoint_source(delta, layout1, mesh, dm)
+    rhs = adjoint_source(delta, layout1, dm)
     node = mesh.node_grid[2, 2]
     want = np.zeros(dm.n_dofs, dtype=complex)
     want[2 * node] = -1.0
@@ -147,12 +139,12 @@ def test_adjoint_source_additivity():
     dm = DofMap(mesh, 2)
     rng = np.random.default_rng(72)
     delta = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    full = adjoint_source(delta, layout, mesh, dm)
+    full = adjoint_source(delta, layout, dm)
     parts = np.zeros_like(full)
     for r in range(2):
         only = np.zeros_like(delta)
         only[r] = delta[r]
-        parts += adjoint_source(only, layout, mesh, dm)
+        parts += adjoint_source(only, layout, dm)
     np.testing.assert_allclose(full, parts, rtol=1e-12, atol=1e-15)
 
 
@@ -163,7 +155,7 @@ def test_adjoint_field_reuses_factorization_and_duality():
     syn = sample_receivers(res.fields[0], mesh, layout)
     delta = syn - (syn + 1.0)  # synthetic residual
     dm = res.system.dof_map
-    rhs = adjoint_source(delta, layout, mesh, dm)
+    rhs = adjoint_source(delta, layout, dm)
 
     before = solver.factorization_count()
     u_adj = adjoint_field(res.factorization, rhs)
@@ -207,7 +199,7 @@ def adjoint_gradient_unnormalized(mesh, model, cfg, profile, layout, omegas, obs
         res = forward_solve(mesh, model, RHO, omega, layout, 1.0, profile, cfg)
         syn = sample_receivers(res.fields[0], mesh, layout)
         delta = (syn - observed[fi]) * layout.direction_mask()
-        rhs = adjoint_source(delta, layout, mesh, dm)
+        rhs = adjoint_source(delta, layout, dm)
         u_adj = adjoint_field(res.factorization, rhs)
         pairs[omega] = [(res.fields[0].u, u_adj)]
     return accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm), pairs

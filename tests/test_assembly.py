@@ -9,7 +9,8 @@ from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
                                 _batch_matrices, _batch_quadrature,
                                 assemble_point_source, assemble_system,
                                 node_areas, shape_functions,
-                                stiffness_derivative_products)
+                                stiffness_derivative_products,
+                                stiffness_direction_product)
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
 from tunnelfwi.pml import PmlProfile
@@ -603,6 +604,28 @@ def test_derivative_products_match_oracle(p, profile):
     np.testing.assert_allclose(stiffness_derivative_products(pairs, *args),
                                oracles.derivative_products_oracle(pairs, *args),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_direction_product_matches_oracle(p, profile):
+    # L is quadratic in the model, so the central difference of two
+    # assembled systems is exact up to rounding
+    mesh = build_tunnel_mesh(TunnelGeometry(6, 2, 1, 2, 3, 1, 1))
+    model = random_model(mesh, 21)
+    cfg = DiscretizationConfig(degree=p)
+    dm = DofMap(mesh, p)
+    assert dm.clamped.any()
+    rng = np.random.default_rng(30 + p)
+    # the clamped entries of U are not zero, and must not count
+    U = rng.normal(size=(dm.n_dofs, 3)) + 1j * rng.normal(size=(dm.n_dofs, 3))
+    direction = rng.normal(size=2 * mesh.n_nodes)
+    args = (mesh, model, RHO, 1300.0, profile, cfg, dm)
+    got = stiffness_direction_product(U, direction, *args)
+    want = oracles.direction_product_oracle(U, direction, *args, eps=10.0)
+    assert got.shape == U.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.all(got[dm.clamped] == 0.0)
 
 
 def test_node_areas():

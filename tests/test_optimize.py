@@ -349,7 +349,7 @@ def test_two_parameter_toy_recovers_truth():
                                 data.profile, data.cfg, dof_map=dm)
             syn = np.stack([sample_receivers(f, mesh, layout) for f in res.fields])
             delta = (syn - data.observed[omega]) * mask
-            rhs = adjoint_source(delta[0], layout, mesh, dm)
+            rhs = adjoint_source(delta[0], layout, dm)
             u_adj = adjoint_field(res.factorization, rhs)
             pairs[omega] = [(res.fields[0].u, u_adj)]
         raw = accumulate_gradient(pairs, mesh, model, RHO, data.profile,
@@ -533,10 +533,10 @@ def test_group_reuses_the_accepted_trial(monkeypatch):
     n_fact = solver.factorization_count() - before
     n_chi = sum(n for n, _ in searches)
     assert out.iteration == len(searches) >= 2
-    # the slope-seeded vertex is each search's second trial: the first
-    # search overshoots and refits four times, the second is capped at
-    # 4 alpha_init and refits twice, the third settles on the seeded vertex
-    assert [n for n, _ in searches] == [6, 4, 2]
+    # each search's first trial is the Gauss-Newton step: the first and the
+    # third lie within SETTLE_RTOL of the slope-seeded vertex and are
+    # accepted at once, the second lies 2% short of it and refits twice
+    assert [n for n, _ in searches] == [1, 3, 1]
     # the initial misfit and one per trial; no solve of an accepted model
     assert n_fact == len(omegas) * (1 + n_chi)
     assert len(solved) == 1 + n_chi
@@ -585,3 +585,85 @@ def test_group_slope_matches_finite_differences(monkeypatch, masked):
     assert slope0 < 0.0
     fd = (chi(h) - chi(-h)) / (2.0 * h)
     assert abs(slope0 - fd) <= 1e-5 * abs(fd)
+    # the first trial is the Gauss-Newton step
+    _, _, kept = optimize._group_misfit(start, omegas, data, observed)
+    curvature = sum(np.sum(np.abs(adjoint.linearized_records(
+        res, d, data.layout, mesh, start, RHO, data.profile, data.cfg,
+        data.dof_map)) ** 2) for res in kept)
+    assert alpha_init == pytest.approx(-slope0 / (2.0 * curvature), rel=1e-12)
+
+
+def one_direction_receiver(data):
+    """Record only the y component at the toy's second receiver."""
+    receivers = data.layout.receivers
+    data.layout = StationLayout(
+        sources=data.layout.sources,
+        receivers=(receivers[0], Receiver(receivers[1].position, (1,))))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+def test_linearized_records_match_the_adjoint_slope(masked):
+    # 2 Re sum conj(delta) (mask J d) is the misfit's slope along d, which
+    # the adjoint gives as raw . d: the tangent-linear and adjoint solves
+    # are transposes of each other
+    from tunnelfwi import adjoint, optimize
+    mesh, data, truth = toy_problem()
+    if masked:
+        data.mask = adjoint.build_mask(data.layout, mesh, 1.0, 1.0, 1.0, 1.0)
+        one_direction_receiver(data)
+    model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    omegas = (1200.0, 2000.0)
+    _, delta, kept = optimize._group_misfit(model, omegas, data,
+                                            data.observed_records(omegas))
+    raw, grad = optimize._group_gradient(model, omegas, data, delta, kept)
+    rng = np.random.default_rng(90)
+    for d in (-grad, rng.normal(size=grad.shape)):
+        jd = np.stack([adjoint.linearized_records(
+            res, d, data.layout, mesh, model, RHO, data.profile, data.cfg,
+            data.dof_map) for res in kept])
+        assert jd.shape == delta.shape
+        assert np.all(jd[:, :, ~data.layout.direction_mask()] == 0.0)
+        slope = 2.0 * np.sum(np.conj(delta) * jd).real
+        assert abs(slope - raw @ d) <= 1e-10 * abs(raw @ d)
+
+
+@pytest.mark.parametrize("jd_value", [0.0, np.nan], ids=["zero", "nan"])
+def test_unusable_gauss_newton_step_falls_back_to_the_blind_seed(monkeypatch,
+                                                                 jd_value):
+    # with no finite, positive Gauss-Newton step each search starts at
+    # step_fraction ambient vs / max|d| and takes the trials it took
+    # before the Gauss-Newton seed existed
+    from tunnelfwi import adjoint, optimize
+    mesh, data, truth = toy_problem()
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    settings = InversionSettings(max_iterations=3)
+    directions, searches = [], []
+    direction, search = optimize.lbfgs_direction, optimize.line_search
+
+    def unusable(result, *args):
+        return np.full((len(result.fields), data.layout.n_receivers, 2),
+                       jd_value, dtype=complex)
+
+    def recording_direction(*args):
+        directions.append(direction(*args))
+        return directions[-1]
+
+    def recording_search(chi, alpha_init, **kwargs):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return chi(a)
+        found = search(counted, alpha_init, **kwargs)
+        searches.append((alpha_init, sum(a != 0.0 for a in calls)))
+        return found
+
+    monkeypatch.setattr(adjoint, "linearized_records", unusable)
+    monkeypatch.setattr(optimize, "lbfgs_direction", recording_direction)
+    monkeypatch.setattr(optimize, "line_search", recording_search)
+    run_frequency_group(OptimizerState(model=start), (1200.0, 2000.0), data,
+                        settings)
+    assert [a for a, _ in searches] == [
+        settings.step_fraction * data.ambient_vs / np.abs(d).max()
+        for d in directions]
+    assert [n for _, n in searches] == [6, 4, 2]
