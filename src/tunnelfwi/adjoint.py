@@ -3,16 +3,16 @@
 The data misfit is the squared modulus of the record residuals summed over
 frequencies, sources, receivers and directions.  Its model gradient comes
 from one multi-column solve per frequency (a column per source) on the
-factorization that already exists from the forward pass.  The bilinear form
-u . dL/dm . u_adj is the transpose of the table product that assembles L:
-the element outer products of all pairs are summed first and multiplied
-once by the stiffness table.  ``linearized_records`` gives the records'
-first-order change along a model direction from one more solve on that
-factorization.  ``accumulate_gradient`` returns the plain
-derivative of the misfit with respect to the model vector;
-``precondition`` turns it into the gradient that drives L-BFGS: divided by
-the lumped nodal areas and masked to zero near stations and free surfaces
-with a linear ramp back to one.
+kept forward solve, whose assembled system also gives the model, omega and
+discretization to differentiate.  The bilinear form u . dL/dm . u_adj is
+the transpose of the table product that assembles L: the element outer
+products of all columns are summed first and multiplied once by the
+stiffness table.  ``linearized_records`` gives the records' first-order
+change along a model direction from one more solve on that factorization.
+``accumulate_gradient`` returns the plain derivative of the misfit with
+respect to the model vector; ``precondition`` turns it into the gradient
+that drives L-BFGS: divided by the lumped nodal areas and masked to zero
+near stations and free surfaces with a linear ramp back to one.
 """
 
 from __future__ import annotations
@@ -72,39 +72,35 @@ def adjoint_field(fact: solvermod.Factorization, rhs):
     return fact.solve(rhs)
 
 
-def linearized_records(result, direction, layout, mesh, model, rho, profile,
-                       cfg, dof_map):
+def linearized_records(result, direction, layout):
     """First-order change J d of one frequency's records along ``direction``.
 
-    ``result`` is the frequency's ``ForwardResult`` for ``model``, kept
-    with its factorization.  J d = -R L^-1 (dL/dm . d) U over its fields U,
-    one multi-column solve.  Returns the (n_sources, n_receivers, 2) change,
+    ``result`` is the frequency's ``ForwardResult``, kept with its
+    factorization.  J d = -R L^-1 (dL/dm . d) U over its fields U, one
+    multi-column solve.  Returns the (n_sources, n_receivers, 2) change,
     masked to the recorded directions like ``residuals``, so that
     2 Re sum(conj(residuals) J d) is the misfit's slope along d.
     """
     U = np.stack([f.u for f in result.fields], axis=1)
-    dLU = asmmod.stiffness_direction_product(U, direction, mesh, model, rho,
-                                             result.system.omega, profile, cfg,
-                                             dof_map)
-    R = dof_map.station_operator([r.position for r in layout.receivers])
+    dLU = asmmod.stiffness_direction_product(result.system, U, direction)
+    R = result.system.dof_map.station_operator([r.position for r in layout.receivers])
     dU = result.factorization.solve(dLU)
     return -(R @ dU).T.reshape(len(result.fields), -1, 2) * layout.direction_mask()
 
 
-def accumulate_gradient(pairs_by_omega, mesh, model, rho, profile, cfg,
-                        dof_map):
-    """Misfit derivative with respect to the model vector, from field pairs.
+def accumulate_gradient(kept, adjoint_fields):
+    """Misfit derivative with respect to the model vector of the kept solves.
 
-    ``pairs_by_omega`` maps omega to a list of (u, u_adjoint) dof vectors.
-    The entries are 2 Re(u . dL/dm_k . u_adj) summed over all pairs.  The
-    factor two is the derivative of |residual|^2 with respect to the real
-    model parameters; the finite-difference oracle in the tests pins this
-    convention.
+    ``kept`` holds each frequency's ``ForwardResult`` and ``adjoint_fields``
+    its (n_dofs, n_sources) adjoint solve.  The entries are
+    2 Re(u . dL/dm_k . u_adj) summed over sources, then over frequencies in
+    ascending omega.  The factor two is the derivative of |residual|^2 with
+    respect to the real model parameters; the finite-difference oracle in
+    the tests pins this convention.
     """
-    raw = np.zeros(2 * model.n_nodes, dtype=complex)
-    for omega in sorted(pairs_by_omega):
-        raw += asmmod.stiffness_derivative_products(
-            pairs_by_omega[omega], mesh, model, rho, omega, profile, cfg, dof_map)
+    by_omega = sorted(zip(kept, adjoint_fields), key=lambda pair: pair[0].system.omega)
+    raw = sum(asmmod.stiffness_derivative_products(
+        res.system, np.stack([f.u for f in res.fields], axis=1), W) for res, W in by_omega)
     return 2.0 * raw.real
 
 

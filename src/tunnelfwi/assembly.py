@@ -418,7 +418,8 @@ class SystemPattern:
 
 @dataclass
 class AssembledSystem:
-    """Impedance matrix L = K - omega^2 M on the clamped dof set.
+    """Impedance matrix L = K - omega^2 M on the clamped dof set, with the
+    model and discretization it was assembled from.
 
     Clamped rows and columns are zero except for a unit diagonal.  K and M
     are never formed globally: element matrices are combined first and
@@ -428,6 +429,10 @@ class AssembledSystem:
     L: sp.csc_matrix
     dof_map: DofMap
     omega: float
+    model: object
+    rho: float
+    profile: pmlmod.PmlProfile
+    cfg: DiscretizationConfig
 
 
 def check_dof_map(dof_map, mesh, degree=None):
@@ -475,7 +480,8 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
         K -= omega ** 2 * M
         values[elems] = K
     L = dof_map.system_pattern().matrix(values)
-    return AssembledSystem(L=L, dof_map=dof_map, omega=float(omega))
+    return AssembledSystem(L=L, dof_map=dof_map, omega=float(omega), model=model,
+                           rho=rho, profile=profile, cfg=cfg)
 
 
 def point_operator(dof_map, points, allow_pml=False):
@@ -507,46 +513,48 @@ def assemble_point_source(mesh, dof_map, s, direction, f_omega):
 # -- derivative of the impedance matrix with respect to the model ------------
 #
 # u_e . K_e . w_e = vec(u_e w_e^T) . vec(K_e), and vec(K_e) is the row of
-# per-point coefficients (lambda w F, mu w F) times TK.  Summing the pairs'
+# per-point coefficients (lambda w F, mu w F) times TK.  Summing the columns'
 # outer products P_e first and multiplying once by TK^T therefore gives the
 # derivative of the summed products with respect to every coefficient; the
 # chain rule carries it through lambda = rho (vp^2 - 2 vs^2), mu = rho vs^2
 # and the bilinear velocity interpolation to the corner nodes.
 
-def stiffness_derivative_products(fields, mesh, model, rho, omega, profile, cfg, dof_map):
-    """Sum over pairs of u . (dK/dm_k) . u_adj for every model coefficient.
+def _system_batches(system):
+    """(rule, vp, vs, ex, ey, element dofs, corner nodes) of every element
+    batch of an assembled system, as ``_batch_quadrature`` gives them."""
+    mesh = system.dof_map.mesh
+    for elems, flag in _batches(mesh, system.profile):
+        rule, _, vp, vs, ex, ey = _batch_quadrature(
+            mesh, elems, system.model, system.omega, system.profile, system.cfg, flag)
+        yield rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems], mesh.elements[elems]
 
-    ``fields`` is a list of (u, u_adj) dof-vector pairs sharing one omega.
+
+def stiffness_derivative_products(system, U, W):
+    """Sum over columns j of U_j . (dK/dm_k) . W_j for every model coefficient.
+
+    ``U`` and ``W`` are (n_dofs, k) field and adjoint columns of ``system``.
     Density is constant, so these are also the products with dL/dm_k.
     Each element batch costs one product with the transposed stiffness
-    table of ``_product_tables``, whatever the number of pairs.  Returns a
-    complex vector aligned with the model vector.
+    table of ``_product_tables``, whatever k.  Returns a complex vector
+    aligned with the model vector.
     """
-    check_dof_map(dof_map, mesh, cfg.degree)
-    n = model.n_nodes
-    U = np.stack([u for u, _ in fields], axis=1)
-    W = np.stack([v for _, v in fields], axis=1)
+    n, rho = system.model.n_nodes, system.rho
     out = np.zeros(2 * n, dtype=complex)
-    for elems, flag in _batches(mesh, profile):
-        rule, _, vp, vs, ex, ey = _batch_quadrature(
-            mesh, elems, model, omega, profile, cfg, flag)
+    for rule, vp, vs, ex, ey, dofs, corners in _system_batches(system):
         _, w, V, _ = quad_table(*rule)
         TK, _ = _product_tables(*rule)
-        dofs = dof_map.element_dofs[elems]
         P = U[dofs] @ W[dofs].transpose(0, 2, 1)
-        D = _table_product(P.reshape(len(elems), -1), TK.T)
+        D = _table_product(P.reshape(len(dofs), -1), TK.T)
         # d(u K u_adj)/d(lambda, mu) at every point
-        S = np.einsum("eqlik,eqik->eql", D.reshape(len(elems), len(w), 2, 2, 2),
+        S = np.einsum("eqlik,eqik->eql", D.reshape(len(dofs), len(w), 2, 2, 2),
                       _stretch_factor(ex, ey)) * w[:, None]
-        corners = mesh.elements[elems]
         np.add.at(out, corners, (2.0 * rho * vp * S[..., 0]) @ V[:, :4])
         np.add.at(out, n + corners,
                   (2.0 * rho * vs * (S[..., 1] - 2.0 * S[..., 0])) @ V[:, :4])
     return out
 
 
-def stiffness_direction_product(U, direction, mesh, model, rho, omega, profile,
-                                cfg, dof_map):
+def stiffness_direction_product(system, U, direction):
     """(dL/dm . direction) @ U for dof columns U of shape (n_dofs, k).
 
     lambda = rho (vp^2 - 2 vs^2) and mu = rho vs^2 are quadratic in the
@@ -555,22 +563,17 @@ def stiffness_direction_product(U, direction, mesh, model, rho, omega, profile,
     dvp and dvs interpolated from ``direction`` like the velocities.
     Clamped rows and columns are zero.  Returns a complex (n_dofs, k) array.
     """
-    check_dof_map(dof_map, mesh, cfg.degree)
-    n = model.n_nodes
-    live = ~dof_map.clamped
+    n, rho = system.model.n_nodes, system.rho
+    live = ~system.dof_map.clamped
     U = np.where(live[:, None], U, 0.0).astype(complex, copy=False)
     out = np.zeros(U.shape, dtype=complex)
     parts = out.view(float)  # real and imaginary parts as columns
-    for elems, flag in _batches(mesh, profile):
-        rule, _, vp, vs, ex, ey = _batch_quadrature(
-            mesh, elems, model, omega, profile, cfg, flag)
+    for rule, vp, vs, ex, ey, dofs, corners in _system_batches(system):
         _, _, V, _ = quad_table(*rule)
-        corners = mesh.elements[elems]
         dvp = direction[:n][corners] @ V[:, :4].T
         dvs = direction[n:][corners] @ V[:, :4].T
         dK = _batch_stiffness(rule, 2.0 * rho * (vp * dvp - 2.0 * vs * dvs),
                               2.0 * rho * vs * dvs, ex, ey)
-        dofs = dof_map.element_dofs[elems]
         if np.iscomplexobj(dK):
             Y = dK @ U[dofs]
         else:  # one real product over the real and imaginary parts

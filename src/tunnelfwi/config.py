@@ -206,10 +206,7 @@ def _parse_line(key, value, line_no, out):
 
     if key not in _SCALAR_DEFAULTS:
         raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    try:
-        out["scalars"][key] = int(value) if key in _INT_KEYS else float(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse value for {key!r}: {value!r}")
+    out["scalars"][key] = int(value) if key in _INT_KEYS else float(value)
 
 
 def parse_config(text) -> RunConfig:
@@ -224,7 +221,12 @@ def parse_config(text) -> RunConfig:
         key, value = (t.strip() for t in line.split("=", 1))
         if not value:
             raise ConfigError(f"line {line_no}: key {key!r} has no value")
-        _parse_line(key, value, line_no, out)
+        try:
+            _parse_line(key, value, line_no, out)
+        except ConfigError:
+            raise
+        except ValueError:  # a value that should be a number is not
+            raise ConfigError(f"line {line_no}: cannot parse value for {key!r}: {value!r}")
 
     cfg = RunConfig(scalars=out["scalars"], sources=out["sources"],
                     receivers=out["receivers"], groups=out["groups"],
@@ -259,6 +261,9 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("sweep_end must be >= sweep_start")
     if any(w <= 0 for w in cfg.frequencies):
         raise ConfigError("frequencies must be positive")
+    if any(not 1 <= d <= asmmod.MAX_DEGREE for _, d in cfg.sweep_degrees):
+        raise ConfigError(f"sweep_degrees need degrees in [1, {asmmod.MAX_DEGREE}], "
+                          f"got {[d for _, d in cfg.sweep_degrees]}")
 
 
 def load_config(path) -> RunConfig:

@@ -310,7 +310,6 @@ class IterationRecord:
 class OptimizerState:
     model: matmod.ModelVector
     iteration: int = 0
-    alpha: float = None
     log: list = field(default_factory=list)
 
 
@@ -323,24 +322,20 @@ def _group_misfit(model, omegas, data: InversionData, observed):
     return fit.value, fit.residuals, kept
 
 
-def _group_gradient(model, omegas, data: InversionData, delta, kept):
+def _group_gradient(data: InversionData, delta, kept):
     """One multi-column adjoint solve per frequency on the kept factorizations.
 
     Returns (raw, grad): ``raw`` is the derivative of the misfit with respect
-    to the model vector, ``grad`` its preconditioned form that drives L-BFGS.
+    to the kept solves' model vector, ``grad`` its preconditioned form that
+    drives L-BFGS.
     """
-    pairs = {}
-    for fi, omega in enumerate(omegas):
-        res = kept[fi]
-        rhs = adjmod.adjoint_source(delta[fi], data.layout, data.dof_map)
-        u_adj = adjmod.adjoint_field(res.factorization, rhs)
-        pairs[omega] = [(f.u, u_adj[:, si]) for si, f in enumerate(res.fields)]
-    raw = adjmod.accumulate_gradient(pairs, data.mesh, model, data.rho,
-                                     data.profile, data.cfg, data.dof_map)
+    adjoint_fields = [adjmod.adjoint_field(res.factorization, adjmod.adjoint_source(
+        residual, data.layout, res.system.dof_map)) for residual, res in zip(delta, kept)]
+    raw = adjmod.accumulate_gradient(kept, adjoint_fields)
     return raw, adjmod.precondition(raw, data.mask, data.node_areas)
 
 
-def _gauss_newton_curvature(model, data: InversionData, kept, d):
+def _gauss_newton_curvature(data: InversionData, kept, d):
     """Curvature sum |J d|^2 of the Gauss-Newton model of the misfit along d.
 
     chi(a) ~ sum |delta + a J d|^2 over the group's frequencies, sources
@@ -348,9 +343,8 @@ def _gauss_newton_curvature(model, data: InversionData, kept, d):
     (Pratt, Shin & Hicks, GJI 133, 1998).  One multi-column solve per
     frequency on the kept factorizations.
     """
-    return sum(float(np.sum(np.abs(adjmod.linearized_records(
-        res, d, data.layout, data.mesh, model, data.rho, data.profile,
-        data.cfg, data.dof_map)) ** 2)) for res in kept)
+    return sum(float(np.sum(np.abs(adjmod.linearized_records(res, d, data.layout)) ** 2))
+               for res in kept)
 
 
 def run_frequency_group(state: OptimizerState, group, data: InversionData,
@@ -374,7 +368,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     model = state.model
     history = LbfgsHistory(settings.lbfgs_capacity)
     log = list(state.log)
-    alpha = state.alpha
+    alpha = 0.0  # the last accepted step, logged at the group's end
     grad_vec = None
 
     chi, delta, kept = _group_misfit(model, omegas, data, observed)
@@ -386,14 +380,14 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
         if chi_prev is not None and (chi_prev - chi) < settings.reduction_threshold * chi_prev:
             break
         if grad_vec is None:
-            raw_vec, grad_vec = _group_gradient(model, omegas, data, delta, kept)
+            raw_vec, grad_vec = _group_gradient(data, delta, kept)
         d = lbfgs_direction(history, grad_vec)
         dmax = np.abs(d).max()
         if dmax == 0.0:
             log.append(IterationRecord(group_index, j, chi, 0.0, 0.0, "zero gradient"))
             break
         slope0 = float(raw_vec @ d)
-        curvature = _gauss_newton_curvature(model, data, kept, d)
+        curvature = _gauss_newton_curvature(data, kept, d)
         alpha_init = -slope0 / (2.0 * curvature) if curvature > 0.0 else np.nan
         if not 0.0 < alpha_init < np.inf:
             alpha_init = settings.step_fraction * data.ambient_vs / dmax
@@ -427,7 +421,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                                "which is not the best trial kept")
         _, new_model, chi_new, delta, kept = best
         best = None
-        raw_vec, new_grad = _group_gradient(new_model, omegas, data, delta, kept)
+        raw_vec, new_grad = _group_gradient(data, delta, kept)
         history.push(new_model.values - model.values, new_grad - grad_vec)
         log.append(IterationRecord(group_index, j, chi, alpha,
                                    float(np.linalg.norm(grad_vec))))
@@ -436,12 +430,10 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
         grad_vec = new_grad
         iterations += 1
 
-    log.append(IterationRecord(group_index, iterations, chi,
-                               alpha if alpha is not None else 0.0,
+    log.append(IterationRecord(group_index, iterations, chi, alpha,
                                float(np.linalg.norm(grad_vec)) if grad_vec is not None else 0.0,
                                "group end"))
-    return OptimizerState(model=model, iteration=state.iteration + iterations,
-                          alpha=alpha, log=log)
+    return OptimizerState(model=model, iteration=state.iteration + iterations, log=log)
 
 
 @dataclass

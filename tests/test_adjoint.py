@@ -5,9 +5,10 @@ from tunnelfwi import solver
 from tunnelfwi.adjoint import (AdjointError, accumulate_gradient,
                                adjoint_field, adjoint_source, build_mask,
                                misfit, precondition, residuals)
-from tunnelfwi.assembly import (DiscretizationConfig, DofMap, node_areas,
-                                stiffness_derivative_products)
-from tunnelfwi.forward import RecordSet, forward_solve, sample_receivers
+from tunnelfwi.assembly import (DiscretizationConfig, DofMap, assemble_system,
+                                node_areas, stiffness_derivative_products)
+from tunnelfwi.forward import (ForwardResult, RecordSet, WaveField,
+                               forward_solve, sample_receivers)
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
                             build_tunnel_mesh)
@@ -170,14 +171,21 @@ def test_adjoint_field_reuses_factorization_and_duality():
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def kept_field(mesh, model, profile, cfg, omega, dm, u):
+    """A kept ``ForwardResult`` that holds the given field u."""
+    system = assemble_system(mesh, model, RHO, omega, profile, cfg, dof_map=dm)
+    return ForwardResult(fields=[WaveField(u=u, omega=omega, dof_map=dm)],
+                         system=system, factorization=None)
+
+
 def test_zero_adjoint_fields_zero_gradient():
     mesh, model, cfg, profile, layout = small_problem()
     dm = DofMap(mesh, cfg.degree)
     omega = 1000.0
     rng = np.random.default_rng(73)
     u = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
-    pairs = {omega: [(u, np.zeros_like(u))]}
-    g = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
+    kept = [kept_field(mesh, model, profile, cfg, omega, dm, u)]
+    g = accumulate_gradient(kept, [np.zeros((dm.n_dofs, 1), dtype=complex)])
     np.testing.assert_array_equal(g, 0.0)
 
 
@@ -193,16 +201,15 @@ def _chi_of_model(values, mesh, cfg, profile, layout, omegas, observed):
 
 
 def adjoint_gradient_unnormalized(mesh, model, cfg, profile, layout, omegas, observed):
-    dm = DofMap(mesh, cfg.degree)
-    pairs = {}
+    kept, adjoint_fields = [], []
     for fi, omega in enumerate(omegas):
         res = forward_solve(mesh, model, RHO, omega, layout, 1.0, profile, cfg)
         syn = sample_receivers(res.fields[0], mesh, layout)
         delta = (syn - observed[fi]) * layout.direction_mask()
-        rhs = adjoint_source(delta, layout, dm)
-        u_adj = adjoint_field(res.factorization, rhs)
-        pairs[omega] = [(res.fields[0].u, u_adj)]
-    return accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm), pairs
+        rhs = adjoint_source(delta, layout, res.system.dof_map)
+        kept.append(res)
+        adjoint_fields.append(adjoint_field(res.factorization, rhs)[:, None])
+    return accumulate_gradient(kept, adjoint_fields), (kept, adjoint_fields)
 
 
 @pytest.mark.parametrize("pml", [0, 1])
@@ -236,12 +243,10 @@ def test_raw_gradient_sum_real_for_real_operator():
     # complex stretching makes only its real part meaningful
     mesh, model, cfg, profile, layout = small_problem(degree=1, pml=0)
     observed = [np.zeros((2, 2), dtype=complex)]
-    _, pairs = adjoint_gradient_unnormalized(
+    _, (kept, adjoint_fields) = adjoint_gradient_unnormalized(
         mesh, model, cfg, profile, layout, [900.0], observed)
-    dm = DofMap(mesh, cfg.degree)
-    raw = sum(stiffness_derivative_products(pairs[omega], mesh, model, RHO, omega,
-                                            profile, cfg, dm)
-              for omega in sorted(pairs))
+    raw = sum(stiffness_derivative_products(res.system, res.fields[0].u[:, None], W)
+              for res, W in zip(kept, adjoint_fields))
     residue = np.abs(raw.imag).max() / np.abs(raw.real).max()
     assert residue < 1e-6
 
@@ -253,8 +258,8 @@ def test_gradient_area_normalization():
     rng = np.random.default_rng(75)
     u = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
     v = rng.normal(size=dm.n_dofs) + 1j * rng.normal(size=dm.n_dofs)
-    pairs = {omega: [(u, v)]}
-    raw = accumulate_gradient(pairs, mesh, model, RHO, profile, cfg, dm)
+    kept = [kept_field(mesh, model, profile, cfg, omega, dm, u)]
+    raw = accumulate_gradient(kept, [v[:, None]])
     areas = node_areas(mesh)
     g1 = precondition(raw, None, areas)
     doubled = precondition(raw, None, 2.0 * areas)

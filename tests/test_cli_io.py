@@ -55,6 +55,23 @@ def test_parse_error_reports_line_number():
         parse_config("domain_width = 40\n# fine\nnot a pair\n")
 
 
+@pytest.mark.parametrize("line", ["source = a 1 1 0", "receiver = 8 b xy",
+                                  "group = 300 x", "frequencies = 500 y"],
+                         ids=["source", "receiver", "group", "frequencies"])
+def test_non_numeric_list_value_names_its_line(line):
+    with pytest.raises(ConfigError, match="line 2: cannot parse value for"):
+        parse_config(f"domain_width = 40\n{line}\n")
+
+
+def test_sweep_degree_outside_the_supported_range_rejected_at_load():
+    with pytest.raises(ConfigError, match=r"sweep_degrees need degrees in \[1, 3\]"):
+        parse_config("sweep_degrees = 300:1 9000:4\n")
+    with pytest.raises(ConfigError, match="sweep_degrees"):
+        parse_config("sweep_degrees = 300:0 9000:2\n")
+    assert parse_config("sweep_degrees = 300:1 9000:3\n").sweep_degrees == [
+        (300.0, 1), (9000.0, 3)]
+
+
 def test_stations_and_groups_accumulate():
     text = """
 domain_width = 20

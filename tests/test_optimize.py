@@ -343,17 +343,16 @@ def test_two_parameter_toy_recovers_truth():
 
     def grad(x):
         model = ModelVector.homogeneous(mesh, x[0], x[1])
-        pairs = {}
+        kept, adjoint_fields = [], []
         for omega in omegas:
             res = forward_solve(mesh, model, RHO, omega, layout, 1.0,
                                 data.profile, data.cfg, dof_map=dm)
             syn = np.stack([sample_receivers(f, mesh, layout) for f in res.fields])
             delta = (syn - data.observed[omega]) * mask
             rhs = adjoint_source(delta[0], layout, dm)
-            u_adj = adjoint_field(res.factorization, rhs)
-            pairs[omega] = [(res.fields[0].u, u_adj)]
-        raw = accumulate_gradient(pairs, mesh, model, RHO, data.profile,
-                                  data.cfg, dm)
+            kept.append(res)
+            adjoint_fields.append(adjoint_field(res.factorization, rhs)[:, None])
+        raw = accumulate_gradient(kept, adjoint_fields)
         n = mesh.n_nodes  # plain chain rule: sum nodal entries per block
         return np.array([raw[:n].sum(), raw[n:].sum()])
 
@@ -588,8 +587,7 @@ def test_group_slope_matches_finite_differences(monkeypatch, masked):
     # the first trial is the Gauss-Newton step
     _, _, kept = optimize._group_misfit(start, omegas, data, observed)
     curvature = sum(np.sum(np.abs(adjoint.linearized_records(
-        res, d, data.layout, mesh, start, RHO, data.profile, data.cfg,
-        data.dof_map)) ** 2) for res in kept)
+        res, d, data.layout)) ** 2) for res in kept)
     assert alpha_init == pytest.approx(-slope0 / (2.0 * curvature), rel=1e-12)
 
 
@@ -615,16 +613,79 @@ def test_linearized_records_match_the_adjoint_slope(masked):
     omegas = (1200.0, 2000.0)
     _, delta, kept = optimize._group_misfit(model, omegas, data,
                                             data.observed_records(omegas))
-    raw, grad = optimize._group_gradient(model, omegas, data, delta, kept)
+    raw, grad = optimize._group_gradient(data, delta, kept)
     rng = np.random.default_rng(90)
     for d in (-grad, rng.normal(size=grad.shape)):
-        jd = np.stack([adjoint.linearized_records(
-            res, d, data.layout, mesh, model, RHO, data.profile, data.cfg,
-            data.dof_map) for res in kept])
+        jd = np.stack([adjoint.linearized_records(res, d, data.layout)
+                       for res in kept])
         assert jd.shape == delta.shape
         assert np.all(jd[:, :, ~data.layout.direction_mask()] == 0.0)
         slope = 2.0 * np.sum(np.conj(delta) * jd).real
         assert abs(slope - raw @ d) <= 1e-10 * abs(raw @ d)
+
+
+def test_group_gradient_and_curvature_read_only_the_kept_solves():
+    # the model, omega and discretization come from the kept solves: a data
+    # object with only the layout, mask and node areas gives the same bits,
+    # and the gradient sums frequencies in ascending omega whatever the order
+    from types import SimpleNamespace
+    from tunnelfwi import adjoint, optimize
+    omegas = (1200.0, 1600.0, 2000.0)  # three, so that the order of the sum shows
+    mesh, data, truth = toy_problem(omegas=omegas)
+    data.mask = adjoint.build_mask(data.layout, mesh, 1.0, 1.0, 1.0, 1.0)
+    model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    _, delta, kept = optimize._group_misfit(model, omegas, data,
+                                            data.observed_records(omegas))
+    bare = SimpleNamespace(layout=data.layout, mask=data.mask,
+                           node_areas=data.node_areas)
+    raw, grad = optimize._group_gradient(data, delta, kept)
+    for got in (optimize._group_gradient(bare, delta, kept),
+                optimize._group_gradient(bare, delta[::-1], kept[::-1])):
+        assert got[0].tobytes() == raw.tobytes()
+        assert got[1].tobytes() == grad.tobytes()
+    d = -grad
+    curvature = optimize._gauss_newton_curvature(data, kept, d)
+    assert curvature > 0.0
+    assert optimize._gauss_newton_curvature(bare, kept, d) == curvature
+
+
+def test_gradient_counts_a_repeated_frequency_as_often_as_the_misfit():
+    from tunnelfwi import optimize
+    mesh, data, truth = toy_problem()
+    model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+
+    def raw_gradient(omegas):
+        _, delta, kept = optimize._group_misfit(model, omegas, data,
+                                                data.observed_records(omegas))
+        return optimize._group_gradient(data, delta, kept)[0]
+
+    np.testing.assert_allclose(raw_gradient((1200.0, 1200.0, 2000.0)),
+                               2.0 * raw_gradient((1200.0,)) + raw_gradient((2000.0,)),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_group_end_logs_the_groups_own_step(monkeypatch):
+    # a group that accepts no step logs alpha 0.0 at its end, not the
+    # previous group's last step
+    from tunnelfwi import optimize
+    mesh, data, truth = toy_problem()
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    search, calls = optimize.line_search, []
+
+    def second_search_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise LineSearchError("no step")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "line_search", second_search_fails)
+    res = run_inversion(start, FrequencySchedule(((1200.0,), (1200.0, 2000.0))),
+                        data, InversionSettings(max_iterations=1))
+    first, second = ([r for r in res.state.log if r.group == g] for g in (0, 1))
+    assert [r.note for r in first] == ["", "group end"]
+    assert first[0].alpha > 0.0 and first[-1].alpha == first[0].alpha
+    assert [r.note for r in second] == ["line search failed: no step", "group end"]
+    assert second[-1].alpha == 0.0
 
 
 @pytest.mark.parametrize("jd_value", [0.0, np.nan], ids=["zero", "nan"])
