@@ -145,14 +145,12 @@ class RunConfig:
         return lookup
 
 
-def _parse_direction(token):
+def _parse_direction(token, line_no):
     try:
-        dirs = tuple(sorted({"x": 0, "y": 1}[c] for c in token))
+        return tuple(sorted({"x": 0, "y": 1}[c] for c in token))
     except KeyError:
-        raise ConfigError(f"receiver directions must combine 'x' and 'y', got {token!r}")
-    if not dirs:
-        raise ConfigError("receiver records no directions")
-    return dirs
+        raise ConfigError(f"line {line_no}: receiver directions must combine "
+                          f"'x' and 'y', got {token!r}")
 
 
 def _parse_line(key, value, line_no, out):
@@ -173,7 +171,7 @@ def _parse_line(key, value, line_no, out):
             if len(parts) not in (2, 3):
                 raise ConfigError(f"line {line_no}: receiver needs 'x y [dirs]'")
             x, y = float(parts[0]), float(parts[1])
-            dirs = _parse_direction(parts[2]) if len(parts) == 3 else (0, 1)
+            dirs = _parse_direction(parts[2], line_no) if len(parts) == 3 else (0, 1)
             out["receivers"].append(meshmod.Receiver((x, y), dirs))
         else:  # group
             freqs = [float(t) for t in parts]
@@ -261,6 +259,9 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("sweep_end must be >= sweep_start")
     if any(w <= 0 for w in cfg.frequencies):
         raise ConfigError("frequencies must be positive")
+    bounds = [u for u, _ in cfg.sweep_degrees]
+    if not all(u > 0 for u in bounds) or len(set(bounds)) < len(bounds):
+        raise ConfigError(f"sweep_degrees need distinct positive omega bounds, got {bounds}")
     if any(not 1 <= d <= asmmod.MAX_DEGREE for _, d in cfg.sweep_degrees):
         raise ConfigError(f"sweep_degrees need degrees in [1, {asmmod.MAX_DEGREE}], "
                           f"got {[d for _, d in cfg.sweep_degrees]}")

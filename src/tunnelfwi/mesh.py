@@ -130,77 +130,45 @@ class Mesh:
 
     # -- construction -----------------------------------------------------
 
-    def _in_void(self, i, j):
-        if self.void_cells is None:
-            return False
-        i0, i1, j0, j1 = self.void_cells
-        return i0 <= i < i1 and j0 <= j < j1
-
     def _build(self):
         nx, ny, h = self.nx, self.ny, self.h
         left, right, bottom, top = self.pml_cells
 
-        node_grid = -np.ones((ny + 1, nx + 1), dtype=int)
-        cell_to_element = -np.ones((ny, nx), dtype=int)
+        # elements are the non-void cells in row-major order (j outer)
+        jj, ii = np.divmod(np.arange(nx * ny), nx)
+        keep = np.ones(nx * ny, dtype=bool)
+        if self.void_cells is not None:
+            i0, i1, j0, j1 = self.void_cells
+            keep = ~((i0 <= ii) & (ii < i1) & (j0 <= jj) & (jj < j1))
+        ii, jj = ii[keep], jj[keep]
+        cell_to_element = -np.ones(nx * ny, dtype=int)
+        cell_to_element[keep] = np.arange(len(ii))
 
-        elements = []
-        cells = []
-        regions = []
-        pml_ref = []
-        for j in range(ny):
-            for i in range(nx):
-                if self._in_void(i, j):
-                    continue
-                cell_to_element[j, i] = len(elements)
-                elements.append((i, j))
-                cells.append((i, j))
-                in_x = i < left or i >= nx - right
-                in_y = j < bottom or j >= ny - top
-                if in_x and in_y:
-                    regions.append(PML_CORNER)
-                elif in_x:
-                    regions.append(PML_X)
-                elif in_y:
-                    regions.append(PML_Y)
-                else:
-                    regions.append(INTERIOR)
-                rx = np.nan
-                ry = np.nan
-                if i < left:
-                    rx = left * h
-                elif i >= nx - right:
-                    rx = (nx - right) * h
-                if j < bottom:
-                    ry = bottom * h
-                elif j >= ny - top:
-                    ry = (ny - top) * h
-                pml_ref.append((rx, ry))
+        lo_x, hi_x = ii < left, ii >= nx - right
+        lo_y, hi_y = jj < bottom, jj >= ny - top
+        in_x, in_y = lo_x | hi_x, lo_y | hi_y
+        regions = np.select([in_x & in_y, in_x, in_y], [PML_CORNER, PML_X, PML_Y], INTERIOR)
+        rx = np.where(lo_x, left * h, np.where(hi_x, (nx - right) * h, np.nan))
+        ry = np.where(lo_y, bottom * h, np.where(hi_y, (ny - top) * h, np.nan))
 
         # number retained nodes in grid order
+        cells = keep.reshape(ny, nx)
         used = np.zeros((ny + 1, nx + 1), dtype=bool)
-        for (i, j) in elements:
-            used[j:j + 2, i:i + 2] = True
-        n_nodes = 0
-        coords = []
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                if used[j, i]:
-                    node_grid[j, i] = n_nodes
-                    coords.append((i * h, j * h))
-                    n_nodes += 1
+        used[:-1, :-1] |= cells
+        used[:-1, 1:] |= cells
+        used[1:, 1:] |= cells
+        used[1:, :-1] |= cells
+        node_grid = -np.ones((ny + 1, nx + 1), dtype=int)
+        node_grid[used] = np.arange(np.count_nonzero(used))
+        nj, ni = np.nonzero(used)
 
-        conn = np.empty((len(elements), 4), dtype=int)
-        for e, (i, j) in enumerate(elements):
-            conn[e] = (node_grid[j, i], node_grid[j, i + 1],
-                       node_grid[j + 1, i + 1], node_grid[j + 1, i])
-
-        self.nodes = np.asarray(coords, dtype=float)
-        self.elements = conn
-        self.element_cell = np.asarray(cells, dtype=int)
-        self.element_region = np.asarray(regions, dtype=np.int8)
-        self.pml_ref = np.asarray(pml_ref, dtype=float).reshape(-1, 2)
+        self.nodes = np.stack([ni * h, nj * h], axis=1)
+        self.elements = node_grid[jj[:, None] + [0, 0, 1, 1], ii[:, None] + [0, 1, 1, 0]]
+        self.element_cell = np.stack([ii, jj], axis=1)
+        self.element_region = regions.astype(np.int8)
+        self.pml_ref = np.stack([rx, ry], axis=1)
         self.node_grid = node_grid
-        self.cell_to_element = cell_to_element
+        self.cell_to_element = cell_to_element.reshape(ny, nx)
         self._tag_edges()
 
     def _tag_edges(self):

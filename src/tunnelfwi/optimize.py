@@ -61,6 +61,9 @@ class FrequencySchedule:
         for i, g in enumerate(self.groups):
             if not g or any(w <= 0 for w in g):
                 raise ScheduleError(f"group {i} must contain positive frequencies")
+            for w in g:
+                if g.count(w) > 1:
+                    raise ScheduleError(f"group {i} lists frequency {w} more than once")
             top = max(g)
             if top <= prev_top:
                 raise ScheduleError(
@@ -396,8 +399,6 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
 
         def chi_of(a, _m=model, _d=d):
             nonlocal best
-            if a == 0.0:
-                return chi
             trial = matmod.ModelVector(matmod.clamp_to_valid(_m.values + a * _d))
             value, residuals, trial_kept = _group_misfit(trial, omegas, data,
                                                          observed)

@@ -7,7 +7,8 @@ one-pass ``SystemPattern`` scatter replaced, and the only place that forms
 the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
 ``system_pattern_oracle`` is the whole-array pattern build that the
-production column-block build replaced.  ``direction_product_oracle``
+production column-block build replaced, and ``reference_mesh_arrays`` the
+per-cell loops that the production array-operation mesh build replaced.  ``direction_product_oracle``
 differences two assembled systems for the change of L along a model
 direction.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
@@ -259,3 +260,78 @@ def direction_product_oracle(U, direction, mesh, model, rho, omega, profile, cfg
         mesh, ModelVector(model.values + s * eps * direction), rho, omega,
         profile, cfg, dof_map=dof_map).L for s in (1.0, -1.0))
     return ((L_plus - L_minus) @ U) / (2.0 * eps)
+
+
+MESH_ARRAYS = ("nodes", "elements", "element_cell", "element_region", "pml_ref",
+               "node_grid", "cell_to_element", "edges", "element_edges",
+               "edge_owners", "free_surface_edges", "outer_pml_edges")
+
+
+def reference_mesh_arrays(mesh: Mesh):
+    """``mesh``'s arrays rebuilt by loops over its cells and nodes.
+
+    Elements are the non-void cells in row-major order (j outer) and nodes
+    the used grid nodes in grid order; the edge tables come from the
+    production ``_tag_edges`` on these arrays.  Returns a dict keyed by
+    ``MESH_ARRAYS``.
+    """
+    nx, ny, h = mesh.nx, mesh.ny, mesh.h
+    left, right, bottom, top = mesh.pml_cells
+    void = mesh.void_cells or (0, 0, 0, 0)
+
+    node_grid = -np.ones((ny + 1, nx + 1), dtype=int)
+    cell_to_element = -np.ones((ny, nx), dtype=int)
+    cells, regions, pml_ref = [], [], []
+    for j in range(ny):
+        for i in range(nx):
+            if void[0] <= i < void[1] and void[2] <= j < void[3]:
+                continue
+            cell_to_element[j, i] = len(cells)
+            cells.append((i, j))
+            in_x = i < left or i >= nx - right
+            in_y = j < bottom or j >= ny - top
+            if in_x and in_y:
+                regions.append(PML_CORNER)
+            elif in_x:
+                regions.append(PML_X)
+            elif in_y:
+                regions.append(PML_Y)
+            else:
+                regions.append(INTERIOR)
+            rx = ry = np.nan
+            if i < left:
+                rx = left * h
+            elif i >= nx - right:
+                rx = (nx - right) * h
+            if j < bottom:
+                ry = bottom * h
+            elif j >= ny - top:
+                ry = (ny - top) * h
+            pml_ref.append((rx, ry))
+
+    used = np.zeros((ny + 1, nx + 1), dtype=bool)
+    for (i, j) in cells:
+        used[j:j + 2, i:i + 2] = True
+    coords = []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            if used[j, i]:
+                node_grid[j, i] = len(coords)
+                coords.append((i * h, j * h))
+
+    conn = np.empty((len(cells), 4), dtype=int)
+    for e, (i, j) in enumerate(cells):
+        conn[e] = (node_grid[j, i], node_grid[j, i + 1],
+                   node_grid[j + 1, i + 1], node_grid[j + 1, i])
+
+    ref = Mesh.__new__(Mesh)
+    ref.nx, ref.ny, ref.h, ref.free_top = nx, ny, h, mesh.free_top
+    ref.nodes = np.asarray(coords, dtype=float)
+    ref.elements = conn
+    ref.element_cell = np.asarray(cells, dtype=int)
+    ref.element_region = np.asarray(regions, dtype=np.int8)
+    ref.pml_ref = np.asarray(pml_ref, dtype=float).reshape(-1, 2)
+    ref.node_grid = node_grid
+    ref.cell_to_element = cell_to_element
+    ref._tag_edges()
+    return {name: getattr(ref, name) for name in MESH_ARRAYS}

@@ -72,6 +72,24 @@ def test_sweep_degree_outside_the_supported_range_rejected_at_load():
         (300.0, 1), (9000.0, 3)]
 
 
+def test_receiver_direction_error_names_its_line():
+    with pytest.raises(ConfigError, match="^line 2: receiver directions must combine "
+                                          "'x' and 'y', got 'z'$"):
+        parse_config("domain_width = 40\nreceiver = 1 2 z\n")
+
+
+@pytest.mark.parametrize("value", ["-5:2", "0:1 3000:2", "3000:1 3000:2"],
+                         ids=["negative", "zero", "repeated"])
+def test_sweep_degree_bounds_must_be_positive_and_distinct(value):
+    with pytest.raises(ConfigError, match="sweep_degrees need distinct positive omega bounds"):
+        parse_config(f"sweep_degrees = {value}\n")
+
+
+def test_group_listing_a_frequency_twice_rejected_at_load():
+    with pytest.raises(ConfigError, match="group 0 lists frequency 300.0 more than once"):
+        parse_config("group = 300 300\n")
+
+
 def test_stations_and_groups_accumulate():
     text = """
 domain_width = 20

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import dump_mesh, local_to_global, pml_local_coordinate
+from oracles import (MESH_ARRAYS, dump_mesh, local_to_global, pml_local_coordinate,
+                     reference_mesh_arrays)
 from tunnelfwi import mesh as meshmod
 from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, MeshError,
                             PointNotFoundError, Source, StationLayout,
@@ -36,6 +37,26 @@ def test_box_with_side_pml():
 def test_nonconforming_element_size_rejected():
     with pytest.raises(MeshError, match="does not divide"):
         build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 3, 0.7))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_tunnel_mesh(blindtest_geometry()),
+    lambda: build_tunnel_mesh(TunnelGeometry(100, 15, 6, 15, 20, 3, 0.5)),
+    lambda: build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, 3, 1)),
+    lambda: build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, 3.2, 0.8)),
+    lambda: build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 0, 1)),
+    lambda: build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 3, 1)),
+    lambda: build_tunnel_mesh(TunnelGeometry(10, 2, 2, 5, 4, 0, 1)),
+    lambda: build_unbounded_mesh(10, 8, 2, 1.0),
+], ids=["blindtest", "blindtest-h0.5", "desk", "desk-fine", "box", "box-pml",
+        "tunnel-no-pml", "unbounded"])
+def test_mesh_arrays_match_loop_reference(build):
+    mesh = build()
+    ref = reference_mesh_arrays(mesh)
+    for name in MESH_ARRAYS:
+        got, want = getattr(mesh, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), name
 
 
 def test_tunnel_needs_cover():

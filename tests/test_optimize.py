@@ -406,6 +406,16 @@ def test_run_inversion_propagates_unexpected_errors(monkeypatch):
                       data, InversionSettings(max_iterations=2))
 
 
+def test_group_listing_a_frequency_twice_fails_before_any_solve():
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem()
+    sched = FrequencySchedule(((1200.0,), (2000.0, 1200.0, 2000.0)))
+    before = solver.factorization_count()
+    with pytest.raises(ScheduleError, match="group 1 lists frequency 2000.0 more than once"):
+        run_inversion(truth, sched, data, InversionSettings(max_iterations=1))
+    assert solver.factorization_count() == before
+
+
 def test_run_inversion_records_singular_group(monkeypatch):
     from tunnelfwi import solver
     mesh, data, truth = toy_problem()

@@ -124,12 +124,14 @@ def config_texts(draw):
         dirs = draw(st.sampled_from(["x", "y", "xy"]))
         lines.append(f"receiver = {draw(coordinate)!r} {draw(coordinate)!r} {dirs}")
     for top in sorted(draw(st.sets(positive, min_size=1, max_size=4))):
-        low = draw(st.lists(st.floats(1e-6, top), max_size=2))
+        low = draw(st.lists(st.floats(0.0, top, exclude_min=True, exclude_max=True),
+                            max_size=2, unique=True))
         lines.append("group = " + " ".join(repr(w) for w in low + [top]))
     freqs = draw(st.lists(positive, max_size=3))
     if freqs:
         lines.append("frequencies = " + " ".join(repr(w) for w in freqs))
-    degrees = draw(st.lists(st.tuples(positive, st.integers(1, 3)), max_size=3))
+    degrees = draw(st.lists(st.tuples(positive, st.integers(1, 3)), max_size=3,
+                            unique_by=lambda pair: pair[0]))
     if degrees:
         lines.append("sweep_degrees = " + " ".join(f"{u!r}:{d}" for u, d in degrees))
     return "\n".join(lines) + "\n"
