@@ -339,14 +339,14 @@ def _batch_matrices(rule, h, vp, vs, ex, ey, rho):
 
 
 class SystemPattern:
-    """CSC structure of the clamped impedance matrix, and the sparse sum
-    that carries element matrix entries into it.
+    """CSC structure of the clamped impedance matrix, and the CSC slot of
+    every element matrix entry.
 
-    ``summation`` is a (nnz, n_elements w^2) operator of ones: row s sums
-    the entries (e, a, b), flattened in element order, that land on CSC
-    slot s.  Entries on a clamped row or column are in no row; clamped dofs
-    keep a unit diagonal at slots ``fixed``.  Nothing here depends on the
-    model, omega or which elements are stretched.
+    ``slots[e, a * w + b]`` is the slot that entry (a, b) of element e's
+    w x w matrix adds into; entries on a clamped row or column go to the
+    discard bin ``nnz``.  Clamped dofs keep a unit diagonal at slots
+    ``fixed``.  Nothing here depends on the model, omega or which elements
+    are stretched.
     """
 
     def __init__(self, dof_map):
@@ -366,9 +366,9 @@ class SystemPattern:
         edges = np.append(np.arange(0, n, PATTERN_BLOCK), n)
         spans = np.searchsorted(occ_cols, edges)
         per_column = np.empty(n, dtype=int)
-        summed = np.empty(np.sum(np.sum(~clamped[dofs], axis=1) ** 2), dtype=np.int32)
-        indices, fixed, slot_ends = [], [], [np.zeros(1, dtype=np.int32)]
-        nnz = done = 0
+        slots = np.full(nel * width * width, -1, dtype=np.int32)
+        indices, fixed = [], []
+        nnz = 0
         for c0, c1, lo, hi in zip(edges[:-1], edges[1:], spans[:-1], spans[1:]):
             e, b = np.divmod(occ[lo:hi], width)
             a = local[e]
@@ -389,11 +389,9 @@ class SystemPattern:
             indices.append((unique % n).astype(np.int32))
             per_column[c0:c1] = np.bincount(unique // n - c0, minlength=c1 - c0)
             fixed.append(nnz + slot[~is_entry])
-            per_slot = np.bincount(slot[is_entry], minlength=len(unique))
-            slot_ends.append((done + np.cumsum(per_slot)).astype(np.int32))
-            summed[done:done + len(entries)] = entries[order[is_entry]]
+            slots[entries[order[is_entry]]] = nnz + slot[is_entry]
             nnz += len(unique)
-            done += len(entries)
+        slots[slots < 0] = nnz
 
         self.shape = (n, n)
         self.nnz = nnz
@@ -403,15 +401,22 @@ class SystemPattern:
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
         self.fixed = np.concatenate(fixed)
-        self.summation = sp.csr_matrix(
-            (np.ones(len(summed)), summed, np.concatenate(slot_ends)),
-            shape=(self.nnz, nel * width * width))
+        self.slots = slots.reshape(nel, width * width)
 
-    def matrix(self, element_values):
-        """CSC matrix that sums complex (n_elements, w, w) element matrices."""
-        # real and imaginary parts as two columns of one real product
-        pairs = np.ascontiguousarray(element_values, dtype=complex).view(float)
-        data = (self.summation @ pairs.reshape(-1, 2)).view(complex).ravel()
+    def matrix(self, real, stretched=None):
+        """CSC matrix that sums (n_elements, w, w) element matrices.
+
+        ``real`` holds every element's real part; ``stretched`` is None or
+        (elements, imaginary parts) of the only elements whose matrices are
+        complex.  Each slot adds its entries in ascending element order.
+        """
+        bins = self.nnz + 1
+        data = np.zeros(bins, dtype=complex)
+        data.real = np.bincount(self.slots.ravel(), real.ravel(), bins)
+        if stretched is not None:
+            elems, imag = stretched
+            data.imag = np.bincount(self.slots[elems].ravel(), imag.ravel(), bins)
+        data = data[:-1]
         data[self.fixed] = 1.0
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
@@ -422,8 +427,9 @@ class AssembledSystem:
     model and discretization it was assembled from.
 
     Clamped rows and columns are zero except for a unit diagonal.  K and M
-    are never formed globally: element matrices are combined first and
-    summed once through the dof map's ``SystemPattern``.
+    are never formed globally: element matrices are combined first, and
+    ``np.bincount`` sums their entries by the slot ids of the dof map's
+    ``SystemPattern``.
     """
 
     L: sp.csc_matrix
@@ -460,7 +466,7 @@ def _batches(mesh, profile):
 
 
 def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
-    """Form every element's K_e - omega^2 M_e and sum them in one scatter.
+    """Form every element's K_e - omega^2 M_e and sum them by slot id.
 
     Clamped rows/columns are dropped and replaced by a unit diagonal.
     """
@@ -473,13 +479,18 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     check_dof_map(dof_map, mesh, cfg.degree)
 
     width = dof_map.element_dofs.shape[1]
-    values = np.empty((mesh.n_elements, width, width), dtype=complex)
+    real = np.empty((mesh.n_elements, width, width))
+    stretched = None
     for elems, flag in _batches(mesh, profile):
         K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
                                                   profile, cfg, flag), rho)
-        K -= omega ** 2 * M
-        values[elems] = K
-    L = dof_map.system_pattern().matrix(values)
+        M *= omega ** 2
+        K -= M
+        real[elems] = K.real
+        if flag:  # the only complex batch: keep its imaginary parts alone
+            stretched = (elems, K.imag.copy())
+        del K, M
+    L = dof_map.system_pattern().matrix(real, stretched)
     return AssembledSystem(L=L, dof_map=dof_map, omega=float(omega), model=model,
                            rho=rho, profile=profile, cfg=cfg)
 

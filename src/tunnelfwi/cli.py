@@ -82,6 +82,9 @@ def cmd_forward(cfg, args):
 def cmd_greens(cfg, args):
     mesh, ambient, model = _build_context(cfg)
     layout = _require_stations(cfg, mesh)
+    if not 0 <= args.source < layout.n_sources:
+        raise CliError(f"--source must be in 0..{layout.n_sources - 1}, "
+                       f"got {args.source}")
     s = cfg.scalars
     omegas, values = fwdmod.greens_sweep(
         mesh, model, ambient.rho, layout.sources[args.source], s["sweep_start"],
@@ -207,6 +210,8 @@ def cmd_validate_pml(cfg, args):
         usable = inside and dist > 3.0 * mesh.h
         rows.append((t * np.hypot(W, H), num, ana, usable))
 
+    if not any(r[3] for r in rows):
+        raise CliError("no probe lies inside the interior beyond 3h from the source")
     scale = max(abs(r[2].real) for r in rows if r[3])
     errs = [abs(r[1].real - r[2].real) / scale for r in rows if r[3]]
     table = [(dist, num, ana, abs(num.real - ana.real) / scale, usable)

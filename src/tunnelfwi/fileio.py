@@ -313,10 +313,12 @@ def records_to_spectra(traces, omegas, layout):
 
 
 def cached_spectra(records_path, omegas, layout, cache_dir=None):
-    """DFT the time records once; reuse on identical (records, schedule)."""
+    """DFT the time records once; reuse on identical (records, schedule,
+    source count and recorded directions)."""
     with open(records_path, "rb") as f:
         digest = hashlib.sha256(f.read())
-    digest.update(repr(sorted(set(float(w) for w in omegas))).encode())
+    digest.update(repr((sorted(set(float(w) for w in omegas)), layout.n_sources,
+                        [tuple(r.directions) for r in layout.receivers])).encode())
     tag = digest.hexdigest()[:16]
     cache_dir = cache_dir or os.path.dirname(os.path.abspath(records_path))
     cache = os.path.join(cache_dir, f".{os.path.basename(records_path)}.dft-{tag}.txt")

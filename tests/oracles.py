@@ -7,8 +7,10 @@ one-pass ``SystemPattern`` scatter replaced, and the only place that forms
 the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
 ``system_pattern_oracle`` is the whole-array pattern build that the
-production column-block build replaced, and ``reference_mesh_arrays`` the
-per-cell loops that the production array-operation mesh build replaced.  ``direction_product_oracle``
+production column-block build replaced, ``summation_oracle`` the CSR sum of
+complex ``element_values`` that the slot-id ``bincount`` replaced, and
+``reference_mesh_arrays`` the per-cell loops that the production
+array-operation mesh build replaced.  ``direction_product_oracle``
 differences two assembled systems for the change of L along a model
 direction.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
@@ -207,14 +209,12 @@ def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, do
     return out
 
 
-def system_pattern_oracle(dof_map):
-    """``SystemPattern`` built over whole arrays at once, in one key sort.
-
-    Returns the same ``shape``, ``nnz``, ``indices``, ``indptr``, ``fixed``
-    and ``summation`` that the production build assembles block by block.
-    """
+def _whole_array_sort(dof_map):
+    """Every live element entry and clamped diagonal in one column-major key
+    sort: (flat entry ids, the sort order, each sorted key's slot, the
+    unique keys, which sorted keys are entries)."""
     dofs = dof_map.element_dofs
-    nel, width = dofs.shape
+    width = dofs.shape[1]
     n = dof_map.n_dofs
     clamped = dof_map.clamped
     # visit the entries column by column: the (element, local column)
@@ -227,26 +227,62 @@ def system_pattern_oracle(dof_map):
     cols = dofs.ravel()[occ]
     live = ~(clamped[rows] | clamped[cols][:, None])
     entries = ((e[:, None] * width + a) * width + b[:, None])[live]
-    fixed = np.flatnonzero(clamped)
-    keys = np.concatenate([(cols[:, None] * n + rows)[live], fixed * (n + 1)])
+    keys = np.concatenate([(cols[:, None] * n + rows)[live],
+                           np.flatnonzero(clamped) * (n + 1)])
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     new = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    slot = np.cumsum(new) - 1
-    unique = sorted_keys[new]
-    is_entry = order < len(entries)
+    return entries, order, np.cumsum(new) - 1, sorted_keys[new], order < len(entries)
 
+
+def system_pattern_oracle(dof_map):
+    """``SystemPattern`` built over whole arrays at once, in one key sort.
+
+    Returns the same ``shape``, ``nnz``, ``indices``, ``indptr``, ``fixed``
+    and ``slots`` that the production build assembles block by block.
+    """
+    nel, width = dof_map.element_dofs.shape
+    n = dof_map.n_dofs
+    entries, order, slot, unique, is_entry = _whole_array_sort(dof_map)
     nnz = len(unique)
-    per_slot = np.bincount(slot[is_entry], minlength=nnz)
+    slots = np.full(nel * width * width, nnz, dtype=np.int32)
+    slots[entries[order[is_entry]]] = slot[is_entry]
     return SimpleNamespace(
         shape=(n, n), nnz=nnz,
         indices=(unique % n).astype(np.int32),
         indptr=np.searchsorted(unique // n, np.arange(n + 1)).astype(np.int32),
         fixed=slot[~is_entry],
-        summation=sp.csr_matrix(
-            (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
-             np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
-            shape=(nnz, nel * width * width)))
+        slots=slots.reshape(nel, width * width))
+
+
+def summation_oracle(dof_map, values):
+    """L from complex (n_elements, w, w) element matrices through a
+    (nnz, n_elements w^2) CSR operator of ones, the sparse sum that
+    ``SystemPattern.matrix`` replaced: row s sums the entries, in element
+    order, that land on slot s."""
+    pattern = system_pattern_oracle(dof_map)
+    entries, order, slot, _, is_entry = _whole_array_sort(dof_map)
+    per_slot = np.bincount(slot[is_entry], minlength=pattern.nnz)
+    summation = sp.csr_matrix(
+        (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
+         np.concatenate([[0], np.cumsum(per_slot)]).astype(np.int32)),
+        shape=(pattern.nnz, values.size))
+    # real and imaginary parts as two columns of one real product
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
+    data = (summation @ pairs.reshape(-1, 2)).view(complex).ravel()
+    data[pattern.fixed] = 1.0
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def element_values(mesh, model, rho, omega, profile, cfg):
+    """Complex (n_elements, w, w) stack of every K_e - omega^2 M_e."""
+    width = 2 * asmmod.n_modes(cfg.degree)
+    values = np.empty((mesh.n_elements, width, width), dtype=complex)
+    for elems, flag in asmmod._batches(mesh, profile):
+        K, M = asmmod._batch_matrices(*asmmod._batch_quadrature(
+            mesh, elems, model, omega, profile, cfg, flag), rho)
+        values[elems] = K - omega ** 2 * M
+    return values
 
 
 def direction_product_oracle(U, direction, mesh, model, rho, omega, profile, cfg,

@@ -397,14 +397,28 @@ def test_pattern_blocks_match_whole_array_build(monkeypatch, kind, p, block):
     monkeypatch.setattr(asmmod, "PATTERN_BLOCK", block)
     new, old = asmmod.SystemPattern(dm), oracles.system_pattern_oracle(dm)
     assert (new.shape, new.nnz) == (old.shape, old.nnz)
-    assert new.summation.shape == old.summation.shape
-    pairs = [(new.indices, old.indices), (new.indptr, old.indptr),
-             (new.fixed, old.fixed)]
-    pairs += [(getattr(new.summation, k), getattr(old.summation, k))
-              for k in ("data", "indices", "indptr")]
-    for a, b in pairs:
+    for k in ("indices", "indptr", "fixed", "slots"):
+        a, b = getattr(new, k), getattr(old, k)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(PATTERN_MESHES))
+def test_slot_sums_match_csr_summation_bitwise(kind, p, profile):
+    mesh = PATTERN_MESHES[kind]()
+    model = random_model(mesh, 23)
+    cfg = DiscretizationConfig(degree=p)
+    dm = DofMap(mesh, p)
+    L = assemble_system(mesh, model, RHO, 1300.0, profile, cfg, dof_map=dm).L
+    values = oracles.element_values(mesh, model, RHO, 1300.0, profile, cfg)
+    assert np.any(values.imag != 0) == (profile is PML and kind != "plain_box")
+    old = oracles.summation_oracle(dm, values)
+    for k in ("data", "indices", "indptr"):
+        a, b = getattr(L, k), getattr(old, k)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def test_dofmap_builds_its_pattern_once(monkeypatch):

@@ -1,5 +1,6 @@
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ def test_cached_spectra_corrupt_cache_names_path(tmp_path):
     cache.write_text("# frequency-records\n")  # cut after its first line
     with pytest.raises(FileFormatError, match=re.escape(f"{cache}:2")):
         fileio.cached_spectra(path, omegas, layout)
+
+
+def test_cached_spectra_keyed_on_recorded_directions(tmp_path):
+    path, _, omegas = _cache_inputs(tmp_path)
+    only_x = (0, 0, "x")
+    write_time_records(path, {only_x: read_time_records(path)[only_x]})
+    x_layout = StationLayout(sources=(Source((1.0, 1.0), (1.0, 0.0)),),
+                             receivers=(Receiver((2.0, 2.0), (0,)),))
+    fileio.cached_spectra(path, omegas, x_layout)
+    xy_layout = replace(x_layout, receivers=(Receiver((2.0, 2.0)),))
+    # a cache of the x-only run must not fill the y traces with zeros
+    with pytest.raises(FileFormatError, match="missing traces: s0 r0 y"):
+        fileio.cached_spectra(path, omegas, xy_layout)
+    two_sources = replace(x_layout, sources=x_layout.sources * 2)
+    with pytest.raises(FileFormatError, match="missing traces: s1 r0 x"):
+        fileio.cached_spectra(path, omegas, two_sources)
 
 
 # -- model grids --------------------------------------------------------------------
@@ -599,6 +616,41 @@ validate_frequency_hz = 300
     assert out.exists()
     captured = capsys.readouterr()
     assert "median normalized error" in captured.out
+
+
+def test_cli_validate_pml_without_usable_probe(tmp_path, capsys):
+    cfg_path = tmp_path / "val.cfg"
+    cfg_path.write_text("""
+domain_width = 4
+depth_above_tunnel = 1
+tunnel_height = 2
+depth_below_tunnel = 1
+tunnel_length = 0
+pml_width = 1
+element_size = 1
+degree = 1
+validate_frequency_hz = 300
+""")
+    out = tmp_path / "table.txt"
+    rc = cli_dispatch(["validate-pml", "--config", str(cfg_path),
+                       "--output", str(out)])
+    assert rc != 0
+    assert capsys.readouterr().err == ("error: no probe lies inside the interior "
+                                       "beyond 3h from the source\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [2, -1])
+def test_cli_greens_source_out_of_range(tmp_path, capsys, source):
+    cfg_path = tmp_path / "sw.cfg"
+    cfg_path.write_text(BOX_CONFIG + "source = 5 4 0 1\nsweep_start = 500\n"
+                                     "sweep_end = 600\nsweep_step = 100\n")
+    out = tmp_path / "sweep.txt"
+    rc = cli_dispatch(["greens", "--config", str(cfg_path), "--source", str(source),
+                       "--output", str(out)])
+    assert rc != 0
+    assert capsys.readouterr().err == f"error: --source must be in 0..1, got {source}\n"
+    assert not out.exists()
 
 
 def test_cli_greens_sweep(box_config, tmp_path):
