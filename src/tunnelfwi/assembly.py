@@ -29,10 +29,6 @@ from . import mesh as meshmod
 from . import pml as pmlmod
 
 MAX_DEGREE = 3
-# dof columns per block of the system pattern build: at p = 3 on the
-# case-study mesh a block's temporaries stay near 40 MB, where one block
-# over all columns reached about 400 MB
-PATTERN_BLOCK = 4096
 
 
 class AssemblyError(ValueError):
@@ -342,11 +338,15 @@ class SystemPattern:
     """CSC structure of the clamped impedance matrix, and the CSC slot of
     every element matrix entry.
 
+    The structure is that of E^T E, with E the (n_elements, n_dofs)
+    incidence of the live (unclamped) element dofs, plus a unit diagonal on
+    every clamped dof; L is symmetric, so CSR and CSC arrays coincide.
     ``slots[e, a * w + b]`` is the slot that entry (a, b) of element e's
-    w x w matrix adds into; entries on a clamped row or column go to the
-    discard bin ``nnz``.  Clamped dofs keep a unit diagonal at slots
-    ``fixed``.  Nothing here depends on the model, omega or which elements
-    are stretched.
+    w x w matrix adds into: the rank of its key col * n + row among the
+    structure's sorted keys.  Entries on a clamped row or column go to the
+    discard bin ``nnz``, and the clamped diagonal sits at slots ``fixed``.
+    Nothing here depends on the model, omega or which elements are
+    stretched.
     """
 
     def __init__(self, dof_map):
@@ -354,54 +354,30 @@ class SystemPattern:
         nel, width = dofs.shape
         n = dof_map.n_dofs
         clamped = dof_map.clamped
-        # visit the entries column by column: the (element, local column)
-        # occurrences of each dof in dof order, each element's rows ascending,
-        # so that each block's key sort only merges short sorted runs
-        occ = np.argsort(dofs.ravel(), kind="stable")
-        occ_cols = dofs.ravel()[occ]
-        local = np.argsort(dofs, axis=1)
-        sorted_dofs = np.take_along_axis(dofs, local, axis=1)
-        # keys run column-major, so contiguous column blocks sort and number
-        # their slots on their own; a block's slots follow the blocks before it
-        edges = np.append(np.arange(0, n, PATTERN_BLOCK), n)
-        spans = np.searchsorted(occ_cols, edges)
-        per_column = np.empty(n, dtype=int)
-        slots = np.full(nel * width * width, -1, dtype=np.int32)
-        indices, fixed = [], []
-        nnz = 0
-        for c0, c1, lo, hi in zip(edges[:-1], edges[1:], spans[:-1], spans[1:]):
-            e, b = np.divmod(occ[lo:hi], width)
-            a = local[e]
-            rows = sorted_dofs[e]
-            cols = occ_cols[lo:hi]
-            live = ~(clamped[rows] | clamped[cols][:, None])
-            entries = ((e[:, None] * width + a) * width + b[:, None])[live]
-            keys = np.concatenate([(cols[:, None] * n + rows)[live],
-                                   (c0 + np.flatnonzero(clamped[c0:c1])) * (n + 1)])
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            new = np.ones(len(keys), dtype=bool)
-            new[1:] = sorted_keys[1:] != sorted_keys[:-1]
-            slot = np.cumsum(new) - 1
-            unique = sorted_keys[new]
-            is_entry = order < len(entries)
-
-            indices.append((unique % n).astype(np.int32))
-            per_column[c0:c1] = np.bincount(unique // n - c0, minlength=c1 - c0)
-            fixed.append(nnz + slot[~is_entry])
-            slots[entries[order[is_entry]]] = nnz + slot[is_entry]
-            nnz += len(unique)
-        slots[slots < 0] = nnz
-
+        fixed = np.flatnonzero(clamped)
+        # one incidence row per element over its live dofs and one per
+        # clamped dof, whose E^T E entry is its unit diagonal
+        live = ~clamped[dofs]
+        rows = np.concatenate([np.nonzero(live)[0], nel + np.arange(len(fixed))])
+        E = sp.csr_matrix((np.ones(len(rows), dtype=bool),
+                           (rows, np.concatenate([dofs[live], fixed]))),
+                          shape=(nel + len(fixed), n))
+        A = (E.T @ E).tocsc()
+        A.sort_indices()
         self.shape = (n, n)
-        self.nnz = nnz
-        self.indices = np.concatenate(indices)
-        self.indptr = np.concatenate([[0], np.cumsum(per_column)]).astype(np.int32)
+        self.nnz = A.nnz
+        self.indices = A.indices.astype(np.int32, copy=False)
+        self.indptr = A.indptr.astype(np.int32, copy=False)
+        del A, E
         # every assembled L shares these two arrays
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        self.fixed = np.concatenate(fixed)
-        self.slots = slots.reshape(nel, width * width)
+
+        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        self.fixed = np.searchsorted(keys, fixed * (n + 1))
+        slots = np.searchsorted(keys, dofs[:, None, :] * n + dofs[:, :, None])
+        slots[~(live[:, :, None] & live[:, None, :])] = self.nnz
+        self.slots = slots.astype(np.int32).reshape(nel, width * width)
 
     def matrix(self, real, stretched=None):
         """CSC matrix that sums (n_elements, w, w) element matrices.

@@ -153,13 +153,22 @@ def _parse_direction(token, line_no):
                           f"'x' and 'y', got {token!r}")
 
 
+def _finite(tokens, key, line_no):
+    """The numbers of a line's tokens; NaN or inf fails by line."""
+    values = [float(t) for t in tokens]
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"line {line_no}: {key} needs finite numbers, "
+                          f"got {' '.join(tokens)!r}")
+    return values
+
+
 def _parse_line(key, value, line_no, out):
     if key in _REPEAT_KEYS:
         parts = value.split()
         if key == "source":
             if len(parts) != 4:
                 raise ConfigError(f"line {line_no}: source needs 'x y dx dy'")
-            x, y, dx, dy = map(float, parts)
+            x, y, dx, dy = _finite(parts, key, line_no)
             norm = np.hypot(dx, dy)
             if norm == 0:
                 raise ConfigError(f"line {line_no}: source direction is zero")
@@ -170,11 +179,11 @@ def _parse_line(key, value, line_no, out):
         elif key == "receiver":
             if len(parts) not in (2, 3):
                 raise ConfigError(f"line {line_no}: receiver needs 'x y [dirs]'")
-            x, y = float(parts[0]), float(parts[1])
+            x, y = _finite(parts[:2], key, line_no)
             dirs = _parse_direction(parts[2], line_no) if len(parts) == 3 else (0, 1)
             out["receivers"].append(meshmod.Receiver((x, y), dirs))
         else:  # group
-            freqs = [float(t) for t in parts]
+            freqs = _finite(parts, key, line_no)
             if not freqs:
                 raise ConfigError(f"line {line_no}: empty frequency group")
             out["groups"].append(freqs)
@@ -189,7 +198,7 @@ def _parse_line(key, value, line_no, out):
 
     if key in _LIST_KEYS:
         if key == "frequencies":
-            out["frequencies"] = [float(t) for t in value.split()]
+            out["frequencies"] = _finite(value.split(), key, line_no)
         else:  # sweep_degrees: "1000:1 3000:2 9000:3"
             pairs = []
             for tok in value.split():
@@ -236,6 +245,9 @@ def parse_config(text) -> RunConfig:
 
 def validate_config(cfg: RunConfig):
     s = cfg.scalars
+    for key, v in s.items():
+        if not np.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v}")
     for key in _NONNEGATIVE:
         if s[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {s[key]}")

@@ -45,9 +45,12 @@ def _parse_header_line(lines, line_no, key, path, convert=str):
     if len(parts) != 2 or parts[0].strip() != key:
         raise FileFormatError(f"{where}: expected '{key} = ...'")
     try:
-        return convert(parts[1].strip())
+        value = convert(parts[1].strip())
     except ValueError:
         raise FileFormatError(f"{where}: malformed {key} value") from None
+    if isinstance(value, float) and not np.isfinite(value):
+        raise FileFormatError(f"{where}: {key} is not finite")
+    return value
 
 
 def _number_row(path, line_no, line, n_cols):
@@ -57,9 +60,12 @@ def _number_row(path, line_no, line, n_cols):
         raise FileFormatError(f"{path}:{line_no}: expected {n_cols} columns, "
                               f"found {len(toks)}")
     try:
-        return [float(tok) for tok in toks]
+        values = [float(tok) for tok in toks]
     except ValueError:
         raise FileFormatError(f"{path}:{line_no}: malformed number") from None
+    if not np.all(np.isfinite(values)):
+        raise FileFormatError(f"{path}:{line_no}: number is not finite")
+    return values
 
 
 def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
@@ -93,6 +99,8 @@ def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
             value = complex(float(toks[-2]), float(toks[-1]))
         except ValueError:
             raise FileFormatError(f"{where}: malformed number") from None
+        if not (np.isfinite(omega) and np.isfinite(value)):
+            raise FileFormatError(f"{where}: number is not finite")
         if omega not in rows:
             rows[omega] = (line_no, np.zeros(shape, dtype=complex),
                            np.zeros(shape, dtype=bool))

@@ -26,9 +26,9 @@ class AmbientProperties:
     rho: float
 
     def validate(self):
-        if self.vp <= 0 or self.vs <= 0 or self.rho <= 0:
-            raise InvalidMaterialError("ambient properties must be positive")
-        if self.vp <= SQRT2 * self.vs:
+        if not all(0.0 < v < np.inf for v in (self.vp, self.vs, self.rho)):
+            raise InvalidMaterialError("ambient properties must be positive and finite")
+        if not self.vp > SQRT2 * self.vs:
             raise InvalidMaterialError(
                 f"vp={self.vp} must exceed sqrt(2)*vs={SQRT2 * self.vs:.6g}")
 
@@ -58,9 +58,9 @@ class ModelVector:
         return self.values[self.n_nodes:]
 
     def validate(self):
-        if np.any(self.vp <= 0) or np.any(self.vs <= 0):
-            raise InvalidMaterialError("velocities must be positive everywhere")
-        bad = self.vp <= SQRT2 * self.vs
+        if not np.all((self.values > 0) & (self.values < np.inf)):
+            raise InvalidMaterialError("velocities must be positive and finite everywhere")
+        bad = ~(self.vp > SQRT2 * self.vs)
         if np.any(bad):
             k = int(np.argmax(bad))
             raise InvalidMaterialError(

@@ -59,8 +59,8 @@ class FrequencySchedule:
             raise ScheduleError("schedule has no frequency groups")
         prev_top = 0.0
         for i, g in enumerate(self.groups):
-            if not g or any(w <= 0 for w in g):
-                raise ScheduleError(f"group {i} must contain positive frequencies")
+            if not g or not all(0.0 < w < np.inf for w in g):
+                raise ScheduleError(f"group {i} must contain positive finite frequencies")
             for w in g:
                 if g.count(w) > 1:
                     raise ScheduleError(f"group {i} lists frequency {w} more than once")

@@ -24,11 +24,12 @@ class PmlProfile:
     omega_c_ratio: float = 0.99
 
     def validate(self):
-        # c_pml == 0 switches the stretch off entirely (used by reduction tests)
-        if self.c_pml < 0:
-            raise PmlError(f"c_pml must be >= 0, got {self.c_pml}")
-        if self.width <= 0:
-            raise PmlError(f"layer width must be > 0, got {self.width}")
+        # c_pml == 0 switches the stretch off entirely (used by reduction
+        # tests); each comparison is written so that NaN fails it
+        if not 0.0 <= self.c_pml < np.inf:
+            raise PmlError(f"c_pml must be finite and >= 0, got {self.c_pml}")
+        if not 0.0 < self.width < np.inf:
+            raise PmlError(f"layer width must be finite and > 0, got {self.width}")
         if not 0.0 < self.omega_c_ratio < 1.0:
             raise PmlError(f"omega_c_ratio must be in (0, 1), got {self.omega_c_ratio}")
 

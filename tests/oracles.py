@@ -6,8 +6,8 @@ point; ``coo_system`` is the COO -> CSC assembly that the production
 one-pass ``SystemPattern`` scatter replaced, and the only place that forms
 the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
-``system_pattern_oracle`` is the whole-array pattern build that the
-production column-block build replaced, ``summation_oracle`` the CSR sum of
+``system_pattern_oracle`` is the key sort that the production E^T E
+pattern build replaced, ``summation_oracle`` the CSR sum of
 complex ``element_values`` that the slot-id ``bincount`` replaced, and
 ``reference_mesh_arrays`` the per-cell loops that the production
 array-operation mesh build replaced.  ``direction_product_oracle``
@@ -239,7 +239,7 @@ def system_pattern_oracle(dof_map):
     """``SystemPattern`` built over whole arrays at once, in one key sort.
 
     Returns the same ``shape``, ``nnz``, ``indices``, ``indptr``, ``fixed``
-    and ``slots`` that the production build assembles block by block.
+    and ``slots`` that the production build reads off E^T E.
     """
     nel, width = dof_map.element_dofs.shape
     n = dof_map.n_dofs

@@ -389,18 +389,36 @@ PATTERN_MESHES = {
 # a block of 1 makes every block a single column, 5 several multi-column
 # blocks and a last partial one, 10**9 one block over all columns
 @pytest.mark.parametrize("block", [1, 5, 10 ** 9])
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("kind", sorted(PATTERN_MESHES))
-def test_pattern_blocks_match_whole_array_build(monkeypatch, kind, p, block):
-    dm = DofMap(PATTERN_MESHES[kind](), p)
+@pytest.mark.parametrize("kind, p", [(kind, p) for kind in sorted(PATTERN_MESHES)
+                                     for p in (1, 2, 3)] + [("desk", 2)])
+def test_pattern_blocks_match_whole_array_build(kind, p, block):
+    # "desk" is the desk inversion's grid: h = 1 with a 3 m absorbing layer
+    desk = lambda: build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, 3.0, 1.0))
+    dm = DofMap({**PATTERN_MESHES, "desk": desk}[kind](), p)
     assert dm.clamped.any() == (kind != "plain_box")
-    monkeypatch.setattr(asmmod, "PATTERN_BLOCK", block)
     new, old = asmmod.SystemPattern(dm), oracles.system_pattern_oracle(dm)
     assert (new.shape, new.nnz) == (old.shape, old.nnz)
     for k in ("indices", "indptr", "fixed", "slots"):
         a, b = getattr(new, k), getattr(old, k)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b, strict=True)
+
+    # without the oracle: every live entry's slot, and every fixed slot,
+    # lies in the slot range of its column's block and holds its row
+    n, dofs = new.shape[0], dm.element_dofs
+    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
+    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
+    slots = new.slots.ravel().astype(np.int64)
+    live = slots < new.nnz
+    assert live.sum() == (~dm.clamped[rows] & ~dm.clamped[cols]).sum()
+    fixed = np.flatnonzero(dm.clamped)
+    rows = np.concatenate([rows[live], fixed])
+    cols = np.concatenate([cols[live], fixed])
+    slots = np.concatenate([slots[live], new.fixed])
+    edges = new.indptr[np.minimum(np.arange(0, n + block, block), n)]
+    start = cols // block
+    assert np.all((edges[start] <= slots) & (slots < edges[start + 1]))
+    np.testing.assert_array_equal(new.indices[slots], rows)
 
 
 @pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])

@@ -64,6 +64,25 @@ def test_non_numeric_list_value_names_its_line(line):
         parse_config(f"domain_width = 40\n{line}\n")
 
 
+@pytest.mark.parametrize("line", ["c_pml = nan", "vp = nan", "rho = inf",
+                                  "element_size = inf", "reduction_threshold = nan",
+                                  "validate_source_x = -inf"])
+def test_non_finite_scalar_rejected_by_key(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"domain_width = 40\n{line}\n")
+
+
+@pytest.mark.parametrize("line", ["source = 21 18 nan 0", "receiver = nan 18 xy",
+                                  "group = nan", "frequencies = nan 300",
+                                  "group = 300 inf"],
+                         ids=["source", "receiver", "group", "frequencies", "group_inf"])
+def test_non_finite_list_value_names_its_line(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"line 2: {key} needs finite numbers"):
+        parse_config(f"domain_width = 40\n{line}\n")
+
+
 def test_sweep_degree_outside_the_supported_range_rejected_at_load():
     with pytest.raises(ConfigError, match=r"sweep_degrees need degrees in \[1, 3\]"):
         parse_config("sweep_degrees = 300:1 9000:4\n")
@@ -212,6 +231,24 @@ def test_time_records_non_numeric_sample(tmp_path):
         read_time_records(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_time_records_non_finite_sample(tmp_path, value):
+    path, lines = _two_trace_file(tmp_path)
+    lines[-2] = lines[-2].split()[0] + " " + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f"rec.txt:{len(lines) - 1}: number is not finite"):
+        read_time_records(path)
+
+
+@pytest.mark.parametrize("row, key", [(3, "dt"), (4, "t0")])
+def test_time_records_non_finite_header(tmp_path, row, key):
+    path, lines = _two_trace_file(tmp_path)
+    lines[row - 1] = f"{key} = nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f"rec.txt:{row}: {key} is not finite"):
+        read_time_records(path)
+
+
 def test_time_records_malformed_header(tmp_path):
     path, lines = _two_trace_file(tmp_path)
     bad_nt = lines[:1] + ["nt = four"] + lines[2:]
@@ -353,6 +390,18 @@ def test_model_grid_short_or_non_numeric_row(tmp_path):
         read_model_grid(path, mesh)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_model_grid_non_finite_velocity(tmp_path, value):
+    mesh = build_tunnel_mesh(TunnelGeometry(2, 1, 0, 1, 0, 0, 1))
+    path = tmp_path / "model.txt"
+    write_model_grid(path, ModelVector.homogeneous(mesh, 4000.0, 2400.0), mesh)
+    lines = path.read_text().splitlines()
+    lines[7] = lines[7].replace("4000.0", value)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="model.txt:8: number is not finite"):
+        read_model_grid(path, mesh)
+
+
 # -- frequency records ----------------------------------------------------------------
 
 def test_frequency_records_round_trip(tmp_path):
@@ -464,6 +513,37 @@ def test_convergence_log_round_trip():
     assert back == entries
 
 
+@pytest.mark.parametrize("make, read, row", [
+    (_records_file, read_frequency_records, 6),
+    (_sweep_file, fileio.read_greens_sweep, 4)])
+@pytest.mark.parametrize("col, value", [(0, "nan"), (-2, "nan"), (-1, "inf")],
+                         ids=["omega", "real", "imag"])
+def test_spectrum_readers_reject_non_finite_numbers(tmp_path, make, read, row,
+                                                    col, value):
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    toks = lines[row - 1].split()
+    toks[col] = value
+    lines[row - 1] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=f":{row}: number is not finite"):
+        read(path)
+
+
+def test_cached_spectra_rejects_a_non_finite_cache_entry(tmp_path):
+    records, layout, omegas = _cache_inputs(tmp_path)
+    fileio.cached_spectra(records, omegas, layout)
+    (name,) = _cache_files(tmp_path)
+    cache = tmp_path / name
+    lines = cache.read_text().splitlines()
+    toks = lines[3].split()
+    toks[-1] = "nan"
+    lines[3] = " ".join(toks)
+    cache.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match=":4: number is not finite"):
+        fileio.cached_spectra(records, omegas, layout)
+
+
 # -- CLI --------------------------------------------------------------------------------
 
 BOX_CONFIG = """
@@ -516,6 +596,14 @@ def test_cli_forward_and_records(box_config, tmp_path, capsys):
     back = read_frequency_records(out)
     assert set(back) == {800.0, 1600.0}
     assert back[800.0].shape == (1, 2, 2)
+
+
+def test_cli_forward_rejects_nan_c_pml(tmp_path):
+    cfg_path = tmp_path / "fw.cfg"
+    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\nc_pml = nan\n")
+    out = tmp_path / "records.txt"
+    assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) != 0
+    assert not out.exists()
 
 
 def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):

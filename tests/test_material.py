@@ -84,6 +84,25 @@ def test_lame_invalid_material():
         lame_parameters(3000.0, 2400.0, 2500.0)  # vp < sqrt(2) vs
 
 
+@pytest.mark.parametrize("props", [(np.nan, 2400.0, 2500.0), (4000.0, np.nan, 2500.0),
+                                   (4000.0, 2400.0, np.inf)])
+def test_ambient_properties_reject_nan_and_inf(props):
+    AmbientProperties(4000.0, 2400.0, 2500.0).validate()
+    with pytest.raises(InvalidMaterialError, match="positive and finite"):
+        AmbientProperties(*props).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["vp", "vs"])
+def test_model_vector_rejects_a_nan_or_inf_node(block, value):
+    model = ModelVector.homogeneous(box_mesh(), 4000.0, 2400.0)
+    model.validate()
+    values = model.values.copy()
+    values[3 if block == "vp" else model.n_nodes + 3] = value
+    with pytest.raises(InvalidMaterialError, match="positive and finite"):
+        ModelVector(values).validate()
+
+
 def test_stiffness_reference_entries():
     C = isotropic_stiffness(4000.0, 2400.0, 2500.0)
     assert C[0, 0, 0, 0] == pytest.approx(4.0e10, rel=1e-12)

@@ -46,6 +46,12 @@ def test_schedule_validation():
         FrequencySchedule(()).validate()
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf])
+def test_schedule_rejects_nan_and_inf_frequencies(omega):
+    with pytest.raises(ScheduleError, match="group 1 must contain positive finite"):
+        FrequencySchedule(((100.0,), (omega,))).validate()
+
+
 # -- L-BFGS ---------------------------------------------------------------------
 
 def test_direction_empty_history_is_steepest_descent():
@@ -413,6 +419,19 @@ def test_group_listing_a_frequency_twice_fails_before_any_solve():
     before = solver.factorization_count()
     with pytest.raises(ScheduleError, match="group 1 lists frequency 2000.0 more than once"):
         run_inversion(truth, sched, data, InversionSettings(max_iterations=1))
+    assert solver.factorization_count() == before
+
+
+def test_nan_initial_model_fails_before_any_solve():
+    from tunnelfwi import solver
+    from tunnelfwi.material import InvalidMaterialError
+    mesh, data, truth = toy_problem()
+    values = truth.values.copy()
+    values[mesh.n_nodes + 1] = np.nan
+    before = solver.factorization_count()
+    with pytest.raises(InvalidMaterialError, match="positive and finite"):
+        run_inversion(ModelVector(values), FrequencySchedule(((1200.0,),)), data,
+                      InversionSettings(max_iterations=1))
     assert solver.factorization_count() == before
 
 

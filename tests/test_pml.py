@@ -66,6 +66,13 @@ def test_profile_validation():
         PmlProfile(25000.0, 3.0, omega_c_ratio=1.0).validate()
 
 
+@pytest.mark.parametrize("c_pml, width", [(np.nan, 3.0), (np.inf, 3.0),
+                                           (1e4, np.nan), (1e4, np.inf)])
+def test_profile_validation_rejects_nan_and_inf(c_pml, width):
+    with pytest.raises(PmlError, match="must be finite"):
+        PmlProfile(c_pml, width).validate()
+
+
 def test_stretched_stiffness_identity():
     C = isotropic_stiffness(4000.0, 2400.0, 2500.0)
     np.testing.assert_array_equal(stretched_stiffness(C, 1.0, 1.0), C)
