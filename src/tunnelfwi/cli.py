@@ -155,8 +155,9 @@ def cmd_invert(cfg, args):
 
     result = optmod.run_inversion(initial, schedule, data, cfg.settings(),
                                   on_group_end=on_group_end)
-    fileio.write_model_grid(os.path.join(args.output, "final_model.txt"),
-                            result.model, mesh)
+    fileio.write_atomically(
+        os.path.join(args.output, "final_model.txt"),
+        lambda tmp: fileio.write_model_grid(tmp, result.model, mesh))
     for gi, msg in result.failures:
         print(f"group {gi} failed: {msg}", file=sys.stderr)
     print(f"inversion finished after {result.state.iteration} iterations; "

@@ -651,6 +651,30 @@ def test_cli_invert_writes_each_group_as_it_ends(box_config, tmp_path,
     assert log[-1].note == "group end"
 
 
+def test_cli_invert_failing_final_write_leaves_no_torn_file(box_config, tmp_path,
+                                                            monkeypatch):
+    from tunnelfwi import fileio
+    records = tmp_path / "obs.txt"
+    assert cli_dispatch(["make-synthetic", "--config", box_config,
+                         "--output", str(records)]) == 0
+    write = fileio.write_model_grid
+
+    def torn_final_model(path, model, mesh):
+        if "final_model" not in str(path):
+            return write(path, model, mesh)
+        with open(path, "w") as fh:
+            fh.write("# torn")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(fileio, "write_model_grid", torn_final_model)
+    outdir = tmp_path / "inv"
+    rc = cli_dispatch(["invert", "--config", box_config,
+                       "--records", str(records), "--output", str(outdir)])
+    assert rc != 0
+    assert sorted(os.listdir(outdir)) == ["convergence.txt", "model_group_00.txt",
+                                          "model_group_01.txt"]
+
+
 def test_cli_dft_subcommand(box_config, tmp_path):
     # synthesize simple time records for every (source, receiver, direction)
     rng = np.random.default_rng(92)

@@ -3,6 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from tunnelfwi import solver
+from tunnelfwi.assembly import (DiscretizationConfig, assemble_point_source,
+                                assemble_system)
+from tunnelfwi.material import ModelVector
+from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
+from tunnelfwi.pml import PmlProfile
 from tunnelfwi.solver import (SingularMatrixError, SolveError, factorization_count,
                               factorize, fallback_count)
 
@@ -198,6 +203,107 @@ def test_multi_column_fallback_refactorizes_once_for_all_columns():
                                    rtol=0, atol=1e-12)
 
 
+# -- complex64 factors with refinement ------------------------------------------
+
+@pytest.fixture
+def single_rung(monkeypatch):
+    """Every system starts on the complex64 rung, whatever its size."""
+    monkeypatch.setattr(solver, "SINGLE_MIN_DOFS", 0)
+
+
+def factor_dtype(f):
+    return f._lu.L.dtype
+
+
+def relative_residuals(A, X, B):
+    return np.linalg.norm(A @ X - B, axis=0) / np.linalg.norm(B, axis=0)
+
+
+def test_systems_below_the_threshold_factorize_in_complex128():
+    f = factorize(sp.csc_matrix(random_complex_symmetric(6, 40)))
+    assert factor_dtype(f) == np.complex128
+
+
+def test_single_rung_solves_without_fallback(single_rung):
+    A = sp.csc_matrix(random_complex_symmetric(30, 41))
+    B = np.random.default_rng(42).normal(size=(30, 2)) + 1j
+    n_fact, n_fallback = factorization_count(), fallback_count()
+    f = factorize(A)
+    assert factor_dtype(f) == np.complex64
+    X = f.solve(B)
+    assert np.all(relative_residuals(A, X, B) <= solver.RESIDUAL_BOUND)
+    assert factorization_count() == n_fact + 1
+    assert fallback_count() == n_fallback
+
+
+def test_single_rung_climbs_the_whole_ladder(single_rung):
+    A = tiny_diagonal_matrix()
+    b = np.array([1.0, 2.0, 3.0], dtype=complex)
+    n_fact, n_fallback = factorization_count(), fallback_count()
+    f = factorize(A)
+    assert factorization_count() == n_fact + 1
+    x = f.solve(b)
+    # complex64 and complex128 in symmetric mode both miss, pivoting holds
+    assert fallback_count() == n_fallback + 2
+    assert factorization_count() == n_fact + 3
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=0, atol=1e-12)
+    b2 = np.array([-1.0, 0.5j, 2.0], dtype=complex)
+    x2 = f.solve(b2)  # later solves reuse the pivoted factors
+    assert (factorization_count(), fallback_count()) == (n_fact + 3, n_fallback + 2)
+    np.testing.assert_allclose(x2, np.linalg.solve(A.toarray(), b2), rtol=0, atol=1e-12)
+
+
+def test_single_rung_scales_a_column_below_the_complex64_range(single_rung):
+    # 1e-40 is subnormal in complex64; unscaled, that column loses its digits
+    A = sp.csc_matrix(random_complex_symmetric(12, 43))
+    rng = np.random.default_rng(44)
+    B = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+    B[:, 0] *= 1e-40 / np.abs(B[:, 0]).max()
+    B[:, 1] /= np.abs(B[:, 1]).max()
+    before = fallback_count()
+    X = factorize(A).solve(B)
+    assert fallback_count() == before
+    assert np.all(relative_residuals(A, X, B) <= solver.RESIDUAL_BOUND)
+
+
+def test_single_rung_zero_column_solves_to_exact_zeros(single_rung):
+    A = sp.csc_matrix(random_complex_symmetric(6, 45))
+    B = np.zeros((6, 2), dtype=complex)
+    B[:, 1] = np.arange(1, 7) - 2j
+    before = fallback_count()
+    X = factorize(A).solve(B)
+    np.testing.assert_array_equal(X[:, 0], 0.0)
+    assert relative_residuals(A, X[:, 1:], B[:, 1:])[0] <= solver.RESIDUAL_BOUND
+    assert fallback_count() == before
+
+
+def desk_system():
+    """Criterion 7's inverted grid at p = 2 and 500 rad/s, with two sources."""
+    pml = 3.0
+    mesh = build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, pml, 1.0))
+    model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    system = assemble_system(mesh, model, 2500.0, 500.0, PmlProfile(25000.0, pml),
+                             DiscretizationConfig(degree=2))
+    B = np.stack([assemble_point_source(mesh, system.dof_map, (pml + x, pml + 12.0),
+                                        (d, 0.0), 1.0)
+                  for x, d in ((8.0, 1.0), (32.0, -1.0))], axis=1)
+    return system.L, B
+
+
+def test_single_rung_agrees_with_complex128_on_a_desk_size_system(monkeypatch):
+    A, B = desk_system()
+    assert A.shape[0] == 10230 < solver.SINGLE_MIN_DOFS
+    X = factorize(A).solve(B)
+    monkeypatch.setattr(solver, "SINGLE_MIN_DOFS", 0)
+    before = fallback_count()
+    f = factorize(A)
+    X64 = f.solve(B)
+    assert factor_dtype(f) == np.complex64
+    assert fallback_count() == before
+    assert np.all(relative_residuals(A, X64, B) <= solver.RESIDUAL_BOUND)
+    assert np.linalg.norm(X64 - X) <= 1e-9 * np.linalg.norm(X)
+
+
 # -- one BLAS thread inside SuperLU ---------------------------------------------
 
 def blas_threads():
@@ -232,7 +338,9 @@ class RecordingLU:
         return self.lu.solve(b)
 
 
-def test_superlu_calls_run_with_one_blas_thread(monkeypatch, two_blas_threads):
+def check_superlu_calls(monkeypatch, two_blas_threads, calls):
+    """Factorize and solve the 1e-20 diagonal, which fails the guard on every
+    symmetric rung: each SuperLU call in ``calls`` sees one BLAS thread."""
     needs_blas_pools()
     seen = []
     splu = solver.splu
@@ -242,13 +350,25 @@ def test_superlu_calls_run_with_one_blas_thread(monkeypatch, two_blas_threads):
         return RecordingLU(splu(*args, **kwargs), seen)
 
     monkeypatch.setattr(solver, "splu", recording_splu)
-    # the 1e-20 diagonal fails the guard, so the pivoted splu and solve run too
     f = factorize(tiny_diagonal_matrix())
     assert blas_threads() == two_blas_threads
     f.solve(np.array([1.0, 2.0, 3.0], dtype=complex))
     one = [1] * len(two_blas_threads)
-    assert seen == [("splu", one), ("solve", one), ("splu", one), ("solve", one)]
+    assert seen == [(call, one) for call in calls]
     assert blas_threads() == two_blas_threads
+
+
+def test_superlu_calls_run_with_one_blas_thread(monkeypatch, two_blas_threads):
+    # the guard fails, so the pivoted splu and solve run too
+    check_superlu_calls(monkeypatch, two_blas_threads,
+                        ["splu", "solve", "splu", "solve"])
+
+
+def test_superlu_calls_on_the_single_rung_run_with_one_blas_thread(
+        monkeypatch, single_rung, two_blas_threads):
+    # the complex64 solve gives a NaN residual, which stops refinement
+    check_superlu_calls(monkeypatch, two_blas_threads,
+                        ["splu", "solve", "splu", "solve", "splu", "solve"])
 
 
 def test_blas_threads_restored_when_factorization_fails(two_blas_threads):
@@ -268,6 +388,26 @@ def test_out_of_memory_names_the_system(monkeypatch, two_blas_threads):
     with pytest.raises(solver.SolverMemoryError, match="n = 5, nnz = 25"):
         factorize(A)
     assert blas_threads() == two_blas_threads
+    monkeypatch.setattr(solver, "SINGLE_MIN_DOFS", 0)
+    with pytest.raises(solver.SolverMemoryError, match="n = 5, nnz = 25"):
+        factorize(A)
+    assert blas_threads() == two_blas_threads
+
+
+def test_out_of_memory_on_the_complex64_copy_names_the_system(monkeypatch, single_rung):
+    A = sp.csc_matrix(random_complex_symmetric(5, 46))
+    csc_matrix = sp.csc_matrix
+
+    def no_memory_for_complex64(arg, *args, **kwargs):
+        if isinstance(arg, tuple) and arg[0].dtype == np.complex64:
+            raise MemoryError
+        return csc_matrix(arg, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "csc_matrix", no_memory_for_complex64)
+    before = factorization_count()
+    with pytest.raises(solver.SolverMemoryError, match="n = 5, nnz = 25"):
+        factorize(A)
+    assert factorization_count() == before
 
 
 def test_solves_without_blas_pools_give_the_same_x(monkeypatch):
