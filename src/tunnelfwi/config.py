@@ -72,7 +72,8 @@ _NONNEGATIVE = {"station_radius", "station_transition", "surface_distance",
                 "surface_transition", "tunnel_height", "tunnel_length", "pml_width"}
 _POSITIVE = {"domain_width", "element_size", "vp", "vs", "rho",
              "wavelet_peak_hz", "sweep_start", "sweep_step",
-             "validate_frequency_hz", "reduction_threshold", "step_fraction"}
+             "validate_frequency_hz", "reduction_threshold", "step_fraction",
+             "max_iterations", "lbfgs_capacity"}
 
 
 @dataclass
@@ -204,10 +205,11 @@ def _parse_line(key, value, line_no, out):
             for tok in value.split():
                 try:
                     upper, degree = tok.split(":")
-                    pairs.append((float(upper), int(degree)))
+                    degree = int(degree)
                 except ValueError:
                     raise ConfigError(f"line {line_no}: sweep_degrees entries "
                                       f"look like 'omega:degree', got {tok!r}")
+                pairs.append((_finite([upper], key, line_no)[0], degree))
             out["sweep_degrees"] = pairs
         return
 
@@ -265,8 +267,6 @@ def validate_config(cfg: RunConfig):
         raise
     except ValueError as exc:  # cross-module invariants surface as config errors
         raise ConfigError(str(exc)) from exc
-    if s["max_iterations"] < 1:
-        raise ConfigError("max_iterations must be >= 1")
     if s["sweep_end"] < s["sweep_start"]:
         raise ConfigError("sweep_end must be >= sweep_start")
     if any(w <= 0 for w in cfg.frequencies):

@@ -73,7 +73,7 @@ def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
 
     ``prefixes`` name the index columns ("s", "r") and ``sizes`` their
     ranges; each array has shape ``sizes + (2,)``.  Every frequency must
-    carry the full set of (index..., direction) rows.
+    carry the full set of (index..., direction) rows, each once.
     """
     shape = tuple(sizes) + (2,)
     n_cols = len(prefixes) + 4
@@ -93,7 +93,7 @@ def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
             key.append(int(tok[1:]))
         if toks[-3] not in _DIR_INDEX:
             raise FileFormatError(f"{where}: direction must be x or y, got {toks[-3]!r}")
-        key.append(_DIR_INDEX[toks[-3]])
+        key = (*key, _DIR_INDEX[toks[-3]])
         try:
             omega = float(toks[0])
             value = complex(float(toks[-2]), float(toks[-1]))
@@ -105,8 +105,10 @@ def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
             rows[omega] = (line_no, np.zeros(shape, dtype=complex),
                            np.zeros(shape, dtype=bool))
         _, values, seen = rows[omega]
-        values[tuple(key)] = value
-        seen[tuple(key)] = True
+        if seen[key]:
+            raise FileFormatError(f"{where}: repeated row {' '.join(toks[:-2])}")
+        values[key] = value
+        seen[key] = True
     if not rows:
         raise FileFormatError(f"{path}: no records found")
     for omega, (line_no, _, seen) in rows.items():
@@ -159,7 +161,10 @@ def read_time_records(path):
                 or toks[1][0] != "r" or not toks[1][1:].isdecimal()
                 or toks[2] not in _DIR_INDEX):
             raise FileFormatError(f"{path}:{row + 1}: malformed trace id")
-        keys.append((int(toks[0][1:]), int(toks[1][1:]), toks[2]))
+        key = (int(toks[0][1:]), int(toks[1][1:]), toks[2])
+        if key in keys:
+            raise FileFormatError(f"{path}:{row + 1}: trace {' '.join(toks)} declared twice")
+        keys.append(key)
         row += 1
     if not keys:
         raise FileFormatError(f"{path}: no traces declared")

@@ -72,10 +72,7 @@ class FrequencySchedule:
             prev_top = top
 
     def all_frequencies(self):
-        out = []
-        for g in self.groups:
-            out.extend(g)
-        return sorted(set(out))
+        return sorted({w for g in self.groups for w in g})
 
 
 def blindtest_schedule() -> FrequencySchedule:
@@ -357,14 +354,14 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     The L-BFGS history restarts so the first step follows the negative
     gradient; iteration stops at the cap, at a relative misfit reduction
     below the threshold, or when the line search fails or a trial's system is
-    singular (keeping the last accepted model).
-    The accepted step's misfit, residuals and factorizations are those the
-    line search kept for its best trial; no model is solved twice.  The line
-    search gets the misfit's slope along the direction from the raw gradient
-    of the current model, which is already computed, and its first trial is
-    the Gauss-Newton step, solved on the current model's factorizations
-    before they are dropped; only when that step is not finite and positive
-    does the first trial move max|alpha d| = ``step_fraction`` ambient vs.
+    singular (keeping the last accepted model).  Only an iteration that
+    passes the stop tests takes a gradient, on the kept solve; it completes
+    the L-BFGS pair of the step before and gives the direction, the slope
+    chi'(0) along it and, with the Gauss-Newton curvature on the same
+    factorizations, the first trial step (``step_fraction`` ambient vs as
+    max|alpha d| when that step is not finite and positive).  The best
+    trial's misfit, residuals and factorizations are kept, so no model is
+    solved twice.
     """
     omegas = tuple(float(w) for w in group)
     observed = data.observed_records(omegas)
@@ -372,7 +369,8 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     history = LbfgsHistory(settings.lbfgs_capacity)
     log = list(state.log)
     alpha = 0.0  # the last accepted step, logged at the group's end
-    grad_vec = None
+    grad_norm = 0.0  # of the last gradient taken, logged at the group's end
+    previous = None  # (model values, gradient) where the last direction started
 
     chi, delta, kept = _group_misfit(model, omegas, data, observed)
     chi_prev = None
@@ -382,12 +380,15 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             break
         if chi_prev is not None and (chi_prev - chi) < settings.reduction_threshold * chi_prev:
             break
-        if grad_vec is None:
-            raw_vec, grad_vec = _group_gradient(data, delta, kept)
+        raw_vec, grad_vec = _group_gradient(data, delta, kept)
+        grad_norm = float(np.linalg.norm(grad_vec))
+        if previous is not None:
+            history.push(model.values - previous[0], grad_vec - previous[1])
+        previous = (model.values, grad_vec)
         d = lbfgs_direction(history, grad_vec)
         dmax = np.abs(d).max()
         if dmax == 0.0:
-            log.append(IterationRecord(group_index, j, chi, 0.0, 0.0, "zero gradient"))
+            log.append(IterationRecord(group_index, j, chi, 0.0, grad_norm, "zero gradient"))
             break
         slope0 = float(raw_vec @ d)
         curvature = _gauss_newton_curvature(data, kept, d)
@@ -412,27 +413,20 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                                    rounds=settings.line_search_rounds,
                                    slope0=slope0)
         except (LineSearchError, solvermod.SingularMatrixError) as exc:
-            log.append(IterationRecord(group_index, j, chi, 0.0,
-                                       float(np.linalg.norm(grad_vec)),
+            log.append(IterationRecord(group_index, j, chi, 0.0, grad_norm,
                                        f"line search failed: {exc}"))
             break
 
         if best is None or best[0] != alpha:
             raise RuntimeError(f"line search accepted alpha = {alpha!r}, "
                                "which is not the best trial kept")
-        _, new_model, chi_new, delta, kept = best
+        _, model, chi_new, delta, kept = best
         best = None
-        raw_vec, new_grad = _group_gradient(data, delta, kept)
-        history.push(new_model.values - model.values, new_grad - grad_vec)
-        log.append(IterationRecord(group_index, j, chi, alpha,
-                                   float(np.linalg.norm(grad_vec))))
-        model = new_model
+        log.append(IterationRecord(group_index, j, chi, alpha, grad_norm))
         chi_prev, chi = chi, chi_new
-        grad_vec = new_grad
         iterations += 1
 
-    log.append(IterationRecord(group_index, iterations, chi, alpha,
-                               float(np.linalg.norm(grad_vec)) if grad_vec is not None else 0.0,
+    log.append(IterationRecord(group_index, iterations, chi, alpha, grad_norm,
                                "group end"))
     return OptimizerState(model=model, iteration=state.iteration + iterations, log=log)
 
@@ -468,7 +462,9 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
 
 
 def format_log(entries):
-    """Delimited convergence log: group iteration chi alpha grad_norm note."""
+    """Delimited convergence log: group iteration chi alpha grad_norm note.
+    grad_norm is the gradient norm at the model the line's direction starts
+    from; on a group end line, at the start of the group's last direction."""
     lines = ["# group iteration chi alpha grad_norm note"]
     for r in entries:
         note = r.note.replace("\n", " ").replace(" ", "_") if r.note else "-"

@@ -176,19 +176,16 @@ class Factorization:
 
     def _solve(self, b):
         """x on the current rung and its largest relative residual."""
-        if self._rung > 0:  # complex128 factors
-            with _serial_blas():
-                x = self._lu.solve(b)
-            return x, self._residual(x, b)[1]
+        dtype, _ = _LADDER[self._rung]
         # a power of two scales exactly, so the scaled system's residual is
         # b's; a zero column keeps scale 1
         scale = np.ldexp(1.0, np.frexp(np.max(np.abs(b), axis=0))[1])
         b = b / scale
         # from x = 0, whose residual is -b, so the first pass is the solve
         x, r, residual = np.zeros_like(b), -b, np.inf
-        for _ in range(1 + MAX_REFINE):
+        for _ in range(1 + (MAX_REFINE if dtype == np.complex64 else 0)):
             with _serial_blas():
-                x -= self._lu.solve(r.astype(np.complex64))
+                x -= self._lu.solve(r.astype(dtype, copy=False))
             last = residual
             r, residual = self._residual(x, b)
             # stop on the bound, or where refinement stalls or diverges

@@ -92,6 +92,20 @@ def test_sweep_degree_outside_the_supported_range_rejected_at_load():
         (300.0, 1), (9000.0, 3)]
 
 
+@pytest.mark.parametrize("value", ["inf:2", "300:1 nan:2"], ids=["inf", "nan"])
+def test_non_finite_sweep_degree_bound_names_its_line(value):
+    with pytest.raises(ConfigError, match="line 2: sweep_degrees needs finite numbers"):
+        parse_config(f"domain_width = 40\nsweep_degrees = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["max_iterations", "lbfgs_capacity"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_iteration_count_or_capacity_rejected(key, value):
+    # no capacity would empty the L-BFGS history: steepest descent throughout
+    with pytest.raises(ConfigError, match=f"{key} must be > 0, got {value}"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_receiver_direction_error_names_its_line():
     with pytest.raises(ConfigError, match="^line 2: receiver directions must combine "
                                           "'x' and 'y', got 'z'$"):
@@ -246,6 +260,15 @@ def test_time_records_non_finite_header(tmp_path, row, key):
     lines[row - 1] = f"{key} = nan"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match=f"rec.txt:{row}: {key} is not finite"):
+        read_time_records(path)
+
+
+def test_time_records_repeated_trace_declaration(tmp_path):
+    path, lines = _two_trace_file(tmp_path)
+    assert lines[4:6] == ["trace = s0 r0 x", "trace = s0 r0 y"]
+    lines[5] = lines[4]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError, match="rec.txt:6: trace s0 r0 x declared twice"):
         read_time_records(path)
 
 
@@ -480,6 +503,23 @@ def test_spectrum_readers_reject_index_out_of_range(tmp_path, make, read, row, c
     lines[row - 1] = " ".join(toks)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match=f":{row}: expected"):
+        read(path)
+
+
+@pytest.mark.parametrize("make, read, row", [
+    (_records_file, read_frequency_records, 6),
+    (_sweep_file, fileio.read_greens_sweep, 4)])
+def test_spectrum_readers_reject_a_repeated_row(tmp_path, make, read, row):
+    # a second row for the same (omega, indices, direction) would overwrite
+    # the first
+    path = make(tmp_path)
+    lines = path.read_text().splitlines()
+    toks = lines[row - 1].split()
+    toks[-1] = "7.0"
+    lines.append(" ".join(toks))
+    path.write_text("\n".join(lines) + "\n")
+    key = " ".join(toks[:-2])
+    with pytest.raises(FileFormatError, match=f":{len(lines)}: repeated row {key}$"):
         read(path)
 
 

@@ -577,6 +577,49 @@ def test_group_reuses_the_accepted_trial(monkeypatch):
     assert out.log[-1].chi == fresh
 
 
+def counted_group(monkeypatch, settings):
+    """Run the toy group from the ambient model; return its state, the
+    number of gradients it took and the number of directions it built."""
+    from tunnelfwi import adjoint, optimize
+    mesh, data, truth = toy_problem()
+    start = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    gradients, directions = [], []
+    accumulate, direction = adjoint.accumulate_gradient, optimize.lbfgs_direction
+
+    def counted_gradient(*args, **kwargs):
+        gradients.append(1)
+        return accumulate(*args, **kwargs)
+
+    def counted_direction(*args):
+        directions.append(1)
+        return direction(*args)
+
+    monkeypatch.setattr(adjoint, "accumulate_gradient", counted_gradient)
+    monkeypatch.setattr(optimize, "lbfgs_direction", counted_direction)
+    out = run_frequency_group(OptimizerState(model=start), (1200.0, 2000.0),
+                              data, settings)
+    return out, len(gradients), len(directions)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_group_stopped_by_the_cap_takes_one_gradient_per_iteration(monkeypatch, k):
+    out, n_gradients, _ = counted_group(monkeypatch, InversionSettings(max_iterations=k))
+    assert out.iteration == k
+    assert n_gradients == k
+
+
+def test_group_stopped_by_the_reduction_test_takes_one_gradient_per_direction(
+        monkeypatch):
+    # the toy's second step cuts chi by about 2%, below a 10% threshold
+    out, n_gradients, n_directions = counted_group(
+        monkeypatch, InversionSettings(max_iterations=8, reduction_threshold=0.1))
+    assert [r.note for r in out.log] == ["", "", "group end"]
+    assert out.iteration == 2
+    assert n_gradients == n_directions == 2
+    # the group end line carries the norm of the last gradient taken
+    assert out.log[-1].grad_norm == out.log[-2].grad_norm > 0.0
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
 def test_group_slope_matches_finite_differences(monkeypatch, masked):
     from tunnelfwi import adjoint, optimize
