@@ -73,55 +73,43 @@ def _kernel_deriv(i, x):
     return np.sqrt((2.0 * i - 1.0) / 2.0) * _legendre(i - 1, x)
 
 
+def _modes_1d(p, x):
+    """Values and derivatives of the 1D modes [l0, l1, phi_2..phi_p] at x."""
+    k = range(2, p + 1)
+    vals = [0.5 * (1 - x), 0.5 * (1 + x)] + [_kernel_value(i, x) for i in k]
+    ders = [np.full_like(x, -0.5), np.full_like(x, 0.5)] + [_kernel_deriv(i, x) for i in k]
+    return np.stack(vals, axis=1), np.stack(ders, axis=1)
+
+
+def _mode_axes(p):
+    """1D mode indices (a, b) along x and y of every 2D mode, in mode order."""
+    k = range(2, p + 1)
+    pairs = ([(0, 0), (1, 0), (1, 1), (0, 1)]            # vertices
+             + [(i, 0) for i in k] + [(1, i) for i in k]  # bottom, right edges
+             + [(i, 1) for i in k] + [(0, i) for i in k]  # top, left edges
+             + [(i, j) for i in k for j in k])            # interior
+    return np.array(pairs).T
+
+
 def shape_functions(p, xi):
     """Mode values and local gradients at points xi in [-1,1]^2.
 
     Returns (values, grads) with shapes (nq, n_modes) and (nq, n_modes, 2)
     for xi of shape (nq, 2); scalar points are promoted.  Mode order: vertices
     counterclockwise from (-1,-1), then bottom/right/top/left edge modes of
-    ascending degree, then face-interior modes.
+    ascending degree, then face-interior modes.  Each mode is the product
+    X_a(x) Y_b(y) of two 1D modes.
     """
     if not 1 <= p <= MAX_DEGREE:
         raise AssemblyError(f"polynomial degree must be in [1, {MAX_DEGREE}]")
     pts = np.atleast_2d(np.asarray(xi, dtype=float))
     if pts.shape[1] != 2:
         raise AssemblyError("local points must have two coordinates")
-    x, y = pts[:, 0], pts[:, 1]
-
-    lx = [0.5 * (1 - x), 0.5 * (1 + x)]
-    ly = [0.5 * (1 - y), 0.5 * (1 + y)]
-    dlx = [np.full_like(x, -0.5), np.full_like(x, 0.5)]
-    dly = [np.full_like(y, -0.5), np.full_like(y, 0.5)]
-    kx = {i: _kernel_value(i, x) for i in range(2, p + 1)}
-    ky = {i: _kernel_value(i, y) for i in range(2, p + 1)}
-    dkx = {i: _kernel_deriv(i, x) for i in range(2, p + 1)}
-    dky = {i: _kernel_deriv(i, y) for i in range(2, p + 1)}
-
-    vals, grads = [], []
-
-    def add(v, gx, gy):
-        vals.append(v)
-        grads.append(np.stack([gx, gy], axis=-1))
-
-    # vertex modes: (-1,-1), (1,-1), (1,1), (-1,1)
-    for ax, ay in ((0, 0), (1, 0), (1, 1), (0, 1)):
-        add(lx[ax] * ly[ay], dlx[ax] * ly[ay], lx[ax] * dly[ay])
-    # edge modes: bottom (eta=-1), right (xi=+1), top (eta=+1), left (xi=-1)
-    for i in range(2, p + 1):
-        add(kx[i] * ly[0], dkx[i] * ly[0], kx[i] * dly[0])
-    for i in range(2, p + 1):
-        add(ky[i] * lx[1], dlx[1] * ky[i], lx[1] * dky[i])
-    for i in range(2, p + 1):
-        add(kx[i] * ly[1], dkx[i] * ly[1], kx[i] * dly[1])
-    for i in range(2, p + 1):
-        add(ky[i] * lx[0], dlx[0] * ky[i], lx[0] * dky[i])
-    # interior modes
-    for i in range(2, p + 1):
-        for j in range(2, p + 1):
-            add(kx[i] * ky[j], dkx[i] * ky[j], kx[i] * dky[j])
-
-    V = np.stack(vals, axis=-1)
-    G = np.stack(grads, axis=-2)
+    X, dX = _modes_1d(p, pts[:, 0])
+    Y, dY = _modes_1d(p, pts[:, 1])
+    a, b = _mode_axes(p)
+    V = X[:, a] * Y[:, b]
+    G = np.stack([dX[:, a] * Y[:, b], X[:, a] * dY[:, b]], axis=-1)
     if np.ndim(xi) == 1:
         return V[0], G[0]
     return V, G

@@ -114,14 +114,22 @@ def cmd_dft(cfg, args):
     return 0
 
 
-def _load_observed(cfg, records_path, layout, omegas):
-    if fileio.is_frequency_record_file(records_path):
-        observed = fileio.read_frequency_records(records_path)
-        missing = [w for w in omegas if w not in observed]
-        if missing:
-            raise CliError(f"records lack scheduled frequencies: {missing}")
-        return observed
-    return fileio.cached_spectra(records_path, omegas, layout)
+def _load_observed(records_path, layout, omegas):
+    """Spectra at ``omegas``: frequency records as read, time records
+    transformed in memory."""
+    if not fileio.is_frequency_record_file(records_path):
+        return fileio.records_to_spectra(fileio.read_time_records(records_path),
+                                         omegas, layout)
+    observed = fileio.read_frequency_records(records_path)
+    missing = [w for w in omegas if w not in observed]
+    if missing:
+        raise CliError(f"records lack scheduled frequencies: {missing}")
+    n_s, n_r, _ = next(iter(observed.values())).shape
+    if (n_s, n_r) != (layout.n_sources, layout.n_receivers):
+        raise CliError(f"{records_path}: records have {n_s} sources and {n_r} "
+                       f"receivers, the config {layout.n_sources} and "
+                       f"{layout.n_receivers}")
+    return observed
 
 
 def cmd_invert(cfg, args):
@@ -130,7 +138,7 @@ def cmd_invert(cfg, args):
         initial = fileio.read_model_grid(args.initial, mesh)
     layout = _require_stations(cfg, mesh)
     schedule = cfg.schedule()
-    observed = _load_observed(cfg, args.records, layout, schedule.all_frequencies())
+    observed = _load_observed(args.records, layout, schedule.all_frequencies())
 
     s = cfg.scalars
     mask = adjmod.build_mask(layout, mesh, s["station_radius"],

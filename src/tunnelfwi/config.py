@@ -199,7 +199,12 @@ def _parse_line(key, value, line_no, out):
 
     if key in _LIST_KEYS:
         if key == "frequencies":
-            out["frequencies"] = _finite(value.split(), key, line_no)
+            freqs = _finite(value.split(), key, line_no)
+            for w in freqs:
+                if freqs.count(w) > 1:
+                    raise ConfigError(f"line {line_no}: frequencies lists {w} "
+                                      "more than once")
+            out["frequencies"] = freqs
         else:  # sweep_degrees: "1000:1 3000:2 9000:3"
             pairs = []
             for tok in value.split():

@@ -7,7 +7,6 @@ source index, receiver index and direction letter (x or y).
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -299,15 +298,24 @@ def read_model_grid(path, mesh) -> matmod.ModelVector:
             raise FileFormatError(f"{path}: node {n} coordinates do not match the mesh")
         if vpn <= 0 or vsn <= 0:
             raise FileFormatError(f"{path}: node {n} has non-positive velocity")
+        if not vpn > matmod.SQRT2 * vsn:
+            raise FileFormatError(f"{path}: node {n} has vp <= sqrt(2)*vs "
+                                  f"(vp={vpn!r}, vs={vsn!r})")
         vp[n], vs[n] = vpn, vsn
     return matmod.ModelVector(np.concatenate([vp, vs]))
 
 
-# -- DFT cache --------------------------------------------------------------------
+# -- spectra of time records ------------------------------------------------------
 
 def records_to_spectra(traces, omegas, layout):
     """Single-frequency transforms of every trace at the scheduled omegas."""
     omegas = sorted(set(float(w) for w in omegas))
+    outside = [f"s{s} r{r} {d}" for s, r, d in traces
+               if s >= layout.n_sources or r >= layout.n_receivers]
+    if outside:
+        raise FileFormatError(
+            f"traces outside the layout's {layout.n_sources} sources and "
+            f"{layout.n_receivers} receivers: " + ", ".join(outside))
     missing = []
     for s in range(layout.n_sources):
         for r, rec in enumerate(layout.receivers):
@@ -325,26 +333,7 @@ def records_to_spectra(traces, omegas, layout):
     return observed
 
 
-def cached_spectra(records_path, omegas, layout, cache_dir=None):
-    """DFT the time records once; reuse on identical (records, schedule,
-    source count and recorded directions)."""
-    with open(records_path, "rb") as f:
-        digest = hashlib.sha256(f.read())
-    digest.update(repr((sorted(set(float(w) for w in omegas)), layout.n_sources,
-                        [tuple(r.directions) for r in layout.receivers])).encode())
-    tag = digest.hexdigest()[:16]
-    cache_dir = cache_dir or os.path.dirname(os.path.abspath(records_path))
-    cache = os.path.join(cache_dir, f".{os.path.basename(records_path)}.dft-{tag}.txt")
-    if os.path.exists(cache):
-        return read_frequency_records(cache)
-    observed = records_to_spectra(read_time_records(records_path), omegas, layout)
-    try:
-        write_atomically(cache, lambda tmp: write_frequency_records(
-            tmp, observed, layout.n_sources, layout.n_receivers))
-    except OSError:
-        pass  # a directory that cannot be written means no cache
-    return observed
-
+# -- atomic writes -------------------------------------------------------------
 
 def write_atomically(path, write):
     """Run ``write(tmp)`` on a file beside ``path`` and rename it over

@@ -1,5 +1,4 @@
 import os
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +121,11 @@ def test_sweep_degree_bounds_must_be_positive_and_distinct(value):
 def test_group_listing_a_frequency_twice_rejected_at_load():
     with pytest.raises(ConfigError, match="group 0 lists frequency 300.0 more than once"):
         parse_config("group = 300 300\n")
+
+
+def test_frequencies_listing_a_value_twice_rejected_by_line():
+    with pytest.raises(ConfigError, match="^line 2: frequencies lists 500.0 more than once$"):
+        parse_config("domain_width = 40\nfrequencies = 300 500 500\n")
 
 
 def test_stations_and_groups_accumulate():
@@ -284,79 +288,39 @@ def test_time_records_malformed_header(tmp_path):
         read_time_records(path)
 
 
-# -- DFT cache ------------------------------------------------------------------------
+# -- spectra of time records ------------------------------------------------------
 
-def _cache_inputs(tmp_path):
+def _one_station_records():
     layout = StationLayout(sources=(Source((1.0, 1.0), (1.0, 0.0)),),
                            receivers=(Receiver((2.0, 2.0)),))
     rng = np.random.default_rng(94)
     traces = {(0, 0, d): TimeSeries(rng.normal(size=16), 1e-4, 0.0) for d in "xy"}
-    path = tmp_path / "time.txt"
-    write_time_records(path, traces)
-    return path, layout, (700.0, 900.0)
+    return traces, layout, (700.0, 900.0)
 
 
-def _cache_files(directory):
-    return sorted(f for f in os.listdir(directory) if ".dft-" in f)
-
-
-def test_cached_spectra_writes_and_reuses_cache(tmp_path):
-    path, layout, omegas = _cache_inputs(tmp_path)
-    first = fileio.cached_spectra(path, omegas, layout)
-    caches = _cache_files(tmp_path)
-    assert len(caches) == 1 and caches[0].endswith(".txt")  # no temp file left
-    again = fileio.cached_spectra(path, omegas, layout)
-    for w in omegas:
-        np.testing.assert_array_equal(again[w], first[w])
-
-
-def test_cached_spectra_without_writable_cache_dir(tmp_path):
-    path, layout, omegas = _cache_inputs(tmp_path)
-    not_a_dir = tmp_path / "plain-file"
-    not_a_dir.write_text("")
-    observed = fileio.cached_spectra(path, omegas, layout, cache_dir=str(not_a_dir))
-    assert set(observed) == set(omegas)
-    assert _cache_files(tmp_path) == []
-
-
-def test_cached_spectra_failed_rename_leaves_no_files(tmp_path, monkeypatch):
-    path, layout, omegas = _cache_inputs(tmp_path)
-
-    def refuse(src, dst):
-        raise PermissionError(dst)
-    monkeypatch.setattr(fileio.os, "replace", refuse)
-    observed = fileio.cached_spectra(path, omegas, layout)
-    assert set(observed) == set(omegas)
-    assert _cache_files(tmp_path) == []
-
-
-def test_cached_spectra_corrupt_cache_names_path(tmp_path):
-    path, layout, omegas = _cache_inputs(tmp_path)
-    fileio.cached_spectra(path, omegas, layout)
-    cache = tmp_path / _cache_files(tmp_path)[0]
-    torn = cache.read_text().rstrip().rsplit(" ", 2)[0]  # last row lacks re, im
-    cache.write_text(torn)
-    with pytest.raises(FileFormatError, match=re.escape(f"{cache}:")):
-        fileio.cached_spectra(path, omegas, layout)
-    cache.write_text("# frequency-records\n")  # cut after its first line
-    with pytest.raises(FileFormatError, match=re.escape(f"{cache}:2")):
-        fileio.cached_spectra(path, omegas, layout)
-
-
-def test_cached_spectra_keyed_on_recorded_directions(tmp_path):
-    path, _, omegas = _cache_inputs(tmp_path)
-    only_x = (0, 0, "x")
-    write_time_records(path, {only_x: read_time_records(path)[only_x]})
+def test_records_to_spectra_names_missing_traces():
+    traces, _, omegas = _one_station_records()
+    only_x = {(0, 0, "x"): traces[(0, 0, "x")]}
     x_layout = StationLayout(sources=(Source((1.0, 1.0), (1.0, 0.0)),),
                              receivers=(Receiver((2.0, 2.0), (0,)),))
-    fileio.cached_spectra(path, omegas, x_layout)
+    observed = fileio.records_to_spectra(only_x, omegas, x_layout)
+    assert set(observed) == set(omegas)
     xy_layout = replace(x_layout, receivers=(Receiver((2.0, 2.0)),))
-    # a cache of the x-only run must not fill the y traces with zeros
+    # a y trace the records lack must not become a silent zero
     with pytest.raises(FileFormatError, match="missing traces: s0 r0 y"):
-        fileio.cached_spectra(path, omegas, xy_layout)
+        fileio.records_to_spectra(only_x, omegas, xy_layout)
     two_sources = replace(x_layout, sources=x_layout.sources * 2)
     with pytest.raises(FileFormatError, match="missing traces: s1 r0 x"):
-        fileio.cached_spectra(path, omegas, two_sources)
+        fileio.records_to_spectra(only_x, omegas, two_sources)
+
+
+def test_records_to_spectra_rejects_traces_outside_the_layout():
+    traces, layout, omegas = _one_station_records()
+    extra = {**traces, (2, 0, "y"): traces[(0, 0, "y")],
+             (0, 1, "x"): traces[(0, 0, "x")]}
+    with pytest.raises(FileFormatError, match="^traces outside the layout's 1 sources "
+                                              "and 1 receivers: s2 r0 y, s0 r1 x$"):
+        fileio.records_to_spectra(extra, omegas, layout)
 
 
 # -- model grids --------------------------------------------------------------------
@@ -570,20 +534,6 @@ def test_spectrum_readers_reject_non_finite_numbers(tmp_path, make, read, row,
         read(path)
 
 
-def test_cached_spectra_rejects_a_non_finite_cache_entry(tmp_path):
-    records, layout, omegas = _cache_inputs(tmp_path)
-    fileio.cached_spectra(records, omegas, layout)
-    (name,) = _cache_files(tmp_path)
-    cache = tmp_path / name
-    lines = cache.read_text().splitlines()
-    toks = lines[3].split()
-    toks[-1] = "nan"
-    lines[3] = " ".join(toks)
-    cache.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError, match=":4: number is not finite"):
-        fileio.cached_spectra(records, omegas, layout)
-
-
 # -- CLI --------------------------------------------------------------------------------
 
 BOX_CONFIG = """
@@ -663,6 +613,24 @@ def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):
     assert (outdir / "model_group_01.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["make-synthetic", "forward"])
+def test_cli_model_without_positive_lame_parameter_rejected(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\n")
+    mesh = build_tunnel_mesh(load_config(cfg_path).geometry())
+    model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    model.values[mesh.n_nodes + 3] = 2900.0  # vp < sqrt(2)*vs: negative lambda
+    grid = tmp_path / "model.txt"
+    write_model_grid(grid, model, mesh)
+    out = tmp_path / "records.txt"
+    rc = cli_dispatch([command, "--config", str(cfg_path), "--model", str(grid),
+                       "--output", str(out)])
+    assert rc != 0
+    assert capsys.readouterr().err == (f"error: {grid}: node 3 has vp <= sqrt(2)*vs "
+                                       "(vp=4000.0, vs=2900.0)\n")
+    assert not out.exists()
+
+
 def test_cli_invert_writes_each_group_as_it_ends(box_config, tmp_path,
                                                  monkeypatch):
     from tunnelfwi import optimize
@@ -732,20 +700,60 @@ def test_cli_dft_subcommand(box_config, tmp_path):
     assert set(back) == {700.0, 900.0, 1500.0}
 
 
-def test_cli_invert_from_time_records_uses_cache(box_config, tmp_path):
+def test_cli_invert_time_records_match_dft_output(box_config, tmp_path):
     rng = np.random.default_rng(93)
     traces = {}
     for r in range(2):
         for d in ("x", "y"):
             traces[(0, r, d)] = TimeSeries(rng.normal(size=32) * 1e-12, 1e-4, 0.0)
+    records = tmp_path / "records"
+    records.mkdir()
+    time_path, freq_path = records / "time.txt", records / "freq.txt"
+    write_time_records(time_path, traces)
+    assert cli_dispatch(["dft", "--config", box_config, "--records", str(time_path),
+                         "--output", str(freq_path)]) == 0
+    for name, path in (("from_time", time_path), ("from_dft", freq_path)):
+        assert cli_dispatch(["invert", "--config", box_config, "--records", str(path),
+                             "--output", str(tmp_path / name)]) == 0
+    for name in ("final_model.txt", "convergence.txt"):
+        assert ((tmp_path / "from_time" / name).read_bytes()
+                == (tmp_path / "from_dft" / name).read_bytes())
+    assert sorted(os.listdir(records)) == ["freq.txt", "time.txt"]
+
+
+def test_cli_dft_names_a_trace_outside_the_layout(box_config, tmp_path, capsys):
+    cfg_path = tmp_path / "two.cfg"
+    cfg_path.write_text(BOX_CONFIG + "source = 5 4 0 1\n")
+    rng = np.random.default_rng(95)
+    traces = {(s, r, d): TimeSeries(rng.normal(size=32), 1e-4, 0.0)
+              for s in range(3) for r in range(2) for d in "xy"}
     rec_path = tmp_path / "time.txt"
     write_time_records(rec_path, traces)
-    outdir = tmp_path / "inv"
-    rc = cli_dispatch(["invert", "--config", box_config,
-                       "--records", str(rec_path), "--output", str(outdir)])
-    assert rc == 0
-    caches = [f for f in os.listdir(tmp_path) if ".dft-" in f]
-    assert len(caches) == 1
+    out = tmp_path / "freq.txt"
+    rc = cli_dispatch(["dft", "--config", str(cfg_path),
+                       "--records", str(rec_path), "--output", str(out)])
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: traces outside the layout's 2 sources and 2 receivers: "
+        "s2 r0 x, s2 r0 y, s2 r1 x, s2 r1 y\n")
+    assert not out.exists()
+
+
+def test_cli_invert_rejects_records_of_another_layout_before_solving(
+        box_config, tmp_path, capsys):
+    from tunnelfwi import solver
+    omegas = load_config(box_config).schedule().all_frequencies()
+    records = tmp_path / "obs.txt"
+    write_frequency_records(records, {w: np.ones((1, 3, 2), complex) for w in omegas},
+                            1, 3)
+    before = solver.factorization_count()
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                       "--output", str(tmp_path / "inv")])
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        f"error: {records}: records have 1 sources and 3 receivers, "
+        "the config 1 and 2\n")
+    assert solver.factorization_count() == before
 
 
 def test_cli_validate_pml(tmp_path, capsys):

@@ -98,10 +98,15 @@ def test_validation_table_round_trip(tmp_path_factory, rows):
 GRID = build_tunnel_mesh(TunnelGeometry(4, 2, 0, 2, 0, 0, 1))
 
 
+# (vp, vs) pairs with a positive first Lame parameter, as read_model_grid requires
+node_velocities = positive.flatmap(lambda vp: st.tuples(
+    st.just(vp), st.floats(0.0, vp / 1.5, exclude_min=True)))
+
+
 @SETTINGS
-@given(values=st.lists(positive, min_size=2 * GRID.n_nodes, max_size=2 * GRID.n_nodes))
-def test_model_grid_round_trip(tmp_path_factory, values):
-    model = ModelVector(np.array(values))
+@given(nodes=st.lists(node_velocities, min_size=GRID.n_nodes, max_size=GRID.n_nodes))
+def test_model_grid_round_trip(tmp_path_factory, nodes):
+    model = ModelVector(np.array(nodes).T.ravel())
     path = tmp_path_factory.mktemp("rt") / "model.txt"
     fileio.write_model_grid(path, model, GRID)
     assert np.array_equal(fileio.read_model_grid(path, GRID).values, model.values)
@@ -127,7 +132,7 @@ def config_texts(draw):
         low = draw(st.lists(st.floats(0.0, top, exclude_min=True, exclude_max=True),
                             max_size=2, unique=True))
         lines.append("group = " + " ".join(repr(w) for w in low + [top]))
-    freqs = draw(st.lists(positive, max_size=3))
+    freqs = draw(st.lists(positive, max_size=3, unique=True))
     if freqs:
         lines.append("frequencies = " + " ".join(repr(w) for w in freqs))
     degrees = draw(st.lists(st.tuples(positive, st.integers(1, 3)), max_size=3,
