@@ -1,19 +1,16 @@
-"""L-BFGS search directions, three-point quadratic line search and the
-multi-scale inversion loop.
+"""L-BFGS search directions, three-point quadratic line search, the one
+L-BFGS loop and the multi-scale inversion.
 
-Each frequency group is minimized on its own: the first step follows the
-negative (preconditioned) gradient, later steps use the limited-memory
-two-loop recursion.  The first trial step is the minimizer of the
-Gauss-Newton model of the misfit along the search direction, computed on
-the current model's factorizations; the second is the vertex of the
-parabola through chi(0), chi'(0) and the first trial when that parabola is
-convex, where chi'(0) is the adjoint gradient of the current model along
-the direction.  A first trial within ``SETTLE_RTOL`` of that vertex is
-accepted at once; otherwise the parabola is refitted through three misfit
-samples until its vertex settles within ``SETTLE_RTOL`` of a sample
-already taken.
-Groups run in order of rising top frequency and hand their model to the
-next group.
+``_descend`` is the only L-BFGS loop: ``run_frequency_group`` runs it on a
+group's misfit and ``minimize_lbfgs`` on a vector objective, so criterion 6
+checks the optimizer that an inversion runs.  Each group is minimized on
+its own: the first step follows the negative (preconditioned) gradient,
+later steps the two-loop recursion.  The first trial step minimizes the
+Gauss-Newton model of the misfit along the direction, on the current
+model's factorizations; ``line_search`` then fits parabolas through chi(0),
+the adjoint slope chi'(0) and misfit samples until the vertex settles
+within ``SETTLE_RTOL`` of a sample already taken.  Groups run in order of
+rising top frequency and hand their model to the next group.
 """
 
 from __future__ import annotations
@@ -99,8 +96,8 @@ class LbfgsHistory:
 
     def push(self, s, y):
         sy = float(np.dot(s, y))
-        if sy <= 0.0:
-            return False  # would break positive definiteness
+        if not sy > 0.0:
+            return False  # would break positive definiteness (NaN too)
         self.pairs.append((np.array(s, dtype=float), np.array(y, dtype=float), sy))
         if len(self.pairs) > self.capacity:
             self.pairs.pop(0)
@@ -132,19 +129,16 @@ def lbfgs_direction(history: LbfgsHistory, g):
 # -- three-point quadratic line search -----------------------------------------
 
 def _parabola_vertex(alphas, values):
-    """Vertex of the parabola through three (alpha, value) samples.
-
-    Returns (vertex, curvature); a non-positive curvature flags a
-    non-convex fit and yields vertex = None.
-    """
+    """Vertex of the parabola through three (alpha, value) samples, or None
+    when the fit is not convex."""
     a1, a2, a3 = alphas
     f1, f2, f3 = values
     d21 = (f2 - f1) / (a2 - a1)
     d32 = (f3 - f2) / (a3 - a2)
     curv = (d32 - d21) / (a3 - a1)  # half the second derivative
     if curv <= 0.0 or not np.isfinite(curv):
-        return None, curv
-    return 0.5 * (a1 + a2) - d21 / (2.0 * curv), curv
+        return None
+    return 0.5 * (a1 + a2) - d21 / (2.0 * curv)
 
 
 def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
@@ -164,8 +158,8 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
     triple holds the previous vertex); ``rounds`` caps the refits.  Returns
     (alpha, chi(alpha)) with chi(alpha) < chi(0) or raises LineSearchError.
     """
-    if alpha_init <= 0:
-        raise LineSearchError(f"alpha_init must be > 0, got {alpha_init}")
+    if not 0.0 < alpha_init < np.inf:
+        raise LineSearchError(f"alpha_init must be positive and finite, got {alpha_init}")
     f0 = chi(0.0) if chi0 is None else float(chi0)
 
     samples = {0.0: f0}
@@ -198,7 +192,7 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
 
     triple = sorted([0.0, alpha_init, second])
     for _ in range(rounds):
-        vertex, _ = _parabola_vertex(triple, [samples[a] for a in triple])
+        vertex = _parabola_vertex(triple, [samples[a] for a in triple])
         if vertex is None or vertex <= 0.0:
             backtrack(alpha_init)
             break
@@ -223,37 +217,88 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
     return found
 
 
-# -- generic driver (quadratic sanity tests, toy problems) ---------------------
+# -- L-BFGS driver ------------------------------------------------------------------
+
+def _descend(x, evaluate, gradient, first_trial, project, settings, grad_tol=0.0):
+    """The one L-BFGS loop (Nocedal & Wright, Numerical Optimization, Alg. 7.5).
+
+    ``evaluate(x)`` gives (f, payload), ``gradient(x, payload)`` the gradients
+    for the slope f'(0) and for the two-loop recursion, ``first_trial(payload,
+    d, slope0)`` the first trial step and ``project`` the trial point of
+    x + alpha d.  Before each gradient run the stop tests: the cap, f = 0 and
+    a reduction below the threshold times the previous f.  A zero gradient
+    (norm below ``grad_tol``), a failed search or a singular trial system
+    ends the run at the last accepted x.  Returns (x, f, steps), one step
+    (f, alpha, grad_norm, note) per iteration, f and grad_norm where its
+    direction started; a stop step has alpha 0.0 and a note.
+    """
+    history = LbfgsHistory(settings.lbfgs_capacity)
+    # evaluated here, so the caller holds no payload through the iteration
+    f, payload = evaluate(x)
+    f_prev = previous = None  # previous: (x, gradient) where the last direction started
+    steps = []
+    for _ in range(settings.max_iterations):
+        if f == 0.0 or (f_prev is not None
+                        and (f_prev - f) < settings.reduction_threshold * f_prev):
+            break
+        slope_grad, g = gradient(x, payload)
+        grad_norm = float(np.linalg.norm(g))
+        if previous is not None:
+            history.push(x - previous[0], g - previous[1])
+        previous = (x, g)
+        d = lbfgs_direction(history, g)
+        if np.abs(d).max() == 0.0 or grad_norm < grad_tol:
+            steps.append((f, 0.0, grad_norm, "zero gradient"))
+            break
+        slope0 = float(slope_grad @ d)
+        alpha_init = first_trial(payload, d, slope0)
+        payload = best = None  # live payloads: the best trial's and the one being evaluated
+
+        def chi(a, _x=x, _d=d):
+            nonlocal best
+            trial = project(_x + a * _d)
+            value, trial_payload = evaluate(trial)
+            # line_search accepts the first minimum below chi(0); NaN never
+            if value < f and (best is None or value < best[2]):
+                best = (a, trial, value, trial_payload)
+            return value
+
+        try:
+            alpha, _ = line_search(chi, alpha_init, chi0=f,
+                                   rounds=settings.line_search_rounds, slope0=slope0)
+        except (LineSearchError, solvermod.SingularMatrixError) as exc:
+            steps.append((f, 0.0, grad_norm, f"line search failed: {exc}"))
+            break
+        if best is None or best[0] != alpha:
+            raise RuntimeError(f"line search accepted alpha = {alpha!r}, "
+                               "which is not the best trial kept")
+        steps.append((f, alpha, grad_norm, ""))
+        f_prev = f
+        _, x, f, payload = best
+    return x, f, steps
+
 
 def minimize_lbfgs(fun, grad, x0, max_iterations=50, capacity=5, grad_tol=1e-8,
                    alpha_init=1.0, step_limit=None):
-    """Plain L-BFGS loop over a vector objective; returns (x, info dict).
+    """L-BFGS over a vector objective on the inversion's loop; returns (x, info).
 
     ``step_limit`` caps the first line-search trial at that move in the
     max norm, which sets a sane scale when the objective units are wild.
+    ``info["grad_norm"]`` is the norm of the last gradient taken, where the
+    last direction started (0.0 if none was taken).
     """
-    x = np.array(x0, dtype=float)
-    history = LbfgsHistory(capacity)
-    f = float(fun(x))
-    g = np.asarray(grad(x), dtype=float)
-    trace = [f]
-    for it in range(max_iterations):
-        if np.linalg.norm(g) < grad_tol:
-            break
-        d = lbfgs_direction(history, g)
-        a0 = alpha_init if step_limit is None else step_limit / np.abs(d).max()
-        try:
-            alpha, f_new = line_search(lambda a: float(fun(x + a * d)),
-                                       a0, chi0=f, slope0=float(g @ d))
-        except LineSearchError:
-            break
-        x_new = x + alpha * d
-        g_new = np.asarray(grad(x_new), dtype=float)
-        history.push(x_new - x, g_new - g)
-        x, f, g = x_new, f_new, g_new
-        trace.append(f)
-    return x, {"iterations": len(trace) - 1, "misfits": trace,
-               "grad_norm": float(np.linalg.norm(g))}
+    def first_trial(_, d, slope0):
+        return alpha_init if step_limit is None else step_limit / np.abs(d).max()
+
+    settings = InversionSettings(max_iterations=max_iterations, reduction_threshold=0.0,
+                                 lbfgs_capacity=capacity)
+    # one gradient gives both the slope and the direction
+    x, f, steps = _descend(np.array(x0, dtype=float), lambda x: (float(fun(x)), None),
+                           lambda x, _: (np.asarray(grad(x), dtype=float),) * 2,
+                           first_trial, lambda x: x, settings, grad_tol)
+    accepted = [s[0] for s in steps if not s[3]]
+    return x, {"iterations": len(accepted), "misfits": accepted + [f],
+               "grad_norm": steps[-1][2] if steps else 0.0}
 
 
 # -- inversion loop -------------------------------------------------------------
@@ -351,84 +396,38 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                         settings: InversionSettings, group_index=0) -> OptimizerState:
     """Minimize the misfit over one frequency group, starting from state.model.
 
-    The L-BFGS history restarts so the first step follows the negative
-    gradient; iteration stops at the cap, at a relative misfit reduction
-    below the threshold, or when the line search fails or a trial's system is
-    singular (keeping the last accepted model).  Only an iteration that
-    passes the stop tests takes a gradient, on the kept solve; it completes
-    the L-BFGS pair of the step before and gives the direction, the slope
-    chi'(0) along it and, with the Gauss-Newton curvature on the same
-    factorizations, the first trial step (``step_fraction`` ambient vs as
-    max|alpha d| when that step is not finite and positive).  The best
-    trial's misfit, residuals and factorizations are kept, so no model is
-    solved twice.
+    The loop starts a fresh L-BFGS history, so the first step follows the
+    negative gradient.  Gradients come from the kept solve, and the first
+    trial step is the Gauss-Newton step on its factorizations
+    (``step_fraction`` ambient vs as max|alpha d| when that step is not
+    finite and positive); trials are clamped to valid models.  Each driver
+    step is one log line, then comes the group end line.
     """
     omegas = tuple(float(w) for w in group)
     observed = data.observed_records(omegas)
-    model = state.model
-    history = LbfgsHistory(settings.lbfgs_capacity)
-    log = list(state.log)
-    alpha = 0.0  # the last accepted step, logged at the group's end
-    grad_norm = 0.0  # of the last gradient taken, logged at the group's end
-    previous = None  # (model values, gradient) where the last direction started
 
-    chi, delta, kept = _group_misfit(model, omegas, data, observed)
-    chi_prev = None
-    iterations = 0
-    for j in range(settings.max_iterations):
-        if chi == 0.0:
-            break
-        if chi_prev is not None and (chi_prev - chi) < settings.reduction_threshold * chi_prev:
-            break
-        raw_vec, grad_vec = _group_gradient(data, delta, kept)
-        grad_norm = float(np.linalg.norm(grad_vec))
-        if previous is not None:
-            history.push(model.values - previous[0], grad_vec - previous[1])
-        previous = (model.values, grad_vec)
-        d = lbfgs_direction(history, grad_vec)
-        dmax = np.abs(d).max()
-        if dmax == 0.0:
-            log.append(IterationRecord(group_index, j, chi, 0.0, grad_norm, "zero gradient"))
-            break
-        slope0 = float(raw_vec @ d)
-        curvature = _gauss_newton_curvature(data, kept, d)
-        alpha_init = -slope0 / (2.0 * curvature) if curvature > 0.0 else np.nan
-        if not 0.0 < alpha_init < np.inf:
-            alpha_init = settings.step_fraction * data.ambient_vs / dmax
-        kept = None  # live contexts: the best trial kept and the one being solved
-        best = None  # (alpha, model, chi, residuals, kept) of the best trial
+    def evaluate(x):
+        chi, delta, kept = _group_misfit(matmod.ModelVector(x), omegas, data, observed)
+        return chi, (delta, kept)
 
-        def chi_of(a, _m=model, _d=d):
-            nonlocal best
-            trial = matmod.ModelVector(matmod.clamp_to_valid(_m.values + a * _d))
-            value, residuals, trial_kept = _group_misfit(trial, omegas, data,
-                                                         observed)
-            # line_search accepts the first minimum below chi(0); NaN never
-            if value < chi and (best is None or value < best[2]):
-                best = (a, trial, value, residuals, trial_kept)
-            return value
+    def first_trial(payload, d, slope0):
+        curvature = _gauss_newton_curvature(data, payload[1], d)
+        alpha = -slope0 / (2.0 * curvature) if curvature > 0.0 else np.nan
+        if not 0.0 < alpha < np.inf:
+            alpha = settings.step_fraction * data.ambient_vs / np.abs(d).max()
+        return alpha
 
-        try:
-            alpha, _ = line_search(chi_of, alpha_init, chi0=chi,
-                                   rounds=settings.line_search_rounds,
-                                   slope0=slope0)
-        except (LineSearchError, solvermod.SingularMatrixError) as exc:
-            log.append(IterationRecord(group_index, j, chi, 0.0, grad_norm,
-                                       f"line search failed: {exc}"))
-            break
-
-        if best is None or best[0] != alpha:
-            raise RuntimeError(f"line search accepted alpha = {alpha!r}, "
-                               "which is not the best trial kept")
-        _, model, chi_new, delta, kept = best
-        best = None
-        log.append(IterationRecord(group_index, j, chi, alpha, grad_norm))
-        chi_prev, chi = chi, chi_new
-        iterations += 1
-
-    log.append(IterationRecord(group_index, iterations, chi, alpha, grad_norm,
-                               "group end"))
-    return OptimizerState(model=model, iteration=state.iteration + iterations, log=log)
+    x, chi, steps = _descend(state.model.values, evaluate,
+                             lambda x, payload: _group_gradient(data, *payload),
+                             first_trial, matmod.clamp_to_valid, settings)
+    log = list(state.log) + [IterationRecord(group_index, j, *s) for j, s in enumerate(steps)]
+    accepted = [s for s in steps if not s[3]]
+    # the group's own last step (0.0 if none) and its last gradient (0.0 if none)
+    log.append(IterationRecord(group_index, len(accepted), chi,
+                               accepted[-1][1] if accepted else 0.0,
+                               steps[-1][2] if steps else 0.0, "group end"))
+    return OptimizerState(model=matmod.ModelVector(x),
+                          iteration=state.iteration + len(accepted), log=log)
 
 
 @dataclass
@@ -467,9 +466,10 @@ def format_log(entries):
     from; on a group end line, at the start of the group's last direction."""
     lines = ["# group iteration chi alpha grad_norm note"]
     for r in entries:
-        note = r.note.replace("\n", " ").replace(" ", "_") if r.note else "-"
-        lines.append(f"{r.group} {r.iteration} {float(r.chi)!r} "
-                     f"{float(r.alpha)!r} {float(r.grad_norm)!r} {note}")
+        # % and _ escaped, so a note keeps its underscores through parse_log
+        note = r.note.replace("%", "%25").replace("_", "%5F").replace("\n", " ")
+        lines.append(f"{r.group} {r.iteration} {float(r.chi)!r} {float(r.alpha)!r} "
+                     f"{float(r.grad_norm)!r} {note.replace(' ', '_') or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -480,7 +480,7 @@ def parse_log(text):
         if not ln.strip() or ln.startswith("#"):
             continue
         g, it, chi, alpha, gn, note = ln.split()
+        note = note.replace("_", " ").replace("%5F", "_").replace("%25", "%")
         entries.append(IterationRecord(int(g), int(it), float(chi), float(alpha),
-                                       float(gn),
-                                       "" if note == "-" else note.replace("_", " ")))
+                                       float(gn), "" if note == "-" else note))
     return entries

@@ -512,9 +512,14 @@ def test_validation_table_short_or_non_numeric_row(tmp_path):
 def test_convergence_log_round_trip():
     from tunnelfwi.optimize import IterationRecord, format_log, parse_log
     entries = [IterationRecord(0, 0, 1.25e-3, 0.5, 3.75e-6),
-               IterationRecord(1, 2, 9.5e-4, 0.0, 1.0e-7, "line search failed")]
-    back = parse_log(format_log(entries))
+               IterationRecord(1, 2, 9.5e-4, 0.0, 1.0e-7, "line search failed"),
+               IterationRecord(1, 3, 9.5e-4, 0.0, 1.0e-7,
+                               "line search failed: alpha_init must be > 0 (100%5F_%)")]
+    text = format_log(entries)
+    back = parse_log(text)
     assert back == entries
+    # a note without % or _ keeps its bytes: spaces become underscores
+    assert " line_search_failed\n" in text
 
 
 @pytest.mark.parametrize("make, read, row", [

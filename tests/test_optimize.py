@@ -68,6 +68,14 @@ def test_history_rejects_nonpositive_curvature():
     assert len(h) == 1
 
 
+def test_history_rejects_a_nan_pair():
+    # a stored NaN pair would make every later direction NaN
+    h = LbfgsHistory(5)
+    assert not h.push(np.array([1.0, np.nan]), np.array([2.0, 0.0]))
+    assert len(h) == 0
+    assert np.all(np.isfinite(lbfgs_direction(h, np.array([1.0, -2.0]))))
+
+
 def test_history_capacity():
     h = LbfgsHistory(2)
     for i in range(4):
@@ -233,8 +241,16 @@ def test_line_search_stops_once_the_vertex_settles():
 
 
 def test_line_search_requires_positive_init():
-    with pytest.raises(LineSearchError):
-        line_search(lambda a: a * a, 0.0)
+    calls = []
+
+    def chi(a):
+        calls.append(a)
+        return a * a
+
+    for alpha_init in (0.0, np.nan, np.inf):
+        with pytest.raises(LineSearchError, match="alpha_init must be positive and finite"):
+            line_search(chi, alpha_init)
+    assert calls == []
 
 
 # -- generic driver ----------------------------------------------------------------
@@ -265,6 +281,35 @@ def test_minimize_misfits_decrease():
     _, info = minimize_lbfgs(fun, grad, rng.normal(size=3), max_iterations=15)
     m = info["misfits"]
     assert all(b < a for a, b in zip(m, m[1:]))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_minimize_stopped_by_the_cap_takes_one_gradient_per_iteration(k):
+    Q = np.diag([1.0, 4.0, 9.0])
+    points = []
+
+    def grad(x):
+        points.append(x)
+        return Q @ x
+
+    x, info = minimize_lbfgs(lambda x: 0.5 * x @ Q @ x, grad, np.ones(3),
+                             max_iterations=k, grad_tol=0.0)
+    assert info["iterations"] == k
+    assert len(points) == k
+    # the norm of the last gradient taken, where the last direction started
+    assert info["grad_norm"] == np.linalg.norm(Q @ points[-1])
+    assert not np.array_equal(x, points[-1])
+
+
+def test_minimize_at_an_exact_minimizer_takes_no_step():
+    Q, b = np.diag([1.0, 4.0]), np.array([2.0, 8.0])
+    x0 = np.array([2.0, 2.0])  # Q x0 = b exactly
+    x, info = minimize_lbfgs(lambda x: 0.5 * x @ Q @ x - b @ x, lambda x: Q @ x - b,
+                             x0, grad_tol=0.0, step_limit=1.0)
+    np.testing.assert_array_equal(x, x0)
+    assert info["iterations"] == 0
+    assert info["misfits"] == [-10.0]
+    assert info["grad_norm"] == 0.0
 
 
 # -- inversion loop ----------------------------------------------------------------
