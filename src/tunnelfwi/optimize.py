@@ -161,7 +161,6 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
     if not 0.0 < alpha_init < np.inf:
         raise LineSearchError(f"alpha_init must be positive and finite, got {alpha_init}")
     f0 = chi(0.0) if chi0 is None else float(chi0)
-
     samples = {0.0: f0}
 
     def evaluate(a):
@@ -219,27 +218,26 @@ def line_search(chi, alpha_init, chi0=None, rounds=5, slope0=None):
 
 # -- L-BFGS driver ------------------------------------------------------------------
 
-def _descend(x, evaluate, gradient, first_trial, project, settings, grad_tol=0.0):
+def _descend(x, evaluate, gradient, first_trial, project, max_iterations, capacity,
+             rounds, grad_tol=0.0, stop=lambda f, f_prev: False, errors=(LineSearchError,)):
     """The one L-BFGS loop (Nocedal & Wright, Numerical Optimization, Alg. 7.5).
 
     ``evaluate(x)`` gives (f, payload), ``gradient(x, payload)`` the gradients
     for the slope f'(0) and for the two-loop recursion, ``first_trial(payload,
     d, slope0)`` the first trial step and ``project`` the trial point of
-    x + alpha d.  Before each gradient run the stop tests: the cap, f = 0 and
-    a reduction below the threshold times the previous f.  A zero gradient
-    (norm below ``grad_tol``), a failed search or a singular trial system
-    ends the run at the last accepted x.  Returns (x, f, steps), one step
-    (f, alpha, grad_norm, note) per iteration, f and grad_norm where its
-    direction started; a stop step has alpha 0.0 and a note.
+    x + alpha d.  The cap or ``stop(f, f_prev)`` (f_prev None at first) ends
+    the run before a gradient; a zero gradient (norm below ``grad_tol``) or
+    one of ``errors`` from the line search ends it at the last accepted x.
+    Returns (x, f, steps), one step (f, alpha, grad_norm, note) per iteration
+    at its direction's start; a stop step has alpha 0.0 and a note.
     """
-    history = LbfgsHistory(settings.lbfgs_capacity)
+    history = LbfgsHistory(capacity)
     # evaluated here, so the caller holds no payload through the iteration
     f, payload = evaluate(x)
     f_prev = previous = None  # previous: (x, gradient) where the last direction started
     steps = []
-    for _ in range(settings.max_iterations):
-        if f == 0.0 or (f_prev is not None
-                        and (f_prev - f) < settings.reduction_threshold * f_prev):
+    for _ in range(max_iterations):
+        if stop(f, f_prev):
             break
         slope_grad, g = gradient(x, payload)
         grad_norm = float(np.linalg.norm(g))
@@ -264,9 +262,8 @@ def _descend(x, evaluate, gradient, first_trial, project, settings, grad_tol=0.0
             return value
 
         try:
-            alpha, _ = line_search(chi, alpha_init, chi0=f,
-                                   rounds=settings.line_search_rounds, slope0=slope0)
-        except (LineSearchError, solvermod.SingularMatrixError) as exc:
+            alpha, _ = line_search(chi, alpha_init, chi0=f, rounds=rounds, slope0=slope0)
+        except errors as exc:
             steps.append((f, 0.0, grad_norm, f"line search failed: {exc}"))
             break
         if best is None or best[0] != alpha:
@@ -284,18 +281,15 @@ def minimize_lbfgs(fun, grad, x0, max_iterations=50, capacity=5, grad_tol=1e-8,
 
     ``step_limit`` caps the first line-search trial at that move in the
     max norm, which sets a sane scale when the objective units are wild.
-    ``info["grad_norm"]`` is the norm of the last gradient taken, where the
-    last direction started (0.0 if none was taken).
+    ``info["grad_norm"]`` is the norm of the last gradient taken (0.0 if none).
     """
     def first_trial(_, d, slope0):
         return alpha_init if step_limit is None else step_limit / np.abs(d).max()
 
-    settings = InversionSettings(max_iterations=max_iterations, reduction_threshold=0.0,
-                                 lbfgs_capacity=capacity)
-    # one gradient gives both the slope and the direction
+    # f may take any sign, so no stop rule; one gradient gives slope and direction
     x, f, steps = _descend(np.array(x0, dtype=float), lambda x: (float(fun(x)), None),
                            lambda x, _: (np.asarray(grad(x), dtype=float),) * 2,
-                           first_trial, lambda x: x, settings, grad_tol)
+                           first_trial, lambda x: x, max_iterations, capacity, 5, grad_tol)
     accepted = [s[0] for s in steps if not s[3]]
     return x, {"iterations": len(accepted), "misfits": accepted + [f],
                "grad_norm": steps[-1][2] if steps else 0.0}
@@ -417,9 +411,15 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
             alpha = settings.step_fraction * data.ambient_vs / np.abs(d).max()
         return alpha
 
-    x, chi, steps = _descend(state.model.values, evaluate,
-                             lambda x, payload: _group_gradient(data, *payload),
-                             first_trial, matmod.clamp_to_valid, settings)
+    def stop(chi, prev):  # the misfit is never negative, so 0 is a minimizer
+        return chi == 0.0 or (prev is not None
+                              and prev - chi < settings.reduction_threshold * prev)
+
+    x, chi, steps = _descend(
+        state.model.values, evaluate, lambda x, payload: _group_gradient(data, *payload),
+        first_trial, matmod.clamp_to_valid, settings.max_iterations,
+        settings.lbfgs_capacity, settings.line_search_rounds, stop=stop,
+        errors=(LineSearchError, solvermod.SingularMatrixError))
     log = list(state.log) + [IterationRecord(group_index, j, *s) for j, s in enumerate(steps)]
     accepted = [s for s in steps if not s[3]]
     # the group's own last step (0.0 if none) and its last gradient (0.0 if none)

@@ -312,6 +312,28 @@ def test_minimize_at_an_exact_minimizer_takes_no_step():
     assert info["grad_norm"] == 0.0
 
 
+
+def test_minimize_from_a_zero_objective_value():
+    # f(x0) = 0 is no minimizer for an objective of any sign
+    Q, b = np.diag([1.0, 4.0, 9.0]), np.array([1.0, -2.0, 3.0])
+    x, info = minimize_lbfgs(lambda x: 0.5 * x @ Q @ x - b @ x, lambda x: Q @ x - b,
+                             np.zeros(3), max_iterations=20)
+    assert info["misfits"][0] == 0.0 and info["iterations"] > 0
+    np.testing.assert_allclose(Q @ x, b, atol=1e-7)
+
+
+def test_minimize_passes_a_singular_system_on():
+    # only the inversion turns a singular trial into a stop; here the error is the caller's
+    from tunnelfwi import solver
+
+    def fun(x):
+        if x[0] != 1.0:
+            raise solver.SingularMatrixError("zero pivot")
+        return float(x @ x)
+
+    with pytest.raises(solver.SingularMatrixError):
+        minimize_lbfgs(fun, lambda x: 2.0 * x, np.ones(2))
+
 # -- inversion loop ----------------------------------------------------------------
 
 def toy_problem(true_vp=4100.0, true_vs=2350.0, omegas=(1200.0, 2000.0)):
