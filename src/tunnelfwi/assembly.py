@@ -436,8 +436,8 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     """
     cfg.validate()
     profile.validate()
-    if omega <= 0:
-        raise AssemblyError(f"omega must be > 0, got {omega}")
+    if not 0 < omega < np.inf:
+        raise AssemblyError(f"omega must be finite and > 0, got {omega}")
     if dof_map is None:
         dof_map = DofMap(mesh, cfg.degree)
     check_dof_map(dof_map, mesh, cfg.degree)

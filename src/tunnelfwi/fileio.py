@@ -215,6 +215,9 @@ def is_frequency_record_file(path):
 
 def write_greens_sweep(path, omegas, values, n_receivers):
     """``values`` has shape (n_frequencies, n_receivers, 2)."""
+    if np.shape(values) != (len(omegas), n_receivers, 2):
+        raise FileFormatError(f"sweep values have shape {np.shape(values)}, "
+                              f"expected ({len(omegas)}, {n_receivers}, 2)")
     with open(path, "w") as f:
         f.write("# greens-sweep\n")
         f.write(f"n_receivers = {n_receivers}\n")

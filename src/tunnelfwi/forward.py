@@ -1,7 +1,9 @@
 """Frequency-domain wave fields, receiver sampling and frequency sweeps.
 
 All sources of one frequency share a single factorization of the impedance
-matrix; sweeps may raise the polynomial degree with frequency.
+matrix.  ``solve_records`` is the one frequency loop: a Green's sweep runs it
+on a one-source layout, and it may raise the polynomial degree with
+frequency.  Every solver error names the frequency and the degree.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class RecordSet:
     def __post_init__(self):
         self.omegas = np.asarray(self.omegas, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if np.any(self.omegas <= 0):
-            raise ForwardError("record frequencies must be strictly positive")
+        if not np.all((self.omegas > 0) & (self.omegas < np.inf)):
+            raise ForwardError("record frequencies must be finite and strictly positive")
         nf, ns, nr, nd = self.values.shape
         if nf != len(self.omegas) or nd != 2:
             raise ForwardError("record array shape does not match its index ranges")
@@ -78,9 +80,9 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     try:  # the solve may refactorize with pivoting
         fact = solvermod.factorize(system.L)
         U = fact.solve(S.T @ columns)
-    except solvermod.SolverMemoryError as exc:
-        raise solvermod.SolverMemoryError(
-            f"{exc} at omega = {omega}, degree {dof_map.p}") from exc
+    except (solvermod.SolverMemoryError, solvermod.SingularMatrixError,
+            solvermod.SolveError) as exc:
+        raise type(exc)(f"{exc} at omega = {omega}, degree {dof_map.p}") from exc
     fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dof_map)
               for k in range(n_s)]
     return ForwardResult(fields=fields, system=system, factorization=fact)
@@ -94,22 +96,27 @@ def sample_receivers(field: WaveField, mesh, layout) -> np.ndarray:
 
 
 def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
-                  dof_map=None, keep=False):
+                  dof_map=None, keep=False, degree_for=None):
     """Records over a frequency list; optionally keep fields/factorizations.
 
-    ``f_omega_of`` maps omega to the complex source amplitude.  Unless kept,
-    each frequency's system, factors and fields are released once its
-    records are sampled, before the next frequency is assembled.
+    ``f_omega_of`` maps omega to the complex source amplitude.  ``degree_for``
+    may map omega to a polynomial degree so that higher frequencies get
+    richer elements; the default keeps cfg.degree.  A given ``dof_map``
+    serves the frequencies of its degree.  Unless kept, each frequency's
+    system, factors and fields are released once its records are sampled,
+    before the next frequency is assembled.
     """
-    if dof_map is None:
-        dof_map = asmmod.DofMap(mesh, cfg.degree)
+    maps = {} if dof_map is None else {dof_map.p: dof_map}
     omegas = np.asarray(omegas, dtype=float)
     values = np.empty((len(omegas), layout.n_sources, layout.n_receivers, 2),
                       dtype=complex)
     kept = []
     for fi, omega in enumerate(omegas):
+        p = cfg.degree if degree_for is None else int(degree_for(omega))
+        run_cfg = cfg if p == cfg.degree else replace(cfg, degree=p, quad_points=None)
         res = forward_solve(mesh, model, rho, omega, layout, f_omega_of(omega),
-                            profile, cfg, dof_map=dof_map)
+                            profile, run_cfg, dof_map=maps.get(p))
+        maps[p] = res.system.dof_map
         values[fi] = [sample_receivers(field, mesh, layout) for field in res.fields]
         if keep:
             kept.append(res)
@@ -121,31 +128,15 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
 
 def greens_sweep(mesh, model, rho, source, omega_start, omega_end, d_omega,
                  layout, profile, cfg, degree_for=None):
-    """Unit-amplitude spectra at every receiver over a frequency range.
-
-    ``degree_for`` may map omega to a polynomial degree so that higher
-    frequencies get richer elements; the default keeps cfg.degree.
+    """Unit-amplitude spectra at every receiver over a frequency range:
+    ``solve_records`` on a one-source layout, with the same ``degree_for``.
     """
-    if omega_start <= 0 or d_omega <= 0 or omega_end < omega_start:
-        raise ForwardError("need omega_start > 0, d_omega > 0, omega_end >= start")
+    if not (0 < omega_start <= omega_end < np.inf and 0 < d_omega < np.inf):
+        raise ForwardError("need finite omega_start > 0, omega_end >= omega_start "
+                           f"and d_omega > 0, got {omega_start}, {omega_end}, "
+                           f"{d_omega}")
     n = int(np.floor((omega_end - omega_start) / d_omega + 1e-9)) + 1
     omegas = omega_start + d_omega * np.arange(n)
-
     sweep_layout = meshmod.StationLayout(sources=(source,), receivers=layout.receivers)
-    values = np.empty((n, layout.n_receivers, 2), dtype=complex)
-    maps = {}
-    for fi, omega in enumerate(omegas):
-        p = cfg.degree if degree_for is None else int(degree_for(omega))
-        run_cfg = cfg if p == cfg.degree else replace(cfg, degree=p, quad_points=None)
-        if p not in maps:
-            maps[p] = asmmod.DofMap(mesh, p)
-        try:
-            res = forward_solve(mesh, model, rho, omega, sweep_layout, 1.0,
-                                profile, run_cfg, dof_map=maps[p])
-            values[fi] = sample_receivers(res.fields[0], mesh, sweep_layout)
-            del res  # released before the next frequency is assembled
-        except solvermod.SolverMemoryError:
-            raise  # forward_solve's message already names omega and the degree
-        except Exception as exc:
-            raise ForwardError(f"sweep failed at omega = {omega}: {exc}") from exc
-    return omegas, values
+    return omegas, solve_records(mesh, model, rho, omegas, sweep_layout, lambda w: 1.0,
+                                 profile, cfg, degree_for=degree_for).values[:, 0]

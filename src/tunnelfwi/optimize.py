@@ -16,6 +16,7 @@ rising top frequency and hand their model to the next group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -466,10 +467,13 @@ def format_log(entries):
     from; on a group end line, at the start of the group's last direction."""
     lines = ["# group iteration chi alpha grad_norm note"]
     for r in entries:
-        # % and _ escaped, so a note keeps its underscores through parse_log
-        note = r.note.replace("%", "%25").replace("_", "%5F").replace("\n", " ")
+        # one token per note: %, _ and all whitespace but the space
+        # percent-encoded, then spaces as _; "" is written - and "-" %2D
+        note = "".join("".join(f"%{b:02X}" for b in c.encode())
+                       if c in "%_" or (c.isspace() and c != " ") else c for c in r.note)
         lines.append(f"{r.group} {r.iteration} {float(r.chi)!r} {float(r.alpha)!r} "
-                     f"{float(r.grad_norm)!r} {note.replace(' ', '_') or '-'}")
+                     f"{float(r.grad_norm)!r} "
+                     f"{'%2D' if note == '-' else note.replace(' ', '_') or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -480,7 +484,7 @@ def parse_log(text):
         if not ln.strip() or ln.startswith("#"):
             continue
         g, it, chi, alpha, gn, note = ln.split()
-        note = note.replace("_", " ").replace("%5F", "_").replace("%25", "%")
+        note = "" if note == "-" else unquote(note.replace("_", " "))
         entries.append(IterationRecord(int(g), int(it), float(chi), float(alpha),
-                                       float(gn), "" if note == "-" else note))
+                                       float(gn), note))
     return entries

@@ -414,6 +414,17 @@ def test_greens_sweep_file_round_trip(tmp_path):
     assert np.array_equal(v2, values)
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 2), (1, 1, 2), (2, 2, 2), (1, 2)],
+                         ids=["extra_receiver", "short", "extra_frequency",
+                              "no_direction"])
+def test_greens_sweep_writer_checks_shape(tmp_path, shape):
+    path = tmp_path / "sweep.txt"
+    with pytest.raises(FileFormatError,
+                       match=r"sweep values have shape .*expected \(1, 2, 2\)"):
+        fileio.write_greens_sweep(path, np.array([100.0]), np.ones(shape, complex), 2)
+    assert not path.exists()
+
+
 def _records_file(tmp_path):
     rng = np.random.default_rng(95)
     observed = {500.0: rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))}
@@ -514,12 +525,19 @@ def test_convergence_log_round_trip():
     entries = [IterationRecord(0, 0, 1.25e-3, 0.5, 3.75e-6),
                IterationRecord(1, 2, 9.5e-4, 0.0, 1.0e-7, "line search failed"),
                IterationRecord(1, 3, 9.5e-4, 0.0, 1.0e-7,
-                               "line search failed: alpha_init must be > 0 (100%5F_%)")]
+                               "line search failed: alpha_init must be > 0 (100%5F_%)"),
+               # whitespace other than a space, and notes that look like the empty one
+               IterationRecord(2, 0, 1.0, 0.0, 0.0, "a\tb"),
+               IterationRecord(2, 1, 1.0, 0.0, 0.0, "x\x1cy\u2028z\x85"),
+               IterationRecord(2, 2, 1.0, 0.0, 0.0, "first\nsecond"),
+               IterationRecord(2, 3, 1.0, 0.0, 0.0, "-"),
+               IterationRecord(2, 4, 1.0, 0.0, 0.0, "")]
     text = format_log(entries)
     back = parse_log(text)
     assert back == entries
     # a note without % or _ keeps its bytes: spaces become underscores
     assert " line_search_failed\n" in text
+    assert len(text.splitlines()) == 1 + len(entries)
 
 
 @pytest.mark.parametrize("make, read, row", [

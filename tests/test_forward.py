@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from tunnelfwi import assembly as asmmod
 from tunnelfwi import solver
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
                                 shape_functions)
-from tunnelfwi.forward import (ForwardError, forward_solve, greens_sweep,
+from tunnelfwi.forward import (ForwardError, RecordSet, forward_solve, greens_sweep,
                                sample_receivers, solve_records)
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
@@ -295,10 +297,11 @@ def test_greens_sweep_degree_schedule():
 @pytest.mark.parametrize("raised, expected, message", [
     (MemoryError, solver.SolverMemoryError,
      r"^out of memory factorizing n = \d+, nnz = \d+ at omega = 500.0, degree 1$"),
-    (RuntimeError, ForwardError, r"^sweep failed at omega = 500.0: factorization failed"),
+    (RuntimeError, solver.SingularMatrixError,
+     r"^factorization failed.* at omega = 500.0, degree 1$"),
 ])
 def test_greens_sweep_errors_name_omega_once(monkeypatch, raised, expected, message):
-    # an out-of-memory factorization escapes as it is; other errors are wrapped
+    # a solver error keeps its type and gains the frequency and the degree
     def failing(*args, **kwargs):
         raise raised
 
@@ -316,10 +319,74 @@ def test_greens_sweep_invalid_range():
     mesh, model, profile, cfg = small_setup(degree=1)
     src = Source((8.0, 4.0), (0.0, 1.0))
     layout = StationLayout(sources=(src,), receivers=())
-    with pytest.raises(ForwardError):
-        greens_sweep(mesh, model, RHO, src, 0.0, 100.0, 10.0, layout, profile, cfg)
-    with pytest.raises(ForwardError):
-        greens_sweep(mesh, model, RHO, src, 100.0, 50.0, 10.0, layout, profile, cfg)
+    before = solver.factorization_count()
+    for start, end, step in [(0.0, 100.0, 10.0), (100.0, 50.0, 10.0),
+                             (100.0, np.inf, 10.0), (np.nan, 200.0, 10.0),
+                             (100.0, np.nan, 10.0), (100.0, 200.0, np.nan),
+                             (100.0, 200.0, np.inf), (-np.inf, 200.0, 10.0)]:
+        with pytest.raises(ForwardError, match=r"need finite omega_start > 0.*, got "):
+            greens_sweep(mesh, model, RHO, src, start, end, step, layout, profile, cfg)
+    assert solver.factorization_count() == before
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 0.0])
+def test_non_finite_omega_fails_before_assembly(omega):
+    mesh, model, profile, cfg = small_setup(degree=1)
+    layout = StationLayout(sources=(Source((8.0, 4.0), (0.0, 1.0)),),
+                           receivers=(Receiver((10.0, 4.0)),))
+    before = solver.factorization_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssemblyError,
+                           match=f"omega must be finite and > 0, got {omega}"):
+            forward_solve(mesh, model, RHO, omega, layout, 1.0, profile, cfg)
+        with pytest.raises(AssemblyError, match=f"got {omega}"):
+            solve_records(mesh, model, RHO, [800.0, omega], layout, lambda w: 1.0,
+                          profile, cfg)
+    assert solver.factorization_count() == before + 1  # 800 only
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
+def test_record_set_needs_finite_positive_frequencies(omega):
+    layout = StationLayout(sources=(Source((8.0, 4.0), (0.0, 1.0)),),
+                           receivers=(Receiver((10.0, 4.0)),))
+    with pytest.raises(ForwardError, match="finite and strictly positive"):
+        RecordSet(omegas=[500.0, omega], values=np.zeros((2, 1, 1, 2)),
+                  mask=layout.direction_mask(), layout=layout)
+
+
+def test_solve_records_degree_rule_matches_fixed_degrees(monkeypatch):
+    # each frequency's records equal a fixed-degree run bitwise, and a given
+    # dof map serves its own degree: only the p = 1 map is built
+    mesh, model, profile, cfg = small_setup(degree=2)
+    layout = StationLayout(sources=(Source((7.0, 4.0), (1.0, 0.0)),
+                                    Source((9.0, 4.0), (0.0, 1.0))),
+                           receivers=(Receiver((11.0, 4.0)), Receiver((11.0, 5.0))))
+    omegas = [800.0, 1200.0, 1600.0]
+    rule = {800.0: 1, 1200.0: 2, 1600.0: 1}.__getitem__
+    amplitude = lambda w: 1.0 + 0.001j * w  # noqa: E731
+    dm2 = DofMap(mesh, 2)
+    built = []
+    init = DofMap.__init__
+
+    def counted(self, mesh, p):
+        built.append(p)
+        init(self, mesh, p)
+
+    monkeypatch.setattr(DofMap, "__init__", counted)
+    records, kept = solve_records(mesh, model, RHO, omegas, layout, amplitude,
+                                  profile, cfg, dof_map=dm2, keep=True,
+                                  degree_for=rule)
+    assert built == [1]
+    assert [res.system.dof_map.p for res in kept] == [1, 2, 1]
+    assert kept[1].system.dof_map is dm2
+    assert kept[0].system.dof_map is kept[2].system.dof_map
+    for p in (1, 2):
+        fixed = solve_records(mesh, model, RHO, omegas, layout, amplitude, profile,
+                              replace(cfg, degree=p, quad_points=None))
+        for fi, w in enumerate(omegas):
+            if rule(w) == p:
+                assert records.values[fi].tobytes() == fixed.values[fi].tobytes()
 
 
 # One case-study solve at the top schedule frequency: the blindtest mesh at

@@ -519,7 +519,7 @@ def test_run_inversion_records_singular_group(monkeypatch):
     ended = []
     res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3),
                         on_group_end=lambda gi, state: ended.append(gi))
-    assert res.failures == [(0, "zero pivot")]
+    assert res.failures == [(0, "zero pivot at omega = 1200.0, degree 1")]
     assert ended == [0, 1]
     np.testing.assert_array_equal(res.model.values, truth.values)
 
@@ -558,8 +558,8 @@ def test_singular_trial_keeps_the_accepted_iterations(monkeypatch):
                         on_group_end=lambda gi, state: ended.setdefault(gi, state))
     assert failed and res.failures == []
     first = [r for r in ended[0].log if r.group == 0]
-    assert [r.note for r in first] == ["", "line search failed: zero pivot",
-                                       "group end"]
+    assert [r.note for r in first] == [
+        "", "line search failed: zero pivot at omega = 1200.0, degree 1", "group end"]
     assert first[0].alpha > 0.0 and first[-1].chi < first[0].chi
     assert ended[0].iteration == 1
     assert not np.array_equal(ended[0].model.values, start.values)
