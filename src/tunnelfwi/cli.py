@@ -90,7 +90,9 @@ def cmd_greens(cfg, args):
         mesh, model, ambient.rho, layout.sources[args.source], s["sweep_start"],
         s["sweep_end"], s["sweep_step"], layout, cfg.profile(),
         cfg.discretization(), degree_for=cfg.degree_for())
-    fileio.write_greens_sweep(args.output, omegas, values, layout.n_receivers)
+    # the records of a one-source layout: s0 is the --source station
+    spectra = {float(w): values[i][None] for i, w in enumerate(omegas)}
+    fileio.write_frequency_records(args.output, spectra, 1, layout.n_receivers)
     print(f"wrote {len(omegas)} frequencies to {args.output}")
     return 0
 
@@ -115,15 +117,12 @@ def cmd_dft(cfg, args):
 
 
 def _load_observed(records_path, layout, omegas):
-    """Spectra at ``omegas``: frequency records as read, time records
-    transformed in memory."""
+    """Spectra at ``omegas``: frequency records as read (``run_inversion``
+    names a scheduled omega they lack), time records transformed in memory."""
     if not fileio.is_frequency_record_file(records_path):
         return fileio.records_to_spectra(fileio.read_time_records(records_path),
                                          omegas, layout)
     observed = fileio.read_frequency_records(records_path)
-    missing = [w for w in omegas if w not in observed]
-    if missing:
-        raise CliError(f"records lack scheduled frequencies: {missing}")
     n_s, n_r, _ = next(iter(observed.values())).shape
     if (n_s, n_r) != (layout.n_sources, layout.n_receivers):
         raise CliError(f"{records_path}: records have {n_s} sources and {n_r} "
@@ -150,10 +149,10 @@ def cmd_invert(cfg, args):
         observed={float(w): np.asarray(v) for w, v in observed.items()},
         source_amplitude=_source_amplitude(cfg), mask=mask)
 
-    os.makedirs(args.output, exist_ok=True)
-
     def on_group_end(gi, state):
-        # each finished group's model and the log so far survive a later kill
+        # each finished group's model and the log so far survive a later
+        # kill; input that cannot run fails before the directory exists
+        os.makedirs(args.output, exist_ok=True)
         fileio.write_atomically(
             os.path.join(args.output, f"model_group_{gi:02d}.txt"),
             lambda tmp: fileio.write_model_grid(tmp, state.model, mesh))

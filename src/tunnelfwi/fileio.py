@@ -67,59 +67,6 @@ def _number_row(path, line_no, line, n_cols):
     return values
 
 
-def _parse_spectrum_rows(path, lines, start, prefixes, sizes):
-    """Rows ``omega <prefix><index>... <x|y> re im`` into {omega: array}.
-
-    ``prefixes`` name the index columns ("s", "r") and ``sizes`` their
-    ranges; each array has shape ``sizes + (2,)``.  Every frequency must
-    carry the full set of (index..., direction) rows, each once.
-    """
-    shape = tuple(sizes) + (2,)
-    n_cols = len(prefixes) + 4
-    rows = {}  # omega -> (line of its first row, values, which rows were read)
-    for line_no, ln in enumerate(lines[start:], start=start + 1):
-        if not ln.strip():
-            continue
-        where = f"{path}:{line_no}"
-        toks = ln.split()
-        if len(toks) != n_cols:
-            raise FileFormatError(f"{where}: expected {n_cols} columns")
-        key = []
-        for tok, prefix, size in zip(toks[1:], prefixes, sizes):
-            if not (tok[:1] == prefix and tok[1:].isdecimal() and int(tok[1:]) < size):
-                raise FileFormatError(
-                    f"{where}: expected {prefix}0..{prefix}{size - 1}, got {tok!r}")
-            key.append(int(tok[1:]))
-        if toks[-3] not in _DIR_INDEX:
-            raise FileFormatError(f"{where}: direction must be x or y, got {toks[-3]!r}")
-        key = (*key, _DIR_INDEX[toks[-3]])
-        try:
-            omega = float(toks[0])
-            value = complex(float(toks[-2]), float(toks[-1]))
-        except ValueError:
-            raise FileFormatError(f"{where}: malformed number") from None
-        if not (np.isfinite(omega) and np.isfinite(value)):
-            raise FileFormatError(f"{where}: number is not finite")
-        if omega not in rows:
-            rows[omega] = (line_no, np.zeros(shape, dtype=complex),
-                           np.zeros(shape, dtype=bool))
-        _, values, seen = rows[omega]
-        if seen[key]:
-            raise FileFormatError(f"{where}: repeated row {' '.join(toks[:-2])}")
-        values[key] = value
-        seen[key] = True
-    if not rows:
-        raise FileFormatError(f"{path}: no records found")
-    for omega, (line_no, _, seen) in rows.items():
-        if not seen.all():
-            *idx, d = np.argwhere(~seen)[0]
-            row = " ".join(f"{p}{i}" for p, i in zip(prefixes, idx))
-            raise FileFormatError(
-                f"{path}:{line_no}: frequency {omega!r} lacks {int((~seen).sum())} "
-                f"rows, first {row} {_DIR_LETTER[d]}")
-    return {omega: values for omega, (_, values, _) in rows.items()}
-
-
 # -- time records -------------------------------------------------------------
 
 def write_time_records(path, traces):
@@ -127,15 +74,15 @@ def write_time_records(path, traces):
     keys = sorted(traces)
     first = traces[keys[0]]
     nt = len(first.samples)
+    if any(len(t.samples) != nt or t.dt != first.dt or t.t0 != first.t0
+           for t in traces.values()):
+        raise FileFormatError("all traces must share nt, dt and t0")
     with open(path, "w") as f:
         f.write("# time-records\n")
         f.write(f"nt = {nt}\n")
         f.write(f"dt = {fmt(first.dt)}\n")
         f.write(f"t0 = {fmt(first.t0)}\n")
         for (s, r, d) in keys:
-            t = traces[(s, r, d)]
-            if len(t.samples) != nt or t.dt != first.dt or t.t0 != first.t0:
-                raise FileFormatError("all traces must share nt, dt and t0")
             f.write(f"trace = s{s} r{r} {d}\n")
         for n in range(nt):
             f.write(" ".join(fmt(traces[k].samples[n]) for k in keys) + "\n")
@@ -181,15 +128,17 @@ def read_time_records(path):
 # -- frequency-domain records ---------------------------------------------------
 
 def write_frequency_records(path, observed, n_sources, n_receivers):
-    """``observed`` maps omega to a complex (n_sources, n_receivers, 2) array."""
+    """``observed`` maps omega to a complex (n_sources, n_receivers, 2) array.
+    A Green's sweep is written as the records of its one-source layout."""
+    for omega, vals in observed.items():
+        if np.shape(vals) != (n_sources, n_receivers, 2):
+            raise FileFormatError(f"records at omega={omega} have shape {np.shape(vals)}")
     with open(path, "w") as f:
         f.write("# frequency-records\n")
         f.write(f"n_sources = {n_sources}\n")
         f.write(f"n_receivers = {n_receivers}\n")
         for omega in sorted(observed):
             vals = np.asarray(observed[omega])
-            if vals.shape != (n_sources, n_receivers, 2):
-                raise FileFormatError(f"records at omega={omega} have shape {vals.shape}")
             for s in range(n_sources):
                 for r in range(n_receivers):
                     for d in range(2):
@@ -199,44 +148,61 @@ def write_frequency_records(path, observed, n_sources, n_receivers):
 
 
 def read_frequency_records(path):
-    """Inverse of write_frequency_records: {omega: (n_s, n_r, 2) array}."""
+    """Inverse of write_frequency_records: {omega: (n_s, n_r, 2) array}.
+
+    Rows read ``omega s<source> r<receiver> <x|y> re im``; every frequency
+    must carry the full set of (source, receiver, direction) rows, each once.
+    """
     lines = _read_lines(path, "# frequency-records")
     n_sources = _parse_header_line(lines, 2, "n_sources", path, int)
     n_receivers = _parse_header_line(lines, 3, "n_receivers", path, int)
-    return _parse_spectrum_rows(path, lines, 3, ("s", "r"), (n_sources, n_receivers))
+    shape = (n_sources, n_receivers, 2)
+    rows = {}  # omega -> (line of its first row, values, which rows were read)
+    for line_no, ln in enumerate(lines[3:], start=4):
+        if not ln.strip():
+            continue
+        where = f"{path}:{line_no}"
+        toks = ln.split()
+        if len(toks) != 6:
+            raise FileFormatError(f"{where}: expected 6 columns")
+        key = []
+        for tok, prefix, size in zip(toks[1:3], "sr", shape):
+            if not (tok[:1] == prefix and tok[1:].isdecimal() and int(tok[1:]) < size):
+                raise FileFormatError(
+                    f"{where}: expected {prefix}0..{prefix}{size - 1}, got {tok!r}")
+            key.append(int(tok[1:]))
+        if toks[3] not in _DIR_INDEX:
+            raise FileFormatError(f"{where}: direction must be x or y, got {toks[3]!r}")
+        key = (*key, _DIR_INDEX[toks[3]])
+        try:
+            omega = float(toks[0])
+            value = complex(float(toks[4]), float(toks[5]))
+        except ValueError:
+            raise FileFormatError(f"{where}: malformed number") from None
+        if not (np.isfinite(omega) and np.isfinite(value)):
+            raise FileFormatError(f"{where}: number is not finite")
+        if omega not in rows:
+            rows[omega] = (line_no, np.zeros(shape, dtype=complex),
+                           np.zeros(shape, dtype=bool))
+        _, values, seen = rows[omega]
+        if seen[key]:
+            raise FileFormatError(f"{where}: repeated row {' '.join(toks[:4])}")
+        values[key] = value
+        seen[key] = True
+    if not rows:
+        raise FileFormatError(f"{path}: no records found")
+    for omega, (line_no, _, seen) in rows.items():
+        if not seen.all():
+            s, r, d = np.argwhere(~seen)[0]
+            raise FileFormatError(
+                f"{path}:{line_no}: frequency {omega!r} lacks {int((~seen).sum())} "
+                f"rows, first s{s} r{r} {_DIR_LETTER[d]}")
+    return {omega: values for omega, (_, values, _) in rows.items()}
 
 
 def is_frequency_record_file(path):
     with open(path) as f:
         return f.readline().strip() == "# frequency-records"
-
-
-# -- frequency sweeps -----------------------------------------------------------
-
-def write_greens_sweep(path, omegas, values, n_receivers):
-    """``values`` has shape (n_frequencies, n_receivers, 2)."""
-    if np.shape(values) != (len(omegas), n_receivers, 2):
-        raise FileFormatError(f"sweep values have shape {np.shape(values)}, "
-                              f"expected ({len(omegas)}, {n_receivers}, 2)")
-    with open(path, "w") as f:
-        f.write("# greens-sweep\n")
-        f.write(f"n_receivers = {n_receivers}\n")
-        for i, w in enumerate(omegas):
-            for r in range(n_receivers):
-                for d in range(2):
-                    v = values[i, r, d]
-                    f.write(f"{fmt(w)} r{r} {_DIR_LETTER[d]} "
-                            f"{fmt(v.real)} {fmt(v.imag)}\n")
-
-
-def read_greens_sweep(path):
-    """Inverse of write_greens_sweep: (omegas, values (n_f, n_r, 2))."""
-    lines = _read_lines(path, "# greens-sweep")
-    n_receivers = _parse_header_line(lines, 2, "n_receivers", path, int)
-    rows = _parse_spectrum_rows(path, lines, 2, ("r",), (n_receivers,))
-    omegas = np.array(sorted(rows))
-    values = np.stack([rows[w] for w in omegas])
-    return omegas, values
 
 
 # -- solver-validation tables ------------------------------------------------------

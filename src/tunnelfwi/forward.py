@@ -24,7 +24,6 @@ class ForwardError(RuntimeError):
 @dataclass(frozen=True)
 class WaveField:
     u: np.ndarray
-    omega: float
     dof_map: asmmod.DofMap
 
 
@@ -83,8 +82,7 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     except (solvermod.SolverMemoryError, solvermod.SingularMatrixError,
             solvermod.SolveError) as exc:
         raise type(exc)(f"{exc} at omega = {omega}, degree {dof_map.p}") from exc
-    fields = [WaveField(u=U[:, k], omega=float(omega), dof_map=dof_map)
-              for k in range(n_s)]
+    fields = [WaveField(u=U[:, k], dof_map=dof_map) for k in range(n_s)]
     return ForwardResult(fields=fields, system=system, factorization=fact)
 
 
@@ -135,7 +133,12 @@ def greens_sweep(mesh, model, rho, source, omega_start, omega_end, d_omega,
         raise ForwardError("need finite omega_start > 0, omega_end >= omega_start "
                            f"and d_omega > 0, got {omega_start}, {omega_end}, "
                            f"{d_omega}")
-    n = int(np.floor((omega_end - omega_start) / d_omega + 1e-9)) + 1
+    # Python floats overflow to inf without a warning
+    steps = (float(omega_end) - float(omega_start)) / float(d_omega)
+    if not steps < np.iinfo(np.intp).max:
+        raise ForwardError(f"d_omega = {d_omega} splits {omega_start}..{omega_end} "
+                           f"into {steps:.3g} steps")
+    n = int(np.floor(steps + 1e-9)) + 1
     omegas = omega_start + d_omega * np.arange(n)
     sweep_layout = meshmod.StationLayout(sources=(source,), receivers=layout.receivers)
     return omegas, solve_records(mesh, model, rho, omegas, sweep_layout, lambda w: 1.0,

@@ -66,9 +66,6 @@ class ModelVector:
             raise InvalidMaterialError(
                 f"vp <= sqrt(2)*vs at node {k}: vp={self.vp[k]}, vs={self.vs[k]}")
 
-    def replace(self, values):
-        return ModelVector(np.array(values, dtype=float))
-
     @classmethod
     def homogeneous(cls, mesh, vp, vs):
         n = mesh.n_nodes

@@ -284,6 +284,12 @@ def minimize_lbfgs(fun, grad, x0, max_iterations=50, capacity=5, grad_tol=1e-8,
     max norm, which sets a sane scale when the objective units are wild.
     ``info["grad_norm"]`` is the norm of the last gradient taken (0.0 if none).
     """
+    # a bad step would end the first line search, which reads as a stop
+    if not 0.0 < alpha_init < np.inf:
+        raise ValueError(f"alpha_init must be positive and finite, got {alpha_init}")
+    if step_limit is not None and not 0.0 < step_limit < np.inf:
+        raise ValueError(f"step_limit must be positive and finite, got {step_limit}")
+
     def first_trial(_, d, slope0):
         return alpha_init if step_limit is None else step_limit / np.abs(d).max()
 
@@ -324,6 +330,13 @@ class InversionData:
     mask: np.ndarray = None  # per-node factors from adjoint.build_mask, or None
 
     def __post_init__(self):
+        shape = (self.layout.n_sources, self.layout.n_receivers, 2)
+        for w, values in self.observed.items():
+            if np.shape(values) != shape:
+                raise ValueError(f"observed records at omega = {w} have shape "
+                                 f"{np.shape(values)}, expected {shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"observed records at omega = {w} are not finite")
         self.dof_map = asmmod.DofMap(self.mesh, self.cfg.degree)
         self.node_areas = asmmod.node_areas(self.mesh)
 
@@ -445,10 +458,15 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
     A group whose first solve meets a singular system is recorded in
     ``failures`` and the next group starts from the last model; any other
     error propagates.  ``on_group_end(group_index, state)``, if given, runs
-    after every group, failed ones included.
+    after every group, failed ones included.  A schedule, model or missing
+    frequency that cannot run fails before the first group.
     """
     schedule.validate()
     initial_model.validate()
+    missing = [w for w in schedule.all_frequencies() if w not in data.observed]
+    if missing:
+        raise ScheduleError("no observed records at omega = "
+                            + ", ".join(map(str, missing)))
     state = OptimizerState(model=initial_model)
     failures = []
     for gi, group in enumerate(schedule.groups):

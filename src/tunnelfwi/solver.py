@@ -200,6 +200,9 @@ class Factorization:
         if rhs.shape[0] != self.n:
             raise SolveError(f"rhs has dimension {rhs.shape[0]}, expected {self.n}")
         b = rhs.astype(complex)
+        # a NaN or inf in b would miss the bound on every rung
+        if not np.isfinite(b).all():
+            raise SolveError("right-hand side is not finite")
         x, residual = self._solve(b)
         while not residual <= RESIDUAL_BOUND and self._rung + 1 < len(_LADDER):
             self._lu = _splu(self._matrix, *_LADDER[self._rung + 1])

@@ -174,7 +174,7 @@ def test_adjoint_field_reuses_factorization_and_duality():
 def kept_field(mesh, model, profile, cfg, omega, dm, u):
     """A kept ``ForwardResult`` that holds the given field u."""
     system = assemble_system(mesh, model, RHO, omega, profile, cfg, dof_map=dm)
-    return ForwardResult(fields=[WaveField(u=u, omega=omega, dof_map=dm)],
+    return ForwardResult(fields=[WaveField(u=u, dof_map=dm)],
                          system=system, factorization=None)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,15 @@ def test_time_records_inconsistent_rows(tmp_path):
         read_time_records(path)
 
 
+def test_time_records_writer_checks_lengths(tmp_path):
+    path = tmp_path / "rec.txt"
+    traces = {(0, 0, "x"): TimeSeries(np.arange(4.0), 0.5),
+              (0, 0, "y"): TimeSeries(np.arange(3.0), 0.5)}
+    with pytest.raises(FileFormatError, match="all traces must share nt, dt and t0"):
+        write_time_records(path, traces)
+    assert not path.exists()
+
+
 def _two_trace_file(tmp_path):
     path = tmp_path / "rec.txt"
     traces = {(0, 0, "x"): TimeSeries(np.arange(4.0), 0.5),
@@ -403,25 +413,17 @@ def test_frequency_records_round_trip(tmp_path):
         assert np.array_equal(back[w], observed[w])
 
 
-def test_greens_sweep_file_round_trip(tmp_path):
-    rng = np.random.default_rng(94)
-    omegas = np.array([100.0, 250.0, 400.0])
-    values = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    path = tmp_path / "sweep.txt"
-    fileio.write_greens_sweep(path, omegas, values, 2)
-    w2, v2 = fileio.read_greens_sweep(path)
-    assert np.array_equal(w2, omegas)
-    assert np.array_equal(v2, values)
-
-
 @pytest.mark.parametrize("shape", [(1, 3, 2), (1, 1, 2), (2, 2, 2), (1, 2)],
-                         ids=["extra_receiver", "short", "extra_frequency",
+                         ids=["extra_receiver", "short", "extra_source",
                               "no_direction"])
-def test_greens_sweep_writer_checks_shape(tmp_path, shape):
-    path = tmp_path / "sweep.txt"
+def test_frequency_records_writer_checks_shape(tmp_path, shape):
+    # the bad array comes second, so a check inside the write loop would
+    # leave the first frequency's rows behind
+    path = tmp_path / "freq.txt"
+    observed = {100.0: np.ones((1, 2, 2), complex), 250.0: np.ones(shape, complex)}
     with pytest.raises(FileFormatError,
-                       match=r"sweep values have shape .*expected \(1, 2, 2\)"):
-        fileio.write_greens_sweep(path, np.array([100.0]), np.ones(shape, complex), 2)
+                       match=re.escape(f"records at omega=250.0 have shape {shape}")):
+        write_frequency_records(path, observed, 1, 2)
     assert not path.exists()
 
 
@@ -433,17 +435,8 @@ def _records_file(tmp_path):
     return path
 
 
-def _sweep_file(tmp_path):
-    rng = np.random.default_rng(96)
-    values = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-    path = tmp_path / "sweep.txt"
-    fileio.write_greens_sweep(path, np.array([100.0, 250.0]), values, 2)
-    return path
-
-
 @pytest.mark.parametrize("make, read, row", [
-    (_records_file, read_frequency_records, 4),
-    (_sweep_file, fileio.read_greens_sweep, 3)])
+    (_records_file, read_frequency_records, 4)])
 def test_spectrum_readers_reject_bad_direction(tmp_path, make, read, row):
     path = make(tmp_path)
     lines = path.read_text().splitlines()
@@ -456,8 +449,7 @@ def test_spectrum_readers_reject_bad_direction(tmp_path, make, read, row):
 
 
 @pytest.mark.parametrize("make, read, first, drop", [
-    (_records_file, read_frequency_records, 4, 8),
-    (_sweep_file, fileio.read_greens_sweep, 7, 9)])
+    (_records_file, read_frequency_records, 4, 8)])
 def test_spectrum_readers_reject_missing_rows(tmp_path, make, read, first, drop):
     path = make(tmp_path)
     lines = path.read_text().splitlines()
@@ -468,8 +460,7 @@ def test_spectrum_readers_reject_missing_rows(tmp_path, make, read, first, drop)
 
 
 @pytest.mark.parametrize("make, read, row, col", [
-    (_records_file, read_frequency_records, 5, 2),
-    (_sweep_file, fileio.read_greens_sweep, 3, 1)])
+    (_records_file, read_frequency_records, 5, 2)])
 def test_spectrum_readers_reject_index_out_of_range(tmp_path, make, read, row, col):
     path = make(tmp_path)
     lines = path.read_text().splitlines()
@@ -482,8 +473,7 @@ def test_spectrum_readers_reject_index_out_of_range(tmp_path, make, read, row, c
 
 
 @pytest.mark.parametrize("make, read, row", [
-    (_records_file, read_frequency_records, 6),
-    (_sweep_file, fileio.read_greens_sweep, 4)])
+    (_records_file, read_frequency_records, 6)])
 def test_spectrum_readers_reject_a_repeated_row(tmp_path, make, read, row):
     # a second row for the same (omega, indices, direction) would overwrite
     # the first
@@ -541,8 +531,7 @@ def test_convergence_log_round_trip():
 
 
 @pytest.mark.parametrize("make, read, row", [
-    (_records_file, read_frequency_records, 6),
-    (_sweep_file, fileio.read_greens_sweep, 4)])
+    (_records_file, read_frequency_records, 6)])
 @pytest.mark.parametrize("col, value", [(0, "nan"), (-2, "nan"), (-1, "inf")],
                          ids=["omega", "real", "imag"])
 def test_spectrum_readers_reject_non_finite_numbers(tmp_path, make, read, row,
@@ -779,6 +768,21 @@ def test_cli_invert_rejects_records_of_another_layout_before_solving(
     assert solver.factorization_count() == before
 
 
+def test_cli_invert_names_a_scheduled_frequency_the_records_lack(
+        box_config, tmp_path, capsys):
+    from tunnelfwi import solver
+    records = tmp_path / "obs.txt"
+    write_frequency_records(records, {w: np.ones((1, 2, 2), complex)
+                                      for w in (700.0, 900.0)}, 1, 2)
+    before = solver.factorization_count()
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                       "--output", str(tmp_path / "inv")])
+    assert rc != 0
+    assert capsys.readouterr().err == "error: no observed records at omega = 1500.0\n"
+    assert solver.factorization_count() == before
+    assert not (tmp_path / "inv").exists()
+
+
 def test_cli_validate_pml(tmp_path, capsys):
     cfg_path = tmp_path / "val.cfg"
     cfg_path.write_text("""
@@ -836,13 +840,25 @@ def test_cli_greens_source_out_of_range(tmp_path, capsys, source):
     assert not out.exists()
 
 
-def test_cli_greens_sweep(box_config, tmp_path):
+def test_cli_greens_sweep(tmp_path):
+    from tunnelfwi.forward import greens_sweep
     cfg_path = tmp_path / "sw.cfg"
-    cfg_path.write_text(BOX_CONFIG + "sweep_start = 500\nsweep_end = 700\n"
-                                     "sweep_step = 100\n")
+    cfg_path.write_text(BOX_CONFIG + "source = 5 4 0 1\nsweep_start = 500\n"
+                        "sweep_end = 700\nsweep_step = 100\nsweep_degrees = 600:1 800:2\n")
     out = tmp_path / "sweep.txt"
-    rc = cli_dispatch(["greens", "--config", str(cfg_path), "--output", str(out)])
+    rc = cli_dispatch(["greens", "--config", str(cfg_path), "--source", "1",
+                       "--output", str(out)])
     assert rc == 0
-    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-    # header n_receivers + 3 omegas x 2 receivers x 2 directions
-    assert len(lines) == 1 + 3 * 2 * 2
+    cfg = load_config(cfg_path)
+    mesh = build_tunnel_mesh(cfg.geometry())
+    layout, ambient = cfg.layout(), cfg.ambient()
+    omegas, values = greens_sweep(
+        mesh, ModelVector.homogeneous(mesh, ambient.vp, ambient.vs), ambient.rho,
+        layout.sources[1], 500.0, 700.0, 100.0, layout, cfg.profile(),
+        cfg.discretization(), degree_for=cfg.degree_for())
+    # the records of a one-source layout, whose s0 is the --source station
+    back = read_frequency_records(out)
+    assert list(back) == list(omegas)
+    for w, v in zip(omegas, values):
+        assert back[w].shape == (1, 2, 2)
+        assert np.array_equal(back[w][0], v)

@@ -329,6 +329,32 @@ def test_greens_sweep_invalid_range():
     assert solver.factorization_count() == before
 
 
+def test_greens_sweep_step_too_small_to_count():
+    # (end - start) / step overflows: a ForwardError, not an OverflowError
+    mesh, model, profile, cfg = small_setup(degree=1)
+    src = Source((8.0, 4.0), (0.0, 1.0))
+    layout = StationLayout(sources=(src,), receivers=())
+    before = solver.factorization_count()
+    for step in (1e-320, 1e-300):
+        with pytest.raises(ForwardError, match=f"d_omega = {step} splits 100.0..200.0"):
+            greens_sweep(mesh, model, RHO, src, 100.0, 200.0, step, layout, profile, cfg)
+    assert solver.factorization_count() == before
+
+
+def test_nan_source_amplitude_fails_before_any_lu_solve():
+    mesh, model, profile, cfg = small_setup(degree=1)
+    layout = StationLayout(sources=(Source((8.0, 4.0), (0.0, 1.0)),),
+                           receivers=(Receiver((10.0, 4.0)),))
+    n_fact, n_fallback = solver.factorization_count(), solver.fallback_count()
+    with pytest.raises(solver.SolveError,
+                       match="^right-hand side is not finite at omega = 500.0, degree 1$"):
+        solve_records(mesh, model, RHO, [500.0, 600.0], layout, lambda w: np.nan,
+                      profile, cfg)
+    # the one factorization before the solve, and no step down the ladder
+    assert solver.factorization_count() == n_fact + 1
+    assert solver.fallback_count() == n_fallback
+
+
 @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf, 0.0])
 def test_non_finite_omega_fails_before_assembly(omega):
     mesh, model, profile, cfg = small_setup(degree=1)

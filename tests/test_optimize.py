@@ -334,6 +334,26 @@ def test_minimize_passes_a_singular_system_on():
     with pytest.raises(solver.SingularMatrixError):
         minimize_lbfgs(fun, lambda x: 2.0 * x, np.ones(2))
 
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha_init", 0.0), ("alpha_init", np.nan), ("alpha_init", np.inf),
+    ("step_limit", -1.0), ("step_limit", 0.0), ("step_limit", np.nan)],
+    ids=["alpha_zero", "alpha_nan", "alpha_inf", "limit_negative", "limit_zero",
+         "limit_nan"])
+def test_minimize_rejects_a_bad_step_before_any_evaluation(name, value):
+    # such a step used to end the first line search: x0 after 0 iterations
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return float(x @ x)
+
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, "
+                                         f"got {value}$"):
+        minimize_lbfgs(fun, lambda x: 2.0 * x, np.ones(2), **{name: value})
+    assert calls == []
+
+
 # -- inversion loop ----------------------------------------------------------------
 
 def toy_problem(true_vp=4100.0, true_vs=2350.0, omegas=(1200.0, 2000.0)):
@@ -383,6 +403,40 @@ def test_missing_observed_frequency_rejected():
     state = OptimizerState(model=truth)
     with pytest.raises(ScheduleError):
         run_frequency_group(state, (999.0,), data, InversionSettings())
+
+
+def test_run_inversion_checks_every_frequency_before_the_first_group():
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem(omegas=(1200.0, 2000.0))
+    sched = FrequencySchedule(((1200.0,), (900.0, 2000.0), (2500.0,)))
+    ends = []
+    before = solver.factorization_count(), solver.fallback_count()
+    with pytest.raises(ScheduleError, match="^no observed records at omega = 900.0, 2500.0$"):
+        run_inversion(truth, sched, data, InversionSettings(max_iterations=1),
+                      on_group_end=lambda gi, state: ends.append(gi))
+    assert ends == []
+    assert (solver.factorization_count(), solver.fallback_count()) == before
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_inversion_data_checks_observed_records(bad):
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem()
+    observed = dict(data.observed)
+    if bad == "shape":  # two sources' records for a one-source layout
+        observed[2000.0] = np.concatenate([observed[2000.0]] * 2)
+        message = (r"^observed records at omega = 2000.0 have shape \(2, 2, 2\), "
+                   r"expected \(1, 2, 2\)$")
+    else:
+        observed[2000.0] = observed[2000.0].copy()
+        observed[2000.0][0, 1, 0] = float(bad)
+        message = "^observed records at omega = 2000.0 are not finite$"
+    before = solver.factorization_count(), solver.fallback_count()
+    with pytest.raises(ValueError, match=message):
+        InversionData(mesh=mesh, layout=data.layout, profile=data.profile,
+                      cfg=data.cfg, rho=RHO, ambient_vs=2400.0, observed=observed,
+                      source_amplitude=lambda w: 1.0)
+    assert (solver.factorization_count(), solver.fallback_count()) == before
 
 
 def test_two_parameter_toy_recovers_truth():

@@ -65,24 +65,6 @@ def test_frequency_records_round_trip(tmp_path_factory, case):
         assert np.array_equal(back[w], values)
 
 
-@st.composite
-def greens_sweeps(draw):
-    n_r = draw(st.integers(1, 3))
-    omegas = np.array(sorted(draw(st.sets(positive, min_size=1, max_size=4))))
-    return omegas, draw(_complex_array((len(omegas), n_r, 2))), n_r
-
-
-@SETTINGS
-@given(case=greens_sweeps())
-def test_greens_sweep_round_trip(tmp_path_factory, case):
-    omegas, values, n_r = case
-    path = tmp_path_factory.mktemp("rt") / "sweep.txt"
-    fileio.write_greens_sweep(path, omegas, values, n_r)
-    w, v = fileio.read_greens_sweep(path)
-    assert np.array_equal(w, omegas)
-    assert np.array_equal(v, values)
-
-
 validation_rows = st.lists(st.tuples(finite, complex_values, complex_values, finite,
                                      st.booleans()), max_size=5)
 

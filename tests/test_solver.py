@@ -160,6 +160,35 @@ def test_solve_error_when_pivoted_residual_fails():
     assert fallback_count() == before + 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag_inf"])
+def test_non_finite_rhs_fails_before_any_lu_solve(monkeypatch, bad):
+    f = factorize(sp.csc_matrix(random_complex_symmetric(4, 35)))
+    n_fact, n_fallback = factorization_count(), fallback_count()
+    monkeypatch.setattr(f, "_lu", None)  # any LU solve would raise AttributeError
+    B = np.ones((4, 2), dtype=complex)
+    B[2, 1] = bad
+    with pytest.raises(SolveError, match="^right-hand side is not finite$"):
+        f.solve(B)
+    assert (factorization_count(), fallback_count()) == (n_fact, n_fallback)
+
+
+def test_nan_solution_from_finite_rhs_steps_down_the_ladder():
+    A = random_complex_symmetric(4, 36)
+    b = np.arange(4.0) + 1j
+    f = factorize(sp.csc_matrix(A))
+
+    class NanFactors:
+        def solve(self, r):
+            return np.full_like(r, np.nan)
+
+    f._lu = NanFactors()
+    n_fallback = fallback_count()
+    x = f.solve(b)
+    assert fallback_count() == n_fallback + 1
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-12)
+
+
 def test_factorize_does_not_copy_complex_csc():
     A = sp.csc_matrix(random_complex_symmetric(4, 34))
     f = factorize(A)
