@@ -8,7 +8,7 @@ frequency schedule.
 
 from .adjoint import (Misfit, accumulate_gradient, adjoint_field,
                       adjoint_source, build_mask, misfit, precondition)
-from .analytic import AnalyticQuery, greens_x_analytic, greens_x_polar, hankel2
+from .analytic import greens_x_analytic, greens_x_polar, hankel2
 from .assembly import (AssembledSystem, DiscretizationConfig, DofMap,
                        assemble_point_source, assemble_system, node_areas,
                        shape_functions)

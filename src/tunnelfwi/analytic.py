@@ -6,8 +6,6 @@ The Hankel functions underneath come from ``scipy.special``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -16,40 +14,26 @@ class AnalyticError(ValueError):
 
 
 def hankel2(order, x):
-    """Hankel function of the second kind, order 0 or 1: J_n - i Y_n."""
-    x = float(x)
-    if x <= 0:
-        raise AnalyticError(f"argument must be > 0, got {x}")
+    """Hankel function of the second kind, order 0 or 1: J_n - i Y_n, at
+    every entry of x."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise AnalyticError(f"argument must be > 0, got {x[x <= 0][0]}")
     if order not in (0, 1):
         raise AnalyticError(f"order must be 0 or 1, got {order}")
     # imported here: loading scipy.special adds about 4 MB to every process
     # that imports tunnelfwi, and only validation needs it
     from scipy import special
-    return complex(special.hankel2(order, x))
+    return special.hankel2(order, x)
 
 
 # -- full-space response ------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalyticQuery:
-    source: tuple
-    point: tuple
-    omega: float
-    vp: float
-    vs: float
-    rho: float
-
-    def polar(self):
-        dx = self.point[0] - self.source[0]
-        dy = self.point[1] - self.source[1]
-        r = np.hypot(dx, dy)
-        theta = np.arctan2(dx, -dy)
-        return r, theta
-
-
 def greens_x_polar(r, theta, omega, vp, vs, rho):
-    """Horizontal displacement at (r, theta) due to a unit vertical force."""
-    if r <= 0:
+    """Horizontal displacement at (r, theta) due to a unit vertical force,
+    entrywise over r and theta."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
         raise AnalyticError("field point coincides with the source")
     if omega <= 0:
         raise AnalyticError(f"omega must be > 0, got {omega}")
@@ -63,6 +47,11 @@ def greens_x_polar(r, theta, omega, vp, vs, rho):
     return g
 
 
-def greens_x_analytic(q: AnalyticQuery):
-    r, theta = q.polar()
-    return greens_x_polar(r, theta, q.omega, q.vp, q.vs, q.rho)
+def greens_x_analytic(source, points, omega, vp, vs, rho):
+    """``greens_x_polar`` at Cartesian points, one or an (..., 2) array:
+    r is the distance from ``source`` and theta = atan2(dx, -dy) is
+    measured from the downward vertical."""
+    d = np.asarray(points, dtype=float) - np.asarray(source, dtype=float)
+    r = np.hypot(d[..., 0], d[..., 1])
+    theta = np.arctan2(d[..., 0], -d[..., 1])
+    return greens_x_polar(r, theta, omega, vp, vs, rho)

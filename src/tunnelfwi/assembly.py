@@ -154,10 +154,7 @@ class DofMap:
 
         nv = mesh.n_nodes
         ne = len(mesh.edges)
-        self.n_vertex_modes = nv
-        self.n_edge_modes = ne * n_edge
-        self.n_interior_modes = mesh.n_elements * n_int
-        self.n_modes = nv + self.n_edge_modes + self.n_interior_modes
+        self.n_modes = nv + ne * n_edge + mesh.n_elements * n_int
         self.n_dofs = 2 * self.n_modes
 
         modes = np.empty((mesh.n_elements, n_modes(self.p)), dtype=int)
@@ -467,9 +464,8 @@ def point_operator(dof_map, points, allow_pml=False):
     Points must lie outside the PML unless ``allow_pml`` is set (probes).
     """
     locate = meshmod.locate_point if allow_pml else meshmod.locate_station
-    located = [locate(dof_map.mesh, p) for p in points]
-    elems = np.array([e for e, _ in located], dtype=int)
-    V, _ = shape_functions(dof_map.p, np.reshape([xi for _, xi in located], (-1, 2)))
+    elems, xi = locate(dof_map.mesh, points)
+    V, _ = shape_functions(dof_map.p, xi)
     dofs = dof_map.element_dofs[elems]
     cols = np.stack([dofs[:, 0::2], dofs[:, 1::2]], axis=1)  # (point, direction, mode)
     data = V[:, None, :] * ~dof_map.clamped[cols]

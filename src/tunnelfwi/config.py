@@ -261,6 +261,9 @@ def validate_config(cfg: RunConfig):
     for key in _POSITIVE:
         if s[key] <= 0:
             raise ConfigError(f"{key} must be > 0, got {s[key]}")
+    for key in ("validate_source_x", "validate_source_y"):
+        if s[key] < 0 and s[key] != -1:
+            raise ConfigError(f"{key} must be >= 0 or -1 (domain center), got {s[key]}")
     try:
         cfg.geometry().validate()
         cfg.ambient().validate()

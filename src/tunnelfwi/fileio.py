@@ -130,6 +130,11 @@ def read_time_records(path):
 def write_frequency_records(path, observed, n_sources, n_receivers):
     """``observed`` maps omega to a complex (n_sources, n_receivers, 2) array.
     A Green's sweep is written as the records of its one-source layout."""
+    if not observed:
+        raise FileFormatError("no records to write")
+    if n_sources < 1 or n_receivers < 1:
+        raise FileFormatError(f"need n_sources and n_receivers >= 1, got "
+                              f"{n_sources} and {n_receivers}")
     for omega, vals in observed.items():
         if np.shape(vals) != (n_sources, n_receivers, 2):
             raise FileFormatError(f"records at omega={omega} have shape {np.shape(vals)}")
@@ -139,12 +144,10 @@ def write_frequency_records(path, observed, n_sources, n_receivers):
         f.write(f"n_receivers = {n_receivers}\n")
         for omega in sorted(observed):
             vals = np.asarray(observed[omega])
-            for s in range(n_sources):
-                for r in range(n_receivers):
-                    for d in range(2):
-                        v = vals[s, r, d]
-                        f.write(f"{fmt(omega)} s{s} r{r} {_DIR_LETTER[d]} "
-                                f"{fmt(v.real)} {fmt(v.imag)}\n")
+            for s, r, d in np.ndindex(vals.shape):
+                v = vals[s, r, d]
+                f.write(f"{fmt(omega)} s{s} r{r} {_DIR_LETTER[d]} "
+                        f"{fmt(v.real)} {fmt(v.imag)}\n")
 
 
 def read_frequency_records(path):
@@ -154,9 +157,11 @@ def read_frequency_records(path):
     must carry the full set of (source, receiver, direction) rows, each once.
     """
     lines = _read_lines(path, "# frequency-records")
-    n_sources = _parse_header_line(lines, 2, "n_sources", path, int)
-    n_receivers = _parse_header_line(lines, 3, "n_receivers", path, int)
-    shape = (n_sources, n_receivers, 2)
+    shape = (_parse_header_line(lines, 2, "n_sources", path, int),
+             _parse_header_line(lines, 3, "n_receivers", path, int), 2)
+    for line_no, key, n in ((2, "n_sources", shape[0]), (3, "n_receivers", shape[1])):
+        if n < 1:
+            raise FileFormatError(f"{path}:{line_no}: {key} must be >= 1, got {n}")
     rows = {}  # omega -> (line of its first row, values, which rows were read)
     for line_no, ln in enumerate(lines[3:], start=4):
         if not ln.strip():

@@ -34,7 +34,6 @@ class RecordSet:
     omegas: np.ndarray
     values: np.ndarray  # (n_f, n_s, n_r, 2)
     mask: np.ndarray    # (n_r, 2) recorded directions
-    layout: meshmod.StationLayout
 
     def __post_init__(self):
         self.omegas = np.asarray(self.omegas, dtype=float)
@@ -119,8 +118,7 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
         if keep:
             kept.append(res)
         del res
-    records = RecordSet(omegas=omegas, values=values,
-                        mask=layout.direction_mask(), layout=layout)
+    records = RecordSet(omegas=omegas, values=values, mask=layout.direction_mask())
     return (records, kept) if keep else records
 
 

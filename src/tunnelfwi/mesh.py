@@ -223,45 +223,11 @@ class Mesh:
     def extent(self):
         return self.nx * self.h, self.ny * self.h
 
-    def element_origin(self, e):
-        i, j = self.element_cell[e]
-        return i * self.h, j * self.h
-
-    def candidate_cells(self, p):
-        """Cells whose closure contains p, ordered by ascending element id."""
-        x, y = float(p[0]), float(p[1])
-        h = self.h
-        cand_i = _axis_candidates(x / h, self.nx)
-        cand_j = _axis_candidates(y / h, self.ny)
-        cells = []
-        for j in cand_j:
-            for i in cand_i:
-                e = self.cell_to_element[j, i]
-                if e >= 0:
-                    cells.append(e)
-        return cells
-
     def interior_box(self):
         """Coordinate bounds (x0, x1, y0, y1) of the unstretched region."""
         left, right, bottom, top = self.pml_cells
         return (left * self.h, (self.nx - right) * self.h,
                 bottom * self.h, (self.ny - top) * self.h)
-
-
-def _axis_candidates(u, n_cells):
-    """Cell indices along one axis whose closed interval contains u (in cells)."""
-    if u < -_SNAP or u > n_cells + _SNAP:
-        return []
-    r = round(u)
-    if abs(u - r) <= _SNAP * max(1.0, abs(u)) + 1e-12:
-        out = []
-        if r - 1 >= 0:
-            out.append(int(r - 1))
-        if r <= n_cells - 1:
-            out.append(int(r))
-        return out
-    i = int(np.floor(u))
-    return [i] if 0 <= i <= n_cells - 1 else []
 
 
 def build_tunnel_mesh(geometry: TunnelGeometry) -> Mesh:
@@ -299,46 +265,60 @@ def build_unbounded_mesh(width, height, pml_width, element_size) -> Mesh:
                 void_cells=None, free_top=False)
 
 
-def locate_point(mesh: Mesh, p):
-    """Return (element id, local coordinates in [-1, 1]^2) containing p.
+def _locate(mesh: Mesh, points, station):
+    """Element ids and local coordinates in [-1, 1]^2 of (k, 2) points.
+
+    Along each axis a coordinate within ``_SNAP`` of a grid line has the
+    cells on both sides as candidates, any other the cell containing it.
+    A point takes its lowest-id candidate element, a station its lowest-id
+    interior one; the first point without one raises.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = np.array([mesh.nx, mesh.ny])
+    u = np.minimum(np.maximum(pts / mesh.h, -1.0), n + 1.0)  # cells; no inf - inf below
+    r = np.rint(u)
+    snapped = np.abs(u - r) <= _SNAP * np.maximum(1.0, np.abs(u)) + 1e-12
+    lo = np.where(snapped, r - 1.0, np.floor(u))
+    cells = np.stack([lo, lo + snapped], axis=2)  # (k, axis, 2)
+    on_grid = (((u >= -_SNAP) & (u <= n + _SNAP))[..., None] & (cells >= 0)
+               & (cells <= n[:, None] - 1))
+    cells = np.where(on_grid, cells, -1).astype(int)
+    # candidates j-major, so in ascending element id
+    ic, jc = cells[:, 0, [0, 1, 0, 1]], cells[:, 1, [0, 0, 1, 1]]
+    cand = np.where((jc >= 0) & (ic >= 0), mesh.cell_to_element[jc, ic], -1)
+    found = cand >= 0
+    ok = (found & (mesh.element_region[cand] == INTERIOR)) if station else found
+    hit = ok.any(axis=1)
+    if not hit.all():
+        k = int(np.argmin(hit))
+        where = ("inside the PML" if found[k].any()
+                 else "in the void or outside the grid")
+        raise PointNotFoundError(f"{'station' if station else 'point'} "
+                                 f"{tuple(pts[k].tolist())} lies {where}")
+    e = cand[np.arange(len(pts)), np.argmax(ok, axis=1)]
+    xi = 2.0 * (pts - mesh.element_cell[e] * mesh.h) / mesh.h - 1.0
+    return e, np.minimum(np.maximum(xi, -1.0), 1.0)
+
+
+def locate_point(mesh: Mesh, points):
+    """(element ids, (k, 2) local coordinates in [-1, 1]^2) of (k, 2) points.
 
     Points on shared edges resolve to the lowest element id.
     """
-    cells = mesh.candidate_cells(p)
-    if not cells:
-        raise PointNotFoundError(f"point {tuple(p)} lies in the void or outside the grid")
-    e = cells[0]
-    return e, _local_coordinates(mesh, e, p)
+    return _locate(mesh, points, station=False)
 
 
-def locate_station(mesh: Mesh, p):
-    """Like locate_point but prefers non-PML elements among candidates.
+def locate_station(mesh: Mesh, points):
+    """Like locate_point but takes the lowest-id non-PML element.
 
     Stations may sit exactly on the interface between the unstretched region
     and the PML; in that case the interior element wins.
     """
-    cells = mesh.candidate_cells(p)
-    if not cells:
-        raise PointNotFoundError(f"station {tuple(p)} lies in the void or outside the grid")
-    interior = [e for e in cells if mesh.element_region[e] == INTERIOR]
-    if not interior:
-        raise PointNotFoundError(f"station {tuple(p)} lies inside the PML")
-    e = interior[0]
-    return e, _local_coordinates(mesh, e, p)
-
-
-def _local_coordinates(mesh: Mesh, e, p):
-    """(xi, eta) of p in element e, clamped to [-1, 1]^2."""
-    x0, y0 = mesh.element_origin(e)
-    xi = 2.0 * (p[0] - x0) / mesh.h - 1.0
-    eta = 2.0 * (p[1] - y0) / mesh.h - 1.0
-    return min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta))
+    return _locate(mesh, points, station=True)
 
 
 def validate_layout(layout: StationLayout, mesh: Mesh):
     """Every station must be locatable outside the PML."""
     for s in layout.sources:
         s.validate()
-        locate_station(mesh, s.position)
-    for r in layout.receivers:
-        locate_station(mesh, r.position)
+    locate_station(mesh, layout.station_points())

@@ -346,7 +346,7 @@ class InversionData:
         except KeyError as exc:
             raise ScheduleError(f"no observed records at omega = {exc.args[0]}")
         return fwdmod.RecordSet(omegas=np.asarray(omegas), values=stack,
-                                mask=self.layout.direction_mask(), layout=self.layout)
+                                mask=self.layout.direction_mask())
 
 
 @dataclass

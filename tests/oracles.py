@@ -10,7 +10,9 @@ kernel that the production transposed table product replaced.
 pattern build replaced, ``summation_oracle`` the CSR sum of
 complex ``element_values`` that the slot-id ``bincount`` replaced, and
 ``reference_mesh_arrays`` the per-cell loops that the production
-array-operation mesh build replaced.  ``direction_product_oracle``
+array-operation mesh build replaced, and ``reference_locate`` the
+per-point candidate search that the array ``locate_point`` and
+``locate_station`` replaced.  ``direction_product_oracle``
 differences two assembled systems for the change of L along a model
 direction.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
@@ -25,8 +27,8 @@ import scipy.sparse as sp
 
 from tunnelfwi import assembly as asmmod
 from tunnelfwi.material import InvalidMaterialError, ModelVector
-from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, Mesh, MeshError,
-                            locate_point)
+from tunnelfwi.mesh import (_SNAP, INTERIOR, PML_CORNER, PML_X, PML_Y, Mesh,
+                            MeshError, PointNotFoundError, locate_point)
 from tunnelfwi.signal import Spectrum, dft_many, sample_ricker
 
 REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
@@ -48,7 +50,7 @@ def velocities_from_lame(lam, mu, rho):
 
 def evaluate_velocities(model: ModelVector, mesh, p):
     """Bilinear (vp, vs) at an arbitrary point."""
-    e, (xi, eta) = locate_point(mesh, p)
+    (e,), ((xi, eta),) = locate_point(mesh, [p])
     w = _bilinear(xi, eta)
     corners = mesh.elements[e]
     return float(w @ model.vp[corners]), float(w @ model.vs[corners])
@@ -83,8 +85,45 @@ def ricker_spectrum(f_peak, omegas) -> Spectrum:
     return dft_many(sample_ricker(f_peak), omegas)
 
 
+def _axis_candidates(u, n_cells):
+    """Cell indices along one axis whose closed interval contains u (in cells)."""
+    if u < -_SNAP or u > n_cells + _SNAP:
+        return []
+    r = round(u)
+    if abs(u - r) <= _SNAP * max(1.0, abs(u)) + 1e-12:
+        return [i for i in (r - 1, r) if 0 <= i <= n_cells - 1]
+    i = int(np.floor(u))
+    return [i] if 0 <= i <= n_cells - 1 else []
+
+
+def reference_locate(mesh: Mesh, p, station=False):
+    """(element id, (xi, eta)) of one point, one candidate cell at a time.
+
+    The candidates are the cells whose closure contains p in ascending
+    element id; a point takes the first, a station the first interior one.
+    Raises ``PointNotFoundError`` as ``locate_point``/``locate_station`` do.
+    """
+    x, y = float(p[0]), float(p[1])
+    cells = [mesh.cell_to_element[j, i]
+             for j in _axis_candidates(y / mesh.h, mesh.ny)
+             for i in _axis_candidates(x / mesh.h, mesh.nx)
+             if mesh.cell_to_element[j, i] >= 0]
+    what = "station" if station else "point"
+    if not cells:
+        raise PointNotFoundError(f"{what} {(x, y)} lies in the void or outside the grid")
+    if station:
+        cells = [e for e in cells if mesh.element_region[e] == INTERIOR]
+        if not cells:
+            raise PointNotFoundError(f"station {(x, y)} lies inside the PML")
+    e = cells[0]
+    x0, y0 = mesh.element_cell[e] * mesh.h
+    xi = 2.0 * (x - x0) / mesh.h - 1.0
+    eta = 2.0 * (y - y0) / mesh.h - 1.0
+    return e, (min(1.0, max(-1.0, xi)), min(1.0, max(-1.0, eta)))
+
+
 def local_to_global(mesh: Mesh, e, xi):
-    x0, y0 = mesh.element_origin(e)
+    x0, y0 = mesh.element_cell[e] * mesh.h
     return (x0 + 0.5 * (xi[0] + 1.0) * mesh.h,
             y0 + 0.5 * (xi[1] + 1.0) * mesh.h)
 

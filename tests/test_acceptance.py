@@ -13,7 +13,7 @@ import pytest
 from oracles import evaluate_field
 from tunnelfwi.adjoint import (adjoint_field, adjoint_source,
                                accumulate_gradient, build_mask)
-from tunnelfwi.analytic import AnalyticQuery, greens_x_analytic
+from tunnelfwi.analytic import greens_x_analytic
 from tunnelfwi.assembly import DiscretizationConfig, DofMap
 from tunnelfwi.forward import forward_solve, sample_receivers, solve_records
 from tunnelfwi.material import ModelVector
@@ -81,9 +81,7 @@ def test_criterion_2_analytic_validation(unbounded_run):
         if np.hypot(p[0] - source[0], p[1] - source[1]) <= 3.0 * mesh.h:
             continue  # exclude the singular neighborhood of the source
         nums.append(evaluate_field(mesh, dm, u, p)[0])
-        anas.append(greens_x_analytic(AnalyticQuery(
-            source=source, point=p, omega=omega,
-            vp=AMBIENT_VP, vs=AMBIENT_VS, rho=RHO)))
+        anas.append(greens_x_analytic(source, p, omega, AMBIENT_VP, AMBIENT_VS, RHO))
     nums = np.array(nums)
     anas = np.array(anas)
     scale = np.abs(anas.real).max()

@@ -21,7 +21,7 @@ NO_PML = PmlProfile(c_pml=0.0, width=1.0)
 def record_set(values, layout, omegas):
     return RecordSet(omegas=np.asarray(omegas, dtype=float),
                      values=np.asarray(values, dtype=complex),
-                     mask=layout.direction_mask(), layout=layout)
+                     mask=layout.direction_mask())
 
 
 def tiny_layout():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tunnelfwi.analytic import (AnalyticError, AnalyticQuery, greens_x_analytic,
-                                greens_x_polar, hankel2)
+from tunnelfwi.analytic import AnalyticError, greens_x_analytic, greens_x_polar, hankel2
 
 # reference values from standard high-precision Bessel tables
 BESSEL_REFS = [
@@ -54,6 +53,9 @@ def test_hankel2_argument_and_order_validation():
         hankel2(0, -1.0)
     with pytest.raises(AnalyticError):
         hankel2(2, 1.0)
+    # the first bad entry of an array is named
+    with pytest.raises(AnalyticError, match=r"argument must be > 0, got -1\.0$"):
+        hankel2(0, [2.0, -1.0, 0.0])
 
 
 def test_wronskian_identity():
@@ -123,19 +125,35 @@ def test_greens_scaling_identity():
 
 
 def test_query_polar_conversion():
-    q = AnalyticQuery(source=(1.0, 2.0), point=(4.0, 6.0), omega=1000.0,
-                      vp=4000.0, vs=2400.0, rho=2500.0)
-    r, theta = q.polar()
-    assert r == pytest.approx(5.0)
-    assert theta == pytest.approx(np.arctan2(3.0, -4.0))
-    assert greens_x_analytic(q) == pytest.approx(
+    r, theta = 5.0, np.arctan2(3.0, -4.0)
+    assert greens_x_analytic((1.0, 2.0), (4.0, 6.0), 1000.0, 4000.0, 2400.0,
+                             2500.0) == pytest.approx(
         greens_x_polar(r, theta, 1000.0, 4000.0, 2400.0, 2500.0))
+
+
+def test_closed_form_over_arrays_matches_point_by_point():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.01, 600.0, 50)
+    for order in (0, 1):
+        each = [hankel2(order, v) for v in x]
+        assert np.array_equal(hankel2(order, x), each)
+    points = rng.uniform(-20.0, 20.0, (40, 2))
+    source = (0.5, -1.5)
+    g = greens_x_analytic(source, points, 2500.0, 4000.0, 2400.0, 2500.0)
+    assert g.shape == (40,)
+    for p, gp in zip(points, g):
+        dx, dy = p[0] - source[0], p[1] - source[1]
+        one = greens_x_polar(np.hypot(dx, dy), np.arctan2(dx, -dy), 2500.0,
+                             4000.0, 2400.0, 2500.0)
+        assert abs(gp - one) <= 1e-14 * abs(one)
 
 
 def test_greens_singularity_rejected():
     with pytest.raises(AnalyticError):
         greens_x_polar(0.0, 0.3, 1000.0, 4000.0, 2400.0, 2500.0)
-    q = AnalyticQuery(source=(1.0, 1.0), point=(1.0, 1.0), omega=1000.0,
-                      vp=4000.0, vs=2400.0, rho=2500.0)
     with pytest.raises(AnalyticError):
-        greens_x_analytic(q)
+        greens_x_analytic((1.0, 1.0), (1.0, 1.0), 1000.0, 4000.0, 2400.0, 2500.0)
+    # one coincident point fails the whole array
+    with pytest.raises(AnalyticError, match="coincides with the source"):
+        greens_x_analytic((1.0, 1.0), [(2.0, 3.0), (1.0, 1.0)], 1000.0, 4000.0,
+                          2400.0, 2500.0)

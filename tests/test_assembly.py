@@ -183,7 +183,7 @@ def test_interface_continuity_random_field():
         e_right = mesh.cell_to_element[int(y), 1]
         vals = []
         for e in (e_left, e_right):
-            x0, y0 = mesh.element_origin(e)
+            x0, y0 = mesh.element_cell[e] * mesh.h
             xi = (2 * (p[0] - x0) / mesh.h - 1, 2 * (p[1] - y0) / mesh.h - 1)
             V, _ = shape_functions(3, np.asarray(xi))
             dofs = dm.element_dofs[e]
@@ -285,7 +285,7 @@ def dense_oracle_system(mesh, model, rho, omega, profile, cfg):
         stretched = profile.c_pml > 0 and mesh.element_region[e] != meshmod.INTERIOR
         nq = cfg.n_quad_pml if stretched else cfg.n_quad
         x1, w1 = leggauss(nq)
-        x0, y0 = mesh.element_origin(e)
+        x0, y0 = mesh.element_cell[e] * mesh.h
         dofs = dm.element_dofs[e]
         corners = mesh.elements[e]
         vp_c = model.vp[corners]
@@ -467,6 +467,31 @@ def test_dof_map_of_another_mesh_or_degree_rejected():
         assemble_system(mesh, model, RHO, 900.0, PML, cfg, dof_map=DofMap(other, 3))
     with pytest.raises(AssemblyError, match="degree 2"):
         assemble_system(mesh, model, RHO, 900.0, PML, cfg, dof_map=DofMap(mesh, 2))
+
+
+def test_point_operator_rows_follow_the_per_point_reference():
+    mesh = box_mesh(4, 2, pml=1)
+    dm = DofMap(mesh, 3)
+    W, H = mesh.extent
+    pts = np.vstack([np.random.default_rng(4).uniform(0.0, (W, H), (20, 2)),
+                     [(1.0, 1.0), (W, 0.0), (2.5, H)]])
+    R = asmmod.point_operator(dm, pts, allow_pml=True).toarray()
+    for k, p in enumerate(pts):
+        e, xi = oracles.reference_locate(mesh, p)
+        V, _ = shape_functions(3, np.asarray(xi))
+        want = np.zeros((2, dm.n_dofs))
+        for d in (0, 1):
+            dofs = dm.element_dofs[e, d::2]
+            want[d, dofs] = V * ~dm.clamped[dofs]
+        assert np.array_equal(R[2 * k:2 * k + 2], want)
+
+
+@pytest.mark.parametrize("allow_pml", [False, True])
+def test_point_operator_of_no_points(allow_pml):
+    dm = DofMap(box_mesh(4, 2, pml=1), 2)
+    R = asmmod.point_operator(dm, [], allow_pml)
+    assert R.shape == (0, dm.n_dofs) and R.nnz == 0
+    assert dm.station_operator([]).shape == (0, dm.n_dofs)
 
 
 def test_point_source_rejects_foreign_dof_map():

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import evaluate_field
 from tunnelfwi import fileio
+from tunnelfwi.analytic import greens_x_polar
 from tunnelfwi.cli import cli_dispatch
 from tunnelfwi.config import ConfigError, format_config, load_config, parse_config
 from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
@@ -13,8 +15,9 @@ from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
                               write_frequency_records, write_model_grid,
                               write_time_records)
 from tunnelfwi.material import ModelVector
+from tunnelfwi.forward import forward_solve
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
-                            build_tunnel_mesh)
+                            build_tunnel_mesh, build_unbounded_mesh)
 from tunnelfwi.signal import TimeSeries
 
 
@@ -81,6 +84,24 @@ def test_non_finite_list_value_names_its_line(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"line 2: {key} needs finite numbers"):
         parse_config(f"domain_width = 40\n{line}\n")
+
+
+@pytest.mark.parametrize("key", ["validate_source_x", "validate_source_y"])
+def test_validate_source_takes_minus_one_or_a_coordinate(tmp_path, capsys, key):
+    # only -1 stands for the domain center; another negative value used to
+    # run at the center too
+    assert parse_config(f"{key} = -1\n").scalars[key] == -1.0
+    assert parse_config(f"{key} = 0\n").scalars[key] == 0.0
+    with pytest.raises(ConfigError, match=f"{key} must be >= 0 or -1 .*got -7.0"):
+        parse_config(f"{key} = -7\n")
+    cfg_path = tmp_path / "val.cfg"
+    cfg_path.write_text(f"pml_width = 3\n{key} = -0.5\n")
+    rc = cli_dispatch(["validate-pml", "--config", str(cfg_path),
+                       "--output", str(tmp_path / "table.txt")])
+    assert rc != 0
+    assert capsys.readouterr().err == (f"error: {key} must be >= 0 or -1 "
+                                       f"(domain center), got -0.5\n")
+    assert not (tmp_path / "table.txt").exists()
 
 
 def test_sweep_degree_outside_the_supported_range_rejected_at_load():
@@ -424,6 +445,29 @@ def test_frequency_records_writer_checks_shape(tmp_path, shape):
     with pytest.raises(FileFormatError,
                        match=re.escape(f"records at omega=250.0 have shape {shape}")):
         write_frequency_records(path, observed, 1, 2)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("line, value", [(2, 0), (2, -1), (3, 0), (3, -1)])
+def test_frequency_records_reader_rejects_counts_below_one(tmp_path, line, value):
+    path = _records_file(tmp_path)
+    lines = path.read_text().splitlines()
+    key = lines[line - 1].split()[0]
+    lines[line - 1] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f":{line}: {key} must be >= 1, got {value}")):
+        read_frequency_records(path)
+
+
+@pytest.mark.parametrize("observed, n_s, n_r", [
+    ({}, 1, 1), ({500.0: np.ones((0, 2, 2))}, 0, 2),
+    ({500.0: np.ones((1, 0, 2))}, 1, 0)], ids=["empty", "no_source", "no_receiver"])
+def test_frequency_records_writer_rejects_what_its_reader_would(tmp_path, observed,
+                                                                n_s, n_r):
+    path = tmp_path / "freq.txt"
+    with pytest.raises(FileFormatError):
+        write_frequency_records(path, observed, n_s, n_r)
     assert not path.exists()
 
 
@@ -783,9 +827,7 @@ def test_cli_invert_names_a_scheduled_frequency_the_records_lack(
     assert not (tmp_path / "inv").exists()
 
 
-def test_cli_validate_pml(tmp_path, capsys):
-    cfg_path = tmp_path / "val.cfg"
-    cfg_path.write_text("""
+VALIDATE_CFG = """
 domain_width = 20
 depth_above_tunnel = 7
 tunnel_height = 0
@@ -795,7 +837,12 @@ pml_width = 3
 element_size = 1
 degree = 2
 validate_frequency_hz = 300
-""")
+"""
+
+
+def test_cli_validate_pml(tmp_path, capsys):
+    cfg_path = tmp_path / "val.cfg"
+    cfg_path.write_text(VALIDATE_CFG)
     out = tmp_path / "table.txt"
     rc = cli_dispatch(["validate-pml", "--config", str(cfg_path),
                        "--output", str(out)])
@@ -803,6 +850,48 @@ validate_frequency_hz = 300
     assert out.exists()
     captured = capsys.readouterr()
     assert "median normalized error" in captured.out
+
+
+def test_validate_pml_rows_match_the_per_probe_reference(tmp_path):
+    cfg_path = tmp_path / "val.cfg"
+    cfg_path.write_text(VALIDATE_CFG)
+    out = tmp_path / "table.txt"
+    assert cli_dispatch(["validate-pml", "--config", str(cfg_path),
+                         "--output", str(out)]) == 0
+    rows = fileio.read_validation_table(out)
+
+    # one probe at a time; the diagonal passes through the centered source
+    cfg = load_config(cfg_path)
+    amb = cfg.ambient()
+    mesh = build_unbounded_mesh(20, 14, 3, 1)
+    omega = 2.0 * np.pi * 300.0
+    source = (13.0, 10.0)
+    layout = StationLayout(sources=(Source(source, (0.0, 1.0)),), receivers=())
+    res = forward_solve(mesh, ModelVector.homogeneous(mesh, amb.vp, amb.vs), amb.rho,
+                        omega, layout, 1.0, cfg.profile(), cfg.discretization())
+    W, H = mesh.extent
+    x0b, x1b, y0b, y1b = mesh.interior_box()
+    n = 2 * max(mesh.nx, mesh.ny)
+    ref = []
+    for t in np.arange(1, n) / n:
+        p = (t * W, t * H)
+        dx, dy = p[0] - source[0], p[1] - source[1]
+        r = np.hypot(dx, dy)
+        if r < 1e-9:
+            continue
+        num = evaluate_field(mesh, res.system.dof_map, res.fields[0].u, p,
+                             allow_pml=True)[0]
+        ana = greens_x_polar(r, np.arctan2(dx, -dy), omega, amb.vp, amb.vs, amb.rho)
+        usable = x0b < p[0] < x1b and y0b < p[1] < y1b and r > 3.0 * mesh.h
+        ref.append((t * np.hypot(W, H), num, ana, usable))
+    scale = max(abs(ana.real) for _, _, ana, usable in ref if usable)
+
+    assert len(rows) == len(ref) == n - 2
+    for (dist, num, ana, err, usable), (dist0, num0, ana0, usable0) in zip(rows, ref):
+        assert dist == dist0 and usable == usable0
+        assert abs(num - num0) <= 1e-14 * abs(num0)
+        assert abs(ana - ana0) <= 1e-14 * abs(ana0)
+        assert abs(err - abs(num0.real - ana0.real) / scale) <= 1e-14
 
 
 def test_cli_validate_pml_without_usable_probe(tmp_path, capsys):

@@ -100,7 +100,7 @@ def test_receiver_interior_matches_local_interpolation():
 
     # independent local evaluation: manual local coordinates + mode sum
     e = mesh.cell_to_element[4, 9]
-    x0, y0 = mesh.element_origin(e)
+    x0, y0 = mesh.element_cell[e] * mesh.h
     xi = np.array([2 * (p[0] - x0) - 1, 2 * (p[1] - y0) - 1])
     V, _ = shape_functions(3, xi)
     dofs = res.system.dof_map.element_dofs[e]
@@ -378,7 +378,7 @@ def test_record_set_needs_finite_positive_frequencies(omega):
                            receivers=(Receiver((10.0, 4.0)),))
     with pytest.raises(ForwardError, match="finite and strictly positive"):
         RecordSet(omegas=[500.0, omega], values=np.zeros((2, 1, 1, 2)),
-                  mask=layout.direction_mask(), layout=layout)
+                  mask=layout.direction_mask())
 
 
 def test_solve_records_degree_rule_matches_fixed_degrees(monkeypatch):

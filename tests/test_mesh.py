@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (MESH_ARRAYS, dump_mesh, local_to_global, pml_local_coordinate,
-                     reference_mesh_arrays)
+                     reference_locate, reference_mesh_arrays)
 from tunnelfwi import mesh as meshmod
 from tunnelfwi.mesh import (INTERIOR, PML_CORNER, PML_X, PML_Y, MeshError,
                             PointNotFoundError, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh,
-                            build_unbounded_mesh, locate_point)
+                            build_unbounded_mesh, locate_point, locate_station)
 
 
 def blindtest_geometry():
@@ -121,14 +122,14 @@ def test_outer_edges_belong_to_pml_elements():
 
 def test_locate_corner_node():
     mesh = build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 0, 1))
-    e, (xi, eta) = locate_point(mesh, (0.0, 0.0))
+    (e,), ((xi, eta),) = locate_point(mesh, [(0.0, 0.0)])
     assert e == 0
     assert xi == -1.0 and eta == -1.0
 
 
 def test_locate_centroid():
     mesh = build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 0, 1))
-    e, (xi, eta) = locate_point(mesh, (3.5, 4.5))
+    (e,), ((xi, eta),) = locate_point(mesh, [(3.5, 4.5)])
     assert (xi, eta) == (0.0, 0.0)
     assert tuple(mesh.element_cell[e]) == (3, 4)
 
@@ -136,16 +137,16 @@ def test_locate_centroid():
 def test_locate_tie_breaks_to_lowest_id():
     mesh = build_tunnel_mesh(TunnelGeometry(10, 5, 0, 5, 0, 0, 1))
     # interior grid node shared by four elements -> lower-left element wins
-    e, _ = locate_point(mesh, (4.0, 4.0))
+    (e,), _ = locate_point(mesh, [(4.0, 4.0)])
     assert tuple(mesh.element_cell[e]) == (3, 3)
 
 
 def test_locate_in_void_fails():
     mesh = build_tunnel_mesh(blindtest_geometry())
     with pytest.raises(PointNotFoundError):
-        locate_point(mesh, (10.0, 20.0))  # inside the tunnel void
+        locate_point(mesh, [(10.0, 20.0)])  # inside the tunnel void
     with pytest.raises(PointNotFoundError):
-        locate_point(mesh, (-5.0, 5.0))
+        locate_point(mesh, [(-5.0, 5.0)])
 
 
 def test_locate_roundtrip_random_points():
@@ -156,12 +157,68 @@ def test_locate_roundtrip_random_points():
     while found < 100:
         p = (rng.uniform(0, W), rng.uniform(0, H))
         try:
-            e, xi = locate_point(mesh, p)
+            (e,), (xi,) = locate_point(mesh, [p])
         except PointNotFoundError:
             continue
         back = local_to_global(mesh, e, xi)
         assert abs(back[0] - p[0]) < 1e-10 and abs(back[1] - p[1]) < 1e-10
         found += 1
+
+
+LOCATION_MESHES = {
+    "blindtest": build_tunnel_mesh(blindtest_geometry()),
+    "desk_1m": build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, 3.0, 1.0)),
+    "desk_0.8m": build_tunnel_mesh(TunnelGeometry(40, 12, 0, 12, 0, 3.2, 0.8)),
+    "unbounded": build_unbounded_mesh(100, 36, 3, 1),
+}
+
+
+def _coordinate(n_cells, h):
+    """Anywhere on or just off the grid, on a grid line, or 1e-10 off one."""
+    line = st.integers(-1, n_cells + 1).map(lambda k: k * h)
+    near = st.tuples(line, st.sampled_from((-1e-10, 1e-10))).map(sum)
+    return st.one_of(st.floats(-2.0, n_cells * h + 2.0), line, near)
+
+
+@st.composite
+def _mesh_and_points(draw):
+    mesh = LOCATION_MESHES[draw(st.sampled_from(sorted(LOCATION_MESHES)))]
+    point = st.tuples(_coordinate(mesh.nx, mesh.h), _coordinate(mesh.ny, mesh.h))
+    return mesh, draw(st.lists(point, min_size=1, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mesh_and_points(), st.booleans())
+def test_array_location_matches_the_per_point_reference(case, station):
+    # elements and local coordinates bitwise, and the first failing point's
+    # message: void or outside for points and stations, PML for stations
+    mesh, points = case
+    locate = locate_station if station else locate_point
+    try:
+        expected = [reference_locate(mesh, p, station) for p in points]
+    except PointNotFoundError as exc:
+        with pytest.raises(PointNotFoundError) as got:
+            locate(mesh, points)
+        assert str(got.value) == str(exc)
+        return
+    elems, xi = locate(mesh, points)
+    assert elems.tolist() == [e for e, _ in expected]
+    assert xi.tobytes() == np.array([x for _, x in expected]).tobytes()
+
+
+@pytest.mark.parametrize("station", [False, True])
+def test_location_messages_name_python_floats(station):
+    mesh = LOCATION_MESHES["blindtest"]
+    locate = locate_station if station else locate_point
+    what = "station" if station else "point"
+    points = np.array([(30.0, 18.0), (10.0, 20.0), (-5.0, 5.0)])
+    with pytest.raises(PointNotFoundError) as got:
+        locate(mesh, points)
+    assert str(got.value) == f"{what} (10.0, 20.0) lies in the void or outside the grid"
+    if station:
+        with pytest.raises(PointNotFoundError) as got:
+            locate(mesh, [(30.0, 18.0), (1.0, 30.0), (10.0, 20.0)])
+        assert str(got.value) == "station (1.0, 30.0) lies inside the PML"
 
 
 def test_pml_local_coordinate_values():
