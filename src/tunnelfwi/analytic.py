@@ -17,8 +17,9 @@ def hankel2(order, x):
     """Hankel function of the second kind, order 0 or 1: J_n - i Y_n, at
     every entry of x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise AnalyticError(f"argument must be > 0, got {x[x <= 0][0]}")
+    bad = ~(x > 0)  # written so that NaN fails it
+    if np.any(bad):
+        raise AnalyticError(f"argument must be > 0, got {x[bad][0]}")
     if order not in (0, 1):
         raise AnalyticError(f"order must be 0 or 1, got {order}")
     # imported here: loading scipy.special adds about 4 MB to every process
@@ -33,9 +34,10 @@ def greens_x_polar(r, theta, omega, vp, vs, rho):
     """Horizontal displacement at (r, theta) due to a unit vertical force,
     entrywise over r and theta."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    # each comparison is written so that NaN fails it
+    if np.any(~(r > 0)):
         raise AnalyticError("field point coincides with the source")
-    if omega <= 0:
+    if not omega > 0:
         raise AnalyticError(f"omega must be > 0, got {omega}")
     cs = np.cos(theta) * np.sin(theta)
     kp = r * omega / vp

@@ -11,10 +11,11 @@ The assembled impedance matrix is L = K - omega^2 M with
 K = integral of B^T Ctilde B and M = integral of eps_x eps_y rho N^T N.
 Dofs on the outer PML boundary are clamped to zero, which is where the
 absorbed field is assumed to have died out.  Element matrices are products
-of per-point coefficients with cached real tables; the model derivative of
-u . K . u_adj runs the stiffness product backwards through the same table,
-and the change of L along a model direction runs it forwards on the
-coefficients' changes.
+of per-point coefficients with cached real tables, formed one bounded range
+of element ids at a time and added into L's values in place; the model
+derivative of u . K . u_adj runs the stiffness product backwards through
+the same table, and the change of L along a model direction runs it
+forwards on the coefficients' changes.
 """
 
 from __future__ import annotations
@@ -326,12 +327,12 @@ class SystemPattern:
     The structure is that of E^T E, with E the (n_elements, n_dofs)
     incidence of the live (unclamped) element dofs, plus a unit diagonal on
     every clamped dof; L is symmetric, so CSR and CSC arrays coincide.
-    ``slots[e, a * w + b]`` is the slot that entry (a, b) of element e's
-    w x w matrix adds into: the rank of its key col * n + row among the
-    structure's sorted keys.  Entries on a clamped row or column go to the
-    discard bin ``nnz``, and the clamped diagonal sits at slots ``fixed``.
-    Nothing here depends on the model, omega or which elements are
-    stretched.
+    ``slots[e, a * w + b]`` is the slot of L's values that entry (a, b) of
+    element e's w x w matrix adds into: the rank of its key col * n + row
+    among the structure's sorted keys.  Entries on a clamped row or column
+    go to the discard bin ``nnz``, one past the last value, and the clamped
+    diagonal sits at slots ``fixed``.  Nothing here depends on the model,
+    omega or which elements are stretched.
     """
 
     def __init__(self, dof_map):
@@ -364,23 +365,6 @@ class SystemPattern:
         slots[~(live[:, :, None] & live[:, None, :])] = self.nnz
         self.slots = slots.astype(np.int32).reshape(nel, width * width)
 
-    def matrix(self, real, stretched=None):
-        """CSC matrix that sums (n_elements, w, w) element matrices.
-
-        ``real`` holds every element's real part; ``stretched`` is None or
-        (elements, imaginary parts) of the only elements whose matrices are
-        complex.  Each slot adds its entries in ascending element order.
-        """
-        bins = self.nnz + 1
-        data = np.zeros(bins, dtype=complex)
-        data.real = np.bincount(self.slots.ravel(), real.ravel(), bins)
-        if stretched is not None:
-            elems, imag = stretched
-            data.imag = np.bincount(self.slots[elems].ravel(), imag.ravel(), bins)
-        data = data[:-1]
-        data[self.fixed] = 1.0
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
-
 
 @dataclass
 class AssembledSystem:
@@ -388,8 +372,9 @@ class AssembledSystem:
     model and discretization it was assembled from.
 
     Clamped rows and columns are zero except for a unit diagonal.  K and M
-    are never formed globally: element matrices are combined first, and
-    ``np.bincount`` sums their entries by the slot ids of the dof map's
+    are never formed globally: element matrices are combined first, one
+    bounded range of element ids at a time, and ``np.add.at`` adds each
+    range's entries into L's values by the slot ids of the dof map's
     ``SystemPattern``.
     """
 
@@ -417,19 +402,35 @@ def _describe(mesh):
     return f"{mesh.n_elements} elements, {mesh.n_nodes} nodes, h = {mesh.h:g}"
 
 
-def _batches(mesh, profile):
-    """(element indices, stretched) for the unstretched and stretched batch."""
+# element matrix entries per element id range: 2,048, 404 and 128 elements
+# at p = 1, 2 and 3, which bounds the per-frequency temporaries
+ENTRY_BUDGET = 2 ** 17
+
+
+def _batches(mesh, profile, degree):
+    """Consecutive element id ranges of at most ``ENTRY_BUDGET`` element
+    matrix entries (and at least one element), in ascending order.
+
+    Yields (ids, parts) per range; ``parts`` lists (element indices,
+    stretched) of the range's unstretched and stretched elements, the
+    batches that share one quadrature rule.
+    """
     stretched = (profile.c_pml > 0.0) & (mesh.element_region != meshmod.INTERIOR)
-    for flag in (False, True):
-        elems = np.flatnonzero(stretched == flag)
-        if len(elems):
-            yield elems, flag
+    size = max(1, ENTRY_BUDGET // (2 * n_modes(degree)) ** 2)
+    for first in range(0, mesh.n_elements, size):
+        ids = np.arange(first, min(first + size, mesh.n_elements))
+        flags = stretched[ids]
+        yield ids, [(ids[flags == flag], flag) for flag in (False, True)
+                    if np.any(flags == flag)]
 
 
 def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
-    """Form every element's K_e - omega^2 M_e and sum them by slot id.
+    """Form K_e - omega^2 M_e range by range and add them into L by slot id.
 
-    Clamped rows/columns are dropped and replaced by a unit diagonal.
+    Each range's real parts go into one (range, w^2) buffer in element
+    order, so each slot adds its entries in ascending element order; only
+    stretched elements add imaginary parts.  Clamped rows/columns are
+    dropped and replaced by a unit diagonal.
     """
     cfg.validate()
     profile.validate()
@@ -439,19 +440,24 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
         dof_map = DofMap(mesh, cfg.degree)
     check_dof_map(dof_map, mesh, cfg.degree)
 
-    width = dof_map.element_dofs.shape[1]
-    real = np.empty((mesh.n_elements, width, width))
-    stretched = None
-    for elems, flag in _batches(mesh, profile):
-        K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
-                                                  profile, cfg, flag), rho)
-        M *= omega ** 2
-        K -= M
-        real[elems] = K.real
-        if flag:  # the only complex batch: keep its imaginary parts alone
-            stretched = (elems, K.imag.copy())
-        del K, M
-    L = dof_map.system_pattern().matrix(real, stretched)
+    pattern = dof_map.system_pattern()
+    data = np.zeros(pattern.nnz + 1, dtype=complex)  # last bin: clamped entries
+    for ids, parts in _batches(mesh, profile, cfg.degree):
+        real = np.empty((len(ids), pattern.slots.shape[1]))
+        for elems, flag in parts:
+            K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
+                                                      profile, cfg, flag), rho)
+            M *= omega ** 2
+            K -= M
+            K = K.reshape(len(elems), -1)
+            real[elems - ids[0]] = K.real
+            if flag:
+                np.add.at(data.imag, pattern.slots[elems].ravel(), K.imag.ravel())
+        # one-dimensional operands keep np.add.at on its fast path
+        np.add.at(data.real, pattern.slots[ids].ravel(), real.ravel())
+    data = data[:-1]
+    data[pattern.fixed] = 1.0
+    L = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
     return AssembledSystem(L=L, dof_map=dof_map, omega=float(omega), model=model,
                            rho=rho, profile=profile, cfg=cfg)
 
@@ -494,10 +500,13 @@ def _system_batches(system):
     """(rule, vp, vs, ex, ey, element dofs, corner nodes) of every element
     batch of an assembled system, as ``_batch_quadrature`` gives them."""
     mesh = system.dof_map.mesh
-    for elems, flag in _batches(mesh, system.profile):
-        rule, _, vp, vs, ex, ey = _batch_quadrature(
-            mesh, elems, system.model, system.omega, system.profile, system.cfg, flag)
-        yield rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems], mesh.elements[elems]
+    for _, parts in _batches(mesh, system.profile, system.cfg.degree):
+        for elems, flag in parts:
+            rule, _, vp, vs, ex, ey = _batch_quadrature(
+                mesh, elems, system.model, system.omega, system.profile, system.cfg,
+                flag)
+            yield (rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems],
+                   mesh.elements[elems])
 
 
 def stiffness_derivative_products(system, U, W):

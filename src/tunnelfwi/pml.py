@@ -46,7 +46,7 @@ def damping(x_star, profile: PmlProfile):
 
 def stretching(x_star, omega, profile: PmlProfile):
     """Complex stretch factor eps = 1 + gamma/(omega_c + i*omega)."""
-    if omega <= 0:
+    if not omega > 0:  # NaN fails it too
         raise PmlError(f"omega must be > 0, got {omega}")
     omega_c = profile.omega_c_ratio * omega
     eps = 1.0 + damping(x_star, profile) / (omega_c + 1j * omega)

@@ -8,7 +8,8 @@ the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
 ``system_pattern_oracle`` is the key sort that the production E^T E
 pattern build replaced, ``summation_oracle`` the CSR sum of
-complex ``element_values`` that the slot-id ``bincount`` replaced, and
+complex ``element_values`` that the production range-by-range slot-id
+``np.add.at`` replaced, and
 ``reference_mesh_arrays`` the per-cell loops that the production
 array-operation mesh build replaced, and ``reference_locate`` the
 per-point candidate search that the array ``locate_point`` and
@@ -17,9 +18,15 @@ differences two assembled systems for the change of L along a model
 direction.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
 ``pml_local_coordinate``, ``local_to_global``, ``ricker_spectrum`` and
-``dump_mesh`` convert, evaluate or print what the program computes.
+``dump_mesh`` convert, evaluate or print what the program computes, and
+``run_child`` runs a script in a fresh process for the memory tests.
 """
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +40,32 @@ from tunnelfwi.signal import Spectrum, dft_many, sample_ricker
 
 REGION_NAMES = {INTERIOR: "interior", PML_X: "pml-x", PML_Y: "pml-y",
                 PML_CORNER: "pml-corner"}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_child(script, *args, timeout=120.0):
+    """Run ``script`` in a fresh Python process with the package on its path.
+
+    The child is killed after ``timeout`` seconds.  Returns its exit code,
+    its standard output and its ``os.wait4`` resource usage.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
+                            env=env, stdout=subprocess.PIPE)
+    timer = threading.Timer(timeout, proc.kill)
+    timer.start()
+    try:
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    # the child was reaped above; telling Popen so keeps it from warning
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, usage
 
 
 def lame_parameters(vp, vs, rho):
@@ -175,6 +208,13 @@ def mass_weight(eps_x, eps_y):
     return eps_x * eps_y
 
 
+def _element_batches(mesh, profile, cfg):
+    """(element indices, stretched) of every batch of the production
+    ``_batches``, range by range."""
+    for _, parts in asmmod._batches(mesh, profile, cfg.degree):
+        yield from parts
+
+
 def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     """(K, M, L) in CSC through COO triplets of the production element batches.
 
@@ -182,7 +222,7 @@ def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     (zero in M) so that L = K - omega^2 M holds entrywise.
     """
     rows, cols, kvals, mvals = [], [], [], []
-    for elems, flag in asmmod._batches(mesh, profile):
+    for elems, flag in _element_batches(mesh, profile, cfg):
         K_b, M_b = asmmod._batch_matrices(*asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag), rho)
         dofs = dof_map.element_dofs[elems]
@@ -219,7 +259,7 @@ def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, do
     asmmod.check_dof_map(dof_map, mesh, cfg.degree)
     n = model.n_nodes
     out = np.zeros(2 * n, dtype=complex)
-    for elems, flag in asmmod._batches(mesh, profile):
+    for elems, flag in _element_batches(mesh, profile, cfg):
         rule, h, vp, vs, ex, ey = asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
         _, w, V, G = asmmod.quad_table(*rule)
@@ -296,9 +336,9 @@ def system_pattern_oracle(dof_map):
 
 def summation_oracle(dof_map, values):
     """L from complex (n_elements, w, w) element matrices through a
-    (nnz, n_elements w^2) CSR operator of ones, the sparse sum that
-    ``SystemPattern.matrix`` replaced: row s sums the entries, in element
-    order, that land on slot s."""
+    (nnz, n_elements w^2) CSR operator of ones, the sparse sum that the
+    slot-id ``np.add.at`` of ``assemble_system`` replaced: row s sums the
+    entries, in element order, that land on slot s."""
     pattern = system_pattern_oracle(dof_map)
     entries, order, slot, _, is_entry = _whole_array_sort(dof_map)
     per_slot = np.bincount(slot[is_entry], minlength=pattern.nnz)
@@ -314,10 +354,11 @@ def summation_oracle(dof_map, values):
 
 
 def element_values(mesh, model, rho, omega, profile, cfg):
-    """Complex (n_elements, w, w) stack of every K_e - omega^2 M_e."""
+    """Complex (n_elements, w, w) stack of every K_e - omega^2 M_e, formed
+    batch by batch over the ranges of the production ``_batches``."""
     width = 2 * asmmod.n_modes(cfg.degree)
     values = np.empty((mesh.n_elements, width, width), dtype=complex)
-    for elems, flag in asmmod._batches(mesh, profile):
+    for elems, flag in _element_batches(mesh, profile, cfg):
         K, M = asmmod._batch_matrices(*asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag), rho)
         values[elems] = K - omega ** 2 * M

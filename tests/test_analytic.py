@@ -56,6 +56,10 @@ def test_hankel2_argument_and_order_validation():
     # the first bad entry of an array is named
     with pytest.raises(AnalyticError, match=r"argument must be > 0, got -1\.0$"):
         hankel2(0, [2.0, -1.0, 0.0])
+    with pytest.raises(AnalyticError, match=r"argument must be > 0, got nan$"):
+        hankel2(0, np.nan)
+    with pytest.raises(AnalyticError, match=r"argument must be > 0, got nan$"):
+        hankel2(1, [2.0, np.nan])
 
 
 def test_wronskian_identity():
@@ -157,3 +161,15 @@ def test_greens_singularity_rejected():
     with pytest.raises(AnalyticError, match="coincides with the source"):
         greens_x_analytic((1.0, 1.0), [(2.0, 3.0), (1.0, 1.0)], 1000.0, 4000.0,
                           2400.0, 2500.0)
+    # so does a NaN distance
+    with pytest.raises(AnalyticError, match="coincides with the source"):
+        greens_x_polar(np.nan, 0.3, 1000.0, 4000.0, 2400.0, 2500.0)
+    with pytest.raises(AnalyticError, match="coincides with the source"):
+        greens_x_analytic((1.0, 1.0), [(2.0, 3.0), (np.nan, 1.0)], 1000.0, 4000.0,
+                          2400.0, 2500.0)
+
+
+@pytest.mark.parametrize("omega", [0.0, -5.0, np.nan])
+def test_greens_needs_positive_omega(omega):
+    with pytest.raises(AnalyticError, match="omega must be > 0"):
+        greens_x_polar(5.0, 0.3, omega, 4000.0, 2400.0, 2500.0)

@@ -439,6 +439,59 @@ def test_slot_sums_match_csr_summation_bitwise(kind, p, profile):
         assert a.tobytes() == b.tobytes()
 
 
+# one element per range, and three: ranges of both parts, cut mid-layer
+@pytest.mark.parametrize("per_range", [1, 3])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
+def test_slot_sums_bitwise_over_many_ranges(monkeypatch, profile, p, per_range):
+    monkeypatch.setattr(asmmod, "ENTRY_BUDGET", per_range * (2 * asmmod.n_modes(p)) ** 2)
+    mesh = PATTERN_MESHES["tunnel"]()
+    ranges = list(asmmod._batches(mesh, profile, p))
+    assert len(ranges) == -(-mesh.n_elements // per_range)
+    if profile is PML and per_range > 1:
+        assert any(len(parts) == 2 for _, parts in ranges)
+    test_slot_sums_match_csr_summation_bitwise("tunnel", p, profile)
+
+
+# Assembly memory at the case-study scale: the blindtest mesh at p = 3 and
+# its pattern, then L at omega = 300 and 1000 rad/s, the first L dropped.
+# Prints the degree, the second L's value bytes and VmRSS (kB) before the
+# first and after the second assembly.
+CASE_SCALE_ASSEMBLY = """
+import sys
+from tunnelfwi import assembly, config, material, mesh
+def rss_kb():
+    return int([ln.split()[1] for ln in open("/proc/self/status")
+                if ln.startswith("VmRSS")][0])
+cfg = config.load_config(sys.argv[1])
+grid = mesh.build_tunnel_mesh(cfg.geometry())
+amb = cfg.ambient()
+model = material.ModelVector.homogeneous(grid, amb.vp, amb.vs)
+disc = cfg.discretization()
+dm = assembly.DofMap(grid, disc.degree)
+dm.system_pattern()
+before = rss_kb()
+for omega in (300.0, 1000.0):
+    L = None
+    L = assembly.assemble_system(grid, model, amb.rho, omega, cfg.profile(), disc,
+                                 dof_map=dm).L
+print(disc.degree, L.data.nbytes, before, rss_kb())
+"""
+
+
+def test_case_scale_assembly_keeps_no_whole_mesh_temporaries():
+    code, out, _ = oracles.run_child(CASE_SCALE_ASSEMBLY,
+                                     oracles.ROOT / "configs" / "blindtest.cfg")
+    assert code == 0
+    degree, nbytes, before_kb, after_kb = map(int, out.split())
+    assert degree == 3
+    # L's values and 32 MB of slack; whole-mesh element matrix stacks that
+    # stay on the heap after an assembly take about 100 MB more
+    growth = (after_kb - before_kb) * 1024
+    assert growth <= nbytes + 32 * 2 ** 20, \
+        f"RSS grew {growth / 2 ** 20:.1f} MB, L's values take {nbytes / 2 ** 20:.1f} MB"
+
+
 def test_dofmap_builds_its_pattern_once(monkeypatch):
     built = []
 

@@ -1,16 +1,11 @@
-import os
-import subprocess
-import sys
-import threading
 import warnings
 import weakref
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import evaluate_field
+from oracles import ROOT, evaluate_field, run_child
 from tunnelfwi import assembly as asmmod
 from tunnelfwi import solver
 from tunnelfwi.assembly import (AssemblyError, DiscretizationConfig, DofMap,
@@ -444,26 +439,10 @@ print(res.system.dof_map.n_dofs, disc.degree, repr(float(r)), solver.fallback_co
 
 @pytest.mark.slow
 def test_case_scale_top_frequency_fits_in_memory():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.Popen([sys.executable, "-c", CASE_SCALE_SOLVE,
-                             str(root / "configs" / "blindtest.cfg")],
-                            env=env, stdout=subprocess.PIPE)
-    timer = threading.Timer(120.0, proc.kill)
-    timer.start()
-    try:
-        out = proc.stdout.read()
-        proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        timer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    code, out, usage = run_child(CASE_SCALE_SOLVE, ROOT / "configs" / "blindtest.cfg")
     # wait4's ru_maxrss also counts the high-water mark this process had when
     # the child was forked, so the bound is checked on the child's own VmHWM
-    assert proc.returncode == 0, \
-        f"exit {proc.returncode}, ru_maxrss {usage.ru_maxrss / 1024.0:.0f} MB"
+    assert code == 0, f"exit {code}, ru_maxrss {usage.ru_maxrss / 1024.0:.0f} MB"
     n_dofs, degree, residual, fallbacks, hwm_kb = out.split()
     assert (int(n_dofs), int(degree)) == (72938, 3)
     assert int(hwm_kb) / 1024.0 <= 1024.0

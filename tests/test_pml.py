@@ -47,6 +47,8 @@ def test_stretching_needs_positive_omega():
         stretching(1.0, 0.0, PROFILE)
     with pytest.raises(PmlError):
         stretching(1.0, -5.0, PROFILE)
+    with pytest.raises(PmlError, match="omega must be > 0, got nan"):
+        stretching(1.0, np.nan, PROFILE)
 
 
 def test_stretch_magnitude_monotone():
