@@ -41,7 +41,7 @@ class DiscretizationConfig:
     degree: int = 1
     quad_points: int = None  # per axis; defaults to degree + 1
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.degree <= MAX_DEGREE:
             raise AssemblyError(f"polynomial degree must be in [1, {MAX_DEGREE}]")
         if self.quad_points is not None and self.quad_points < self.degree + 1:
@@ -148,6 +148,9 @@ class DofMap:
     """
 
     def __init__(self, mesh, p):
+        if not (isinstance(p, (int, np.integer)) and 1 <= p <= MAX_DEGREE):
+            raise AssemblyError(f"polynomial degree must be an integer in "
+                                f"[1, {MAX_DEGREE}], got {p!r}")
         self.mesh = mesh
         self.p = int(p)
         n_edge = self.p - 1
@@ -432,8 +435,6 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     stretched elements add imaginary parts.  Clamped rows/columns are
     dropped and replaced by a unit diagonal.
     """
-    cfg.validate()
-    profile.validate()
     if not 0 < omega < np.inf:
         raise AssemblyError(f"omega must be finite and > 0, got {omega}")
     if dof_map is None:

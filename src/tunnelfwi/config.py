@@ -2,8 +2,11 @@
 
 The file format is line oriented: ``key = value`` with ``#`` comments.
 ``source``, ``receiver`` and ``group`` may repeat and accumulate.  Unknown
-keys are rejected by name; every loaded config is cross-validated against
-the geometry, material and absorbing-layer invariants.
+keys are rejected by name.  The objects a config derives (geometry, ambient
+properties, absorbing profile, discretization, sources, schedule) check
+themselves when made, so loading builds each once and no later layer
+re-checks them; a ``ModelVector`` is checked only by its explicit
+``validate`` method.
 """
 
 from __future__ import annotations
@@ -118,11 +121,8 @@ class RunConfig:
 
     def schedule(self) -> optmod.FrequencySchedule:
         if self.groups:
-            sched = optmod.FrequencySchedule(tuple(tuple(g) for g in self.groups))
-        else:
-            sched = optmod.blindtest_schedule()
-        sched.validate()
-        return sched
+            return optmod.FrequencySchedule(tuple(tuple(g) for g in self.groups))
+        return optmod.blindtest_schedule()
 
     def settings(self) -> optmod.InversionSettings:
         s = self.scalars
@@ -148,10 +148,14 @@ class RunConfig:
 
 def _parse_direction(token, line_no):
     try:
-        return tuple(sorted({"x": 0, "y": 1}[c] for c in token))
+        dirs = sorted({"x": 0, "y": 1}[c] for c in token)
     except KeyError:
         raise ConfigError(f"line {line_no}: receiver directions must combine "
                           f"'x' and 'y', got {token!r}")
+    if len(set(dirs)) < len(dirs):
+        raise ConfigError(f"line {line_no}: receiver directions repeat a letter, "
+                          f"got {token!r}")
+    return tuple(dirs)
 
 
 def _finite(tokens, key, line_no):
@@ -265,11 +269,11 @@ def validate_config(cfg: RunConfig):
         if s[key] < 0 and s[key] != -1:
             raise ConfigError(f"{key} must be >= 0 or -1 (domain center), got {s[key]}")
     try:
-        cfg.geometry().validate()
-        cfg.ambient().validate()
+        cfg.geometry()
+        cfg.ambient()
         if s["pml_width"] > 0:
-            cfg.profile().validate()
-        cfg.discretization().validate()
+            cfg.profile()
+        cfg.discretization()
         cfg.schedule()
     except ConfigError:
         raise

@@ -60,7 +60,6 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     all sources or one value per source.
     """
     if dof_map is None:
-        cfg.validate()  # an invalid degree fails here, not in the numbering
         dof_map = asmmod.DofMap(mesh, cfg.degree)
     try:
         system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg,

@@ -25,7 +25,7 @@ class AmbientProperties:
     vs: float
     rho: float
 
-    def validate(self):
+    def __post_init__(self):
         if not all(0.0 < v < np.inf for v in (self.vp, self.vs, self.rho)):
             raise InvalidMaterialError("ambient properties must be positive and finite")
         if not self.vp > SQRT2 * self.vs:

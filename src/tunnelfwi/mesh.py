@@ -4,7 +4,8 @@ The grid is axis aligned with square elements of uniform size.  Absorbing
 layers (PML) can be attached to any subset of the four sides, the Earth's
 surface stays free on top of the tunnel variant, and the tunnel itself is a
 rectangular void that reaches through the left absorbing layer so that the
-tunnel mouth touches the outer boundary.
+tunnel mouth touches the outer boundary.  ``TunnelGeometry`` and ``Source``
+check themselves when made.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class TunnelGeometry:
     pml_width: float
     element_size: float
 
-    def validate(self):
+    def __post_init__(self):
         h = self.element_size
         if h <= 0:
             raise MeshError(f"element_size must be > 0, got {h}")
@@ -78,7 +79,7 @@ class Source:
     position: tuple
     direction: tuple  # unit vector (dx, dy)
 
-    def validate(self):
+    def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise MeshError(f"source direction {self.direction} is not a unit vector")
@@ -236,7 +237,6 @@ def build_tunnel_mesh(geometry: TunnelGeometry) -> Mesh:
     The Earth's surface stays free; the tunnel void reaches through the left
     PML so its mouth touches the outer boundary.
     """
-    geometry.validate()
     h = geometry.element_size
     pml = _check_conforming(geometry.pml_width, h, "pml_width")
     wi = _check_conforming(geometry.domain_width, h, "domain_width")
@@ -319,6 +319,4 @@ def locate_station(mesh: Mesh, points):
 
 def validate_layout(layout: StationLayout, mesh: Mesh):
     """Every station must be locatable outside the PML."""
-    for s in layout.sources:
-        s.validate()
     locate_station(mesh, layout.station_points())

@@ -51,12 +51,10 @@ class FrequencySchedule:
     def __post_init__(self):
         groups = tuple(tuple(float(w) for w in g) for g in self.groups)
         object.__setattr__(self, "groups", groups)
-
-    def validate(self):
-        if not self.groups:
+        if not groups:
             raise ScheduleError("schedule has no frequency groups")
         prev_top = 0.0
-        for i, g in enumerate(self.groups):
+        for i, g in enumerate(groups):
             if not g or not all(0.0 < w < np.inf for w in g):
                 raise ScheduleError(f"group {i} must contain positive finite frequencies")
             for w in g:
@@ -81,9 +79,7 @@ def blindtest_schedule() -> FrequencySchedule:
         hi = 1200.0 + 200.0 * k
         lo = 600.0 + 100.0 * k if k <= 15 else 1980.0 - 120.0 * (k - 16)
         groups.append((lo, hi))
-    sched = FrequencySchedule(tuple(groups))
-    sched.validate()
-    return sched
+    return FrequencySchedule(tuple(groups))
 
 
 # -- L-BFGS --------------------------------------------------------------------
@@ -458,10 +454,9 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
     A group whose first solve meets a singular system is recorded in
     ``failures`` and the next group starts from the last model; any other
     error propagates.  ``on_group_end(group_index, state)``, if given, runs
-    after every group, failed ones included.  A schedule, model or missing
-    frequency that cannot run fails before the first group.
+    after every group, failed ones included.  A model or missing frequency
+    that cannot run fails before the first group.
     """
-    schedule.validate()
     initial_model.validate()
     missing = [w for w in schedule.all_frequencies() if w not in data.observed]
     if missing:

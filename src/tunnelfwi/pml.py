@@ -3,7 +3,8 @@
 The real coordinate is stretched into the complex plane with a factor
 eps = 1 + gamma / (omega_c + i*omega); the damping profile gamma rises
 smoothly from zero at the inner edge to its full amplitude at the outer
-boundary.  In 2D the out-of-plane stretch is identically one.
+boundary.  In 2D the out-of-plane stretch is identically one.  A
+``PmlProfile`` checks itself when made.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class PmlProfile:
     width: float
     omega_c_ratio: float = 0.99
 
-    def validate(self):
+    def __post_init__(self):
         # c_pml == 0 switches the stretch off entirely (used by reduction
         # tests); each comparison is written so that NaN fails it
         if not 0.0 <= self.c_pml < np.inf:

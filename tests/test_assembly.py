@@ -92,9 +92,15 @@ def test_degree_out_of_range():
     with pytest.raises(AssemblyError):
         shape_functions(4, np.zeros(2))
     with pytest.raises(AssemblyError):
-        DiscretizationConfig(degree=0).validate()
+        DiscretizationConfig(degree=0)
     with pytest.raises(AssemblyError):
-        DiscretizationConfig(degree=2, quad_points=2).validate()
+        DiscretizationConfig(degree=2, quad_points=2)
+
+
+@pytest.mark.parametrize("p", [0, 4, 2.5])
+def test_dof_map_rejects_a_degree_it_cannot_number(p):
+    with pytest.raises(AssemblyError, match=rf"integer in \[1, 3\], got {p}$"):
+        DofMap(box_mesh(), p)
 
 
 def test_gradients_match_finite_differences():

@@ -8,16 +8,19 @@ import pytest
 from oracles import evaluate_field
 from tunnelfwi import fileio
 from tunnelfwi.analytic import greens_x_polar
+from tunnelfwi.assembly import AssemblyError, DiscretizationConfig
 from tunnelfwi.cli import cli_dispatch
 from tunnelfwi.config import ConfigError, format_config, load_config, parse_config
 from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
                               read_model_grid, read_time_records,
                               write_frequency_records, write_model_grid,
                               write_time_records)
-from tunnelfwi.material import ModelVector
+from tunnelfwi.material import AmbientProperties, InvalidMaterialError, ModelVector
 from tunnelfwi.forward import forward_solve
-from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
-                            build_tunnel_mesh, build_unbounded_mesh)
+from tunnelfwi.mesh import (MeshError, Receiver, Source, StationLayout,
+                            TunnelGeometry, build_tunnel_mesh, build_unbounded_mesh)
+from tunnelfwi.optimize import FrequencySchedule, ScheduleError
+from tunnelfwi.pml import PmlError, PmlProfile
 from tunnelfwi.signal import TimeSeries
 
 
@@ -131,6 +134,33 @@ def test_receiver_direction_error_names_its_line():
     with pytest.raises(ConfigError, match="^line 2: receiver directions must combine "
                                           "'x' and 'y', got 'z'$"):
         parse_config("domain_width = 40\nreceiver = 1 2 z\n")
+
+
+@pytest.mark.parametrize("dirs", ["xx", "yxy"])
+def test_receiver_direction_repeating_a_letter_rejected_by_line(dirs):
+    with pytest.raises(ConfigError, match=f"^line 2: receiver directions repeat a "
+                                          f"letter, got '{dirs}'$"):
+        parse_config(f"domain_width = 40\nreceiver = 10 10 {dirs}\n")
+
+
+@pytest.mark.parametrize("valid, field, bad, error, match", [
+    (DiscretizationConfig(degree=2), "degree", 0, AssemblyError,
+     r"polynomial degree must be in \[1, 3\]"),
+    (PmlProfile(25000.0, 3.0), "width", 0.0, PmlError,
+     "layer width must be finite and > 0, got 0.0"),
+    (TunnelGeometry(10, 5, 0, 5, 0, 3, 1), "element_size", 0.0, MeshError,
+     "element_size must be > 0, got 0.0"),
+    (AmbientProperties(4000.0, 2400.0, 2500.0), "vs", 3000.0, InvalidMaterialError,
+     r"must exceed sqrt\(2\)\*vs"),
+    (Source((6.0, 4.0), (1.0, 0.0)), "direction", (1.0, 1.0), MeshError,
+     "is not a unit vector"),
+    (FrequencySchedule(((100.0,), (200.0,))), "groups", ((200.0,), (100.0,)),
+     ScheduleError, "does not exceed the previous group's top"),
+], ids=["discretization", "profile", "geometry", "ambient", "source", "schedule"])
+def test_replacing_a_field_with_a_bad_value_raises(valid, field, bad, error, match):
+    # every instance that exists is valid, including one made by replace
+    with pytest.raises(error, match=match):
+        replace(valid, **{field: bad})
 
 
 @pytest.mark.parametrize("value", ["-5:2", "0:1 3000:2", "3000:1 3000:2"],
@@ -650,6 +680,18 @@ def test_cli_forward_rejects_nan_c_pml(tmp_path):
     out = tmp_path / "records.txt"
     assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) != 0
     assert not out.exists()
+
+
+def test_cli_forward_without_absorbing_layer_fails_before_any_solve(tmp_path, capsys):
+    from tunnelfwi import solver
+    cfg_path = tmp_path / "fw.cfg"
+    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\npml_width = 0\n")
+    out = tmp_path / "records.txt"
+    before = solver.factorization_count()
+    assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: layer width must be finite and > 0, got 0.0\n"
+    assert not out.exists()
+    assert solver.factorization_count() == before
 
 
 def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):

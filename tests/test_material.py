@@ -87,9 +87,9 @@ def test_lame_invalid_material():
 @pytest.mark.parametrize("props", [(np.nan, 2400.0, 2500.0), (4000.0, np.nan, 2500.0),
                                    (4000.0, 2400.0, np.inf)])
 def test_ambient_properties_reject_nan_and_inf(props):
-    AmbientProperties(4000.0, 2400.0, 2500.0).validate()
+    AmbientProperties(4000.0, 2400.0, 2500.0)
     with pytest.raises(InvalidMaterialError, match="positive and finite"):
-        AmbientProperties(*props).validate()
+        AmbientProperties(*props)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -165,11 +165,11 @@ def test_clamp_restores_validity():
 
 
 def test_ambient_validation():
-    AmbientProperties(4000.0, 2400.0, 2500.0).validate()
+    AmbientProperties(4000.0, 2400.0, 2500.0)
     with pytest.raises(InvalidMaterialError):
-        AmbientProperties(3000.0, 2400.0, 2500.0).validate()
+        AmbientProperties(3000.0, 2400.0, 2500.0)
     with pytest.raises(InvalidMaterialError):
-        AmbientProperties(4000.0, -1.0, 2500.0).validate()
+        AmbientProperties(4000.0, -1.0, 2500.0)
 
 
 def test_point_in_void_rejected():

@@ -269,6 +269,11 @@ def test_station_layout_validation():
         meshmod.validate_layout(inside_pml, mesh)
 
 
+def test_source_direction_must_be_a_unit_vector():
+    with pytest.raises(MeshError, match=r"source direction \(0.6, 0.6\) is not a unit vector"):
+        Source((30.0, 18.0), (0.6, 0.6))
+
+
 def test_mesh_dump_runs(tmp_path):
     mesh = build_tunnel_mesh(TunnelGeometry(4, 2, 0, 2, 0, 0, 1))
     path = tmp_path / "mesh.txt"

@@ -35,21 +35,21 @@ def test_blindtest_schedule_term_for_term():
 
 
 def test_schedule_validation():
-    FrequencySchedule(((100.0,), (50.0, 200.0))).validate()
+    FrequencySchedule(((100.0,), (50.0, 200.0)))
     with pytest.raises(ScheduleError):
-        FrequencySchedule(((200.0,), (100.0,))).validate()  # top not rising
+        FrequencySchedule(((200.0,), (100.0,)))  # top not rising
     with pytest.raises(ScheduleError):
-        FrequencySchedule(((100.0,), (100.0,))).validate()
+        FrequencySchedule(((100.0,), (100.0,)))
     with pytest.raises(ScheduleError):
-        FrequencySchedule(((0.0,),)).validate()
+        FrequencySchedule(((0.0,),))
     with pytest.raises(ScheduleError):
-        FrequencySchedule(()).validate()
+        FrequencySchedule(())
 
 
 @pytest.mark.parametrize("omega", [np.nan, np.inf])
 def test_schedule_rejects_nan_and_inf_frequencies(omega):
     with pytest.raises(ScheduleError, match="group 1 must contain positive finite"):
-        FrequencySchedule(((100.0,), (omega,))).validate()
+        FrequencySchedule(((100.0,), (omega,)))
 
 
 # -- L-BFGS ---------------------------------------------------------------------
@@ -536,10 +536,10 @@ def test_run_inversion_propagates_unexpected_errors(monkeypatch):
 def test_group_listing_a_frequency_twice_fails_before_any_solve():
     from tunnelfwi import solver
     mesh, data, truth = toy_problem()
-    sched = FrequencySchedule(((1200.0,), (2000.0, 1200.0, 2000.0)))
     before = solver.factorization_count()
     with pytest.raises(ScheduleError, match="group 1 lists frequency 2000.0 more than once"):
-        run_inversion(truth, sched, data, InversionSettings(max_iterations=1))
+        run_inversion(truth, FrequencySchedule(((1200.0,), (2000.0, 1200.0, 2000.0))),
+                      data, InversionSettings(max_iterations=1))
     assert solver.factorization_count() == before
 
 

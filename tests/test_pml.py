@@ -58,21 +58,21 @@ def test_stretch_magnitude_monotone():
 
 
 def test_profile_validation():
-    PROFILE.validate()
-    PmlProfile(0.0, 3.0).validate()  # disabled layer is allowed
+    PmlProfile(25000.0, 3.0, omega_c_ratio=0.99)
+    PmlProfile(0.0, 3.0)  # disabled layer is allowed
     with pytest.raises(PmlError):
-        PmlProfile(-1.0, 3.0).validate()
+        PmlProfile(-1.0, 3.0)
     with pytest.raises(PmlError):
-        PmlProfile(25000.0, 0.0).validate()
+        PmlProfile(25000.0, 0.0)
     with pytest.raises(PmlError):
-        PmlProfile(25000.0, 3.0, omega_c_ratio=1.0).validate()
+        PmlProfile(25000.0, 3.0, omega_c_ratio=1.0)
 
 
 @pytest.mark.parametrize("c_pml, width", [(np.nan, 3.0), (np.inf, 3.0),
                                            (1e4, np.nan), (1e4, np.inf)])
 def test_profile_validation_rejects_nan_and_inf(c_pml, width):
     with pytest.raises(PmlError, match="must be finite"):
-        PmlProfile(c_pml, width).validate()
+        PmlProfile(c_pml, width)
 
 
 def test_stretched_stiffness_identity():
