@@ -12,7 +12,7 @@ from .analytic import greens_x_analytic, greens_x_polar, hankel2
 from .assembly import (AssembledSystem, DiscretizationConfig, DofMap,
                        assemble_point_source, assemble_system, node_areas,
                        shape_functions)
-from .config import RunConfig, format_config, load_config, parse_config
+from .config import RunConfig, load_config, parse_config
 from .forward import (ForwardResult, RecordSet, WaveField, forward_solve,
                       greens_sweep, sample_receivers, solve_records)
 from .material import (AmbientProperties, InvalidMaterialError, ModelVector,

@@ -36,16 +36,27 @@ class AssemblyError(ValueError):
     pass
 
 
+def _is_int(n):
+    return isinstance(n, (int, np.integer))
+
+
+def _check_degree(p):
+    if not (_is_int(p) and 1 <= p <= MAX_DEGREE):
+        raise AssemblyError(f"polynomial degree must be an integer in "
+                            f"[1, {MAX_DEGREE}], got {p!r}")
+
+
 @dataclass(frozen=True)
 class DiscretizationConfig:
     degree: int = 1
     quad_points: int = None  # per axis; defaults to degree + 1
 
     def __post_init__(self):
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise AssemblyError(f"polynomial degree must be in [1, {MAX_DEGREE}]")
-        if self.quad_points is not None and self.quad_points < self.degree + 1:
-            raise AssemblyError("need at least degree + 1 quadrature points per axis")
+        _check_degree(self.degree)
+        q = self.quad_points
+        if q is not None and not (_is_int(q) and q >= self.degree + 1):
+            raise AssemblyError(f"need an integer of at least degree + 1 "
+                                f"quadrature points per axis, got {q!r}")
 
     @property
     def n_quad(self):
@@ -101,8 +112,7 @@ def shape_functions(p, xi):
     ascending degree, then face-interior modes.  Each mode is the product
     X_a(x) Y_b(y) of two 1D modes.
     """
-    if not 1 <= p <= MAX_DEGREE:
-        raise AssemblyError(f"polynomial degree must be in [1, {MAX_DEGREE}]")
+    _check_degree(p)
     pts = np.atleast_2d(np.asarray(xi, dtype=float))
     if pts.shape[1] != 2:
         raise AssemblyError("local points must have two coordinates")
@@ -148,9 +158,7 @@ class DofMap:
     """
 
     def __init__(self, mesh, p):
-        if not (isinstance(p, (int, np.integer)) and 1 <= p <= MAX_DEGREE):
-            raise AssemblyError(f"polynomial degree must be an integer in "
-                                f"[1, {MAX_DEGREE}], got {p!r}")
+        _check_degree(p)
         self.mesh = mesh
         self.p = int(p)
         n_edge = self.p - 1

@@ -186,12 +186,7 @@ def cmd_validate_pml(cfg, args):
     model = matmod.ModelVector.homogeneous(mesh, ambient.vp, ambient.vs)
     omega = 2.0 * np.pi * s["validate_frequency_hz"]
 
-    sx = s["validate_source_x"]
-    sy = s["validate_source_y"]
-    if sx == -1:
-        sx = pml + width / 2.0
-    if sy == -1:
-        sy = pml + height / 2.0
+    sx, sy = pml + width / 2.0, pml + height / 2.0  # the domain centre
     source = meshmod.Source((sx, sy), (0.0, 1.0))
     layout = meshmod.StationLayout(sources=(source,), receivers=())
     res = fwdmod.forward_solve(mesh, model, ambient.rho, omega, layout, 1.0,

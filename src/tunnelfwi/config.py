@@ -2,7 +2,8 @@
 
 The file format is line oriented: ``key = value`` with ``#`` comments.
 ``source``, ``receiver`` and ``group`` may repeat and accumulate.  Unknown
-keys are rejected by name.  The objects a config derives (geometry, ambient
+keys are rejected by name.  Without ``group`` lines a run uses the built-in
+28-group blind-test schedule.  The objects a config derives (geometry, ambient
 properties, absorbing profile, discretization, sources, schedule) check
 themselves when made, so loading builds each once and no later layer
 re-checks them; a ``ModelVector`` is checked only by its explicit
@@ -44,14 +45,12 @@ _SCALAR_DEFAULTS = {
     "omega_c_ratio": 0.99,
     # discretization
     "degree": 3,
-    "quad_points": 0,  # 0 = degree + 1
     # source signature
     "wavelet_peak_hz": 500.0,
     # optimizer
     "max_iterations": 20,
     "reduction_threshold": 1e-3,
     "lbfgs_capacity": 5,
-    "step_fraction": 0.01,
     # gradient mask
     "station_radius": 2.5,
     "station_transition": 2.5,
@@ -63,11 +62,9 @@ _SCALAR_DEFAULTS = {
     "sweep_step": 10.0,
     # solver validation run
     "validate_frequency_hz": 500.0,
-    "validate_source_x": -1.0,  # -1 = domain center
-    "validate_source_y": -1.0,
 }
 
-_INT_KEYS = {"degree", "quad_points", "max_iterations", "lbfgs_capacity"}
+_INT_KEYS = {"degree", "max_iterations", "lbfgs_capacity"}
 _LIST_KEYS = {"frequencies", "sweep_degrees"}
 _REPEAT_KEYS = {"source", "receiver", "group"}
 
@@ -75,8 +72,8 @@ _NONNEGATIVE = {"station_radius", "station_transition", "surface_distance",
                 "surface_transition", "tunnel_height", "tunnel_length", "pml_width"}
 _POSITIVE = {"domain_width", "element_size", "vp", "vs", "rho",
              "wavelet_peak_hz", "sweep_start", "sweep_step",
-             "validate_frequency_hz", "reduction_threshold", "step_fraction",
-             "max_iterations", "lbfgs_capacity"}
+             "validate_frequency_hz", "reduction_threshold", "max_iterations",
+             "lbfgs_capacity"}
 
 
 @dataclass
@@ -111,9 +108,7 @@ class RunConfig:
                                  omega_c_ratio=s["omega_c_ratio"])
 
     def discretization(self) -> asmmod.DiscretizationConfig:
-        s = self.scalars
-        quad = s["quad_points"] or None
-        return asmmod.DiscretizationConfig(degree=s["degree"], quad_points=quad)
+        return asmmod.DiscretizationConfig(degree=self.scalars["degree"])
 
     def layout(self) -> meshmod.StationLayout:
         return meshmod.StationLayout(sources=tuple(self.sources),
@@ -129,8 +124,7 @@ class RunConfig:
         return optmod.InversionSettings(
             max_iterations=s["max_iterations"],
             reduction_threshold=s["reduction_threshold"],
-            lbfgs_capacity=s["lbfgs_capacity"],
-            step_fraction=s["step_fraction"])
+            lbfgs_capacity=s["lbfgs_capacity"])
 
     def degree_for(self):
         """Sweep degree lookup: omega -> polynomial degree, or None."""
@@ -177,7 +171,7 @@ def _parse_line(key, value, line_no, out):
             norm = np.hypot(dx, dy)
             if norm == 0:
                 raise ConfigError(f"line {line_no}: source direction is zero")
-            # dividing a dumped unit direction again can move its last bit
+            # a direction written as a unit vector keeps its bits
             if abs(norm - 1.0) > 1e-15:
                 dx, dy = dx / norm, dy / norm
             out["sources"].append(meshmod.Source((x, y), (dx, dy)))
@@ -192,13 +186,6 @@ def _parse_line(key, value, line_no, out):
             if not freqs:
                 raise ConfigError(f"line {line_no}: empty frequency group")
             out["groups"].append(freqs)
-        return
-
-    if key == "schedule":
-        if value != "blindtest":
-            raise ConfigError(f"line {line_no}: unknown schedule {value!r} "
-                              "(use 'blindtest' or explicit 'group =' lines)")
-        out["groups"] = []
         return
 
     if key in _LIST_KEYS:
@@ -265,9 +252,6 @@ def validate_config(cfg: RunConfig):
     for key in _POSITIVE:
         if s[key] <= 0:
             raise ConfigError(f"{key} must be > 0, got {s[key]}")
-    for key in ("validate_source_x", "validate_source_y"):
-        if s[key] < 0 and s[key] != -1:
-            raise ConfigError(f"{key} must be >= 0 or -1 (domain center), got {s[key]}")
     try:
         cfg.geometry()
         cfg.ambient()
@@ -294,27 +278,3 @@ def validate_config(cfg: RunConfig):
 def load_config(path) -> RunConfig:
     with open(path) as f:
         return parse_config(f.read())
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Normalized dump; reloading it reproduces an equivalent config."""
-    lines = []
-    for key in sorted(_SCALAR_DEFAULTS):
-        v = cfg.scalars[key]
-        lines.append(f"{key} = {v!r}" if isinstance(v, float) else f"{key} = {v}")
-    for src in cfg.sources:
-        x, y = src.position
-        dx, dy = src.direction
-        lines.append(f"source = {float(x)!r} {float(y)!r} {float(dx)!r} {float(dy)!r}")
-    for rec in cfg.receivers:
-        x, y = rec.position
-        dirs = "".join("xy"[d] for d in rec.directions)
-        lines.append(f"receiver = {float(x)!r} {float(y)!r} {dirs}")
-    for g in cfg.groups:
-        lines.append("group = " + " ".join(repr(float(w)) for w in g))
-    if cfg.frequencies:
-        lines.append("frequencies = " + " ".join(repr(float(w)) for w in cfg.frequencies))
-    if cfg.sweep_degrees:
-        lines.append("sweep_degrees = " +
-                     " ".join(f"{u!r}:{d}" for u, d in cfg.sweep_degrees))
-    return "\n".join(lines) + "\n"

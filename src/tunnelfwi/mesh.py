@@ -32,6 +32,12 @@ class PointNotFoundError(LookupError):
 
 
 def _check_conforming(extent, h, name):
+    """Cells of size h along extent; a bad value raises naming its field."""
+    for field, value in (("element_size", h), (name, extent)):
+        if not np.isfinite(value):
+            raise MeshError(f"{field} must be finite, got {value}")
+    if h <= 0:
+        raise MeshError(f"element_size must be > 0, got {h}")
     if extent < 0:
         raise MeshError(f"{name} must be >= 0, got {extent}")
     cells = extent / h
@@ -58,14 +64,11 @@ class TunnelGeometry:
     element_size: float
 
     def __post_init__(self):
-        h = self.element_size
-        if h <= 0:
-            raise MeshError(f"element_size must be > 0, got {h}")
         if self.domain_width <= 0:
             raise MeshError("domain_width must be > 0")
         for name in ("domain_width", "depth_above_tunnel", "tunnel_height",
                      "depth_below_tunnel", "tunnel_length", "pml_width"):
-            _check_conforming(getattr(self, name), h, name)
+            _check_conforming(getattr(self, name), self.element_size, name)
         if self.tunnel_height > 0:
             if self.depth_above_tunnel <= 0 or self.depth_below_tunnel <= 0:
                 raise MeshError("tunnel void must lie strictly between the "
@@ -81,7 +84,7 @@ class Source:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:  # NaN fails too
             raise MeshError(f"source direction {self.direction} is not a unit vector")
 
 
@@ -255,13 +258,10 @@ def build_tunnel_mesh(geometry: TunnelGeometry) -> Mesh:
 
 def build_unbounded_mesh(width, height, pml_width, element_size) -> Mesh:
     """Plain box with PML on all four sides, used for calibration runs."""
-    h = element_size
-    if h <= 0:
-        raise MeshError("element_size must be > 0")
-    pml = _check_conforming(pml_width, h, "pml_width")
-    wi = _check_conforming(width, h, "width")
-    hi = _check_conforming(height, h, "height")
-    return Mesh(wi + 2 * pml, hi + 2 * pml, h, (pml, pml, pml, pml),
+    pml = _check_conforming(pml_width, element_size, "pml_width")
+    wi = _check_conforming(width, element_size, "width")
+    hi = _check_conforming(height, element_size, "height")
+    return Mesh(wi + 2 * pml, hi + 2 * pml, element_size, (pml, pml, pml, pml),
                 void_cells=None, free_top=False)
 
 

@@ -30,6 +30,9 @@ from . import solver as solvermod
 # the parabola fit has settled once its vertex lies within this fraction of
 # itself from a sample of the current triple; relative, so any step scale
 SETTLE_RTOL = 1e-2
+# first trial max|alpha d| as a fraction of the ambient S velocity, used only
+# when the Gauss-Newton step is not finite and positive; not a cap
+STEP_FRACTION = 0.01
 # halvings of the first trial step before the line search gives up
 MAX_BACKTRACKS = 10
 
@@ -305,9 +308,6 @@ class InversionSettings:
     max_iterations: int = 20
     reduction_threshold: float = 1e-3
     lbfgs_capacity: int = 5
-    # first trial max|alpha d| as a fraction of the ambient S velocity, used
-    # only when the Gauss-Newton step is not finite and positive; not a cap
-    step_fraction: float = 0.01
     line_search_rounds: int = 5
 
 
@@ -403,7 +403,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
     The loop starts a fresh L-BFGS history, so the first step follows the
     negative gradient.  Gradients come from the kept solve, and the first
     trial step is the Gauss-Newton step on its factorizations
-    (``step_fraction`` ambient vs as max|alpha d| when that step is not
+    (``STEP_FRACTION`` ambient vs as max|alpha d| when that step is not
     finite and positive); trials are clamped to valid models.  Each driver
     step is one log line, then comes the group end line.
     """
@@ -418,7 +418,7 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
         curvature = _gauss_newton_curvature(data, payload[1], d)
         alpha = -slope0 / (2.0 * curvature) if curvature > 0.0 else np.nan
         if not 0.0 < alpha < np.inf:
-            alpha = settings.step_fraction * data.ambient_vs / np.abs(d).max()
+            alpha = STEP_FRACTION * data.ambient_vs / np.abs(d).max()
         return alpha
 
     def stop(chi, prev):  # the misfit is never negative, so 0 is a minimizer

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,26 @@ def test_degree_out_of_range():
         DiscretizationConfig(degree=0)
     with pytest.raises(AssemblyError):
         DiscretizationConfig(degree=2, quad_points=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscretizationConfig(degree=2.5),
+    lambda: replace(DiscretizationConfig(degree=2), degree=2.5),
+], ids=["direct", "replace"])
+def test_discretization_degree_must_be_an_integer(make):
+    with pytest.raises(AssemblyError, match=r"^polynomial degree must be an integer "
+                                            r"in \[1, 3\], got 2.5$"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscretizationConfig(degree=1, quad_points=2.5),
+    lambda: replace(DiscretizationConfig(degree=1), quad_points=2.5),
+    lambda: replace(DiscretizationConfig(degree=2, quad_points=3), degree=3),
+], ids=["direct", "replace", "replace-degree"])
+def test_discretization_quad_points_must_be_an_integer_above_the_degree(make):
+    with pytest.raises(AssemblyError, match="integer of at least degree [+] 1 quadrature"):
+        make()
 
 
 @pytest.mark.parametrize("p", [0, 4, 2.5])

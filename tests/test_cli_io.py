@@ -1,6 +1,7 @@
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tunnelfwi import fileio
 from tunnelfwi.analytic import greens_x_polar
 from tunnelfwi.assembly import AssemblyError, DiscretizationConfig
 from tunnelfwi.cli import cli_dispatch
-from tunnelfwi.config import ConfigError, format_config, load_config, parse_config
+from tunnelfwi.config import ConfigError, load_config, parse_config
 from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
                               read_model_grid, read_time_records,
                               write_frequency_records, write_model_grid,
@@ -19,9 +20,11 @@ from tunnelfwi.material import AmbientProperties, InvalidMaterialError, ModelVec
 from tunnelfwi.forward import forward_solve
 from tunnelfwi.mesh import (MeshError, Receiver, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh, build_unbounded_mesh)
-from tunnelfwi.optimize import FrequencySchedule, ScheduleError
+from tunnelfwi.optimize import FrequencySchedule, ScheduleError, blindtest_schedule
 from tunnelfwi.pml import PmlError, PmlProfile
 from tunnelfwi.signal import TimeSeries
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "blindtest.cfg"
 
 
 # -- config ---------------------------------------------------------------------
@@ -50,6 +53,14 @@ def test_unknown_key_rejected_by_name():
         parse_config("strict = 1\n")
     with pytest.raises(ConfigError, match="unknown key 'water_level'"):
         parse_config("water_level = 1e-4\n")
+    # fixed in every run: the built-in schedule unless 'group =' lines are
+    # given, degree + 1 quadrature points, optimize.STEP_FRACTION and a
+    # validate-pml source at the domain centre
+    for line in ["schedule = blindtest", "quad_points = 3", "step_fraction = 0.01",
+                 "validate_source_x = 0", "validate_source_y = 0"]:
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
+            parse_config(f"domain_width = 40\n{line}\n")
 
 
 def test_negative_mask_distance_rejected():
@@ -72,7 +83,7 @@ def test_non_numeric_list_value_names_its_line(line):
 
 @pytest.mark.parametrize("line", ["c_pml = nan", "vp = nan", "rho = inf",
                                   "element_size = inf", "reduction_threshold = nan",
-                                  "validate_source_x = -inf"])
+                                  "sweep_start = -inf"])
 def test_non_finite_scalar_rejected_by_key(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
@@ -87,24 +98,6 @@ def test_non_finite_list_value_names_its_line(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"line 2: {key} needs finite numbers"):
         parse_config(f"domain_width = 40\n{line}\n")
-
-
-@pytest.mark.parametrize("key", ["validate_source_x", "validate_source_y"])
-def test_validate_source_takes_minus_one_or_a_coordinate(tmp_path, capsys, key):
-    # only -1 stands for the domain center; another negative value used to
-    # run at the center too
-    assert parse_config(f"{key} = -1\n").scalars[key] == -1.0
-    assert parse_config(f"{key} = 0\n").scalars[key] == 0.0
-    with pytest.raises(ConfigError, match=f"{key} must be >= 0 or -1 .*got -7.0"):
-        parse_config(f"{key} = -7\n")
-    cfg_path = tmp_path / "val.cfg"
-    cfg_path.write_text(f"pml_width = 3\n{key} = -0.5\n")
-    rc = cli_dispatch(["validate-pml", "--config", str(cfg_path),
-                       "--output", str(tmp_path / "table.txt")])
-    assert rc != 0
-    assert capsys.readouterr().err == (f"error: {key} must be >= 0 or -1 "
-                                       f"(domain center), got -0.5\n")
-    assert not (tmp_path / "table.txt").exists()
 
 
 def test_sweep_degree_outside_the_supported_range_rejected_at_load():
@@ -145,7 +138,7 @@ def test_receiver_direction_repeating_a_letter_rejected_by_line(dirs):
 
 @pytest.mark.parametrize("valid, field, bad, error, match", [
     (DiscretizationConfig(degree=2), "degree", 0, AssemblyError,
-     r"polynomial degree must be in \[1, 3\]"),
+     r"polynomial degree must be an integer in \[1, 3\], got 0"),
     (PmlProfile(25000.0, 3.0), "width", 0.0, PmlError,
      "layer width must be finite and > 0, got 0.0"),
     (TunnelGeometry(10, 5, 0, 5, 0, 3, 1), "element_size", 0.0, MeshError,
@@ -210,22 +203,15 @@ def test_source_direction_normalized():
     assert (dx, dy) == pytest.approx((0.6, 0.8))
 
 
-def test_config_dump_round_trip_idempotent():
-    text = """
-domain_width = 24
-element_size = 0.5
-degree = 2
-source = 5 10 0 1
-receiver = 8 10 y
-group = 300
-group = 250 700
-frequencies = 500 1000
-sweep_degrees = 1000:1 5000:2
-"""
-    cfg = parse_config(text)
-    dumped = format_config(cfg)
-    again = format_config(parse_config(dumped))
-    assert dumped == again
+def test_blindtest_config_loads_the_workload_inputs():
+    # the case workloads read these from the shipped config
+    cfg = load_config(CONFIG)
+    assert cfg.groups == []
+    assert cfg.schedule() == blindtest_schedule()
+    assert len(cfg.schedule().groups) == 28
+    assert cfg.discretization() == DiscretizationConfig(degree=3)
+    assert cfg.discretization().quad_points is None
+    assert [cfg.degree_for()(w) for w in (3000.0, 6000.0, 9000.0)] == [1, 2, 3]
 
 
 def test_geometry_invariants_checked_at_load():

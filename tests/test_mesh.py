@@ -272,6 +272,27 @@ def test_station_layout_validation():
 def test_source_direction_must_be_a_unit_vector():
     with pytest.raises(MeshError, match=r"source direction \(0.6, 0.6\) is not a unit vector"):
         Source((30.0, 18.0), (0.6, 0.6))
+    with pytest.raises(MeshError, match=r"source direction \(nan, 0\) is not a unit vector"):
+        Source((1.0, 1.0), (float("nan"), 0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: TunnelGeometry(10, 5, 0, 5, 0, 3, NAN), "element_size must be finite, got nan"),
+    (lambda: TunnelGeometry(INF, 5, 0, 5, 0, 3, 1), "domain_width must be finite, got inf"),
+    (lambda: TunnelGeometry(10, 5, 0, 5, 0, NAN, 1), "pml_width must be finite, got nan"),
+    (lambda: TunnelGeometry(-10, 5, 0, 5, 0, 3, 1), "domain_width must be > 0"),
+    (lambda: build_unbounded_mesh(NAN, 5, 1, 1), "width must be finite, got nan"),
+    (lambda: build_unbounded_mesh(10, 5, 1, INF), "element_size must be finite, got inf"),
+    (lambda: build_unbounded_mesh(10, 5, 1, 0), "element_size must be > 0"),
+], ids=["geometry-nan-h", "geometry-inf-width", "geometry-nan-pml",
+        "geometry-negative-width", "unbounded-nan-width", "unbounded-inf-h",
+        "unbounded-zero-h"])
+def test_bad_mesh_extent_or_element_size_fails_as_mesh_error(build, match):
+    with pytest.raises(MeshError, match=f"^{match}"):
+        build()
 
 
 def test_mesh_dump_runs(tmp_path):

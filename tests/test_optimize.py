@@ -885,7 +885,7 @@ def test_group_end_logs_the_groups_own_step(monkeypatch):
 def test_unusable_gauss_newton_step_falls_back_to_the_blind_seed(monkeypatch,
                                                                  jd_value):
     # with no finite, positive Gauss-Newton step each search starts at
-    # step_fraction ambient vs / max|d| and takes the trials it took
+    # STEP_FRACTION ambient vs / max|d| and takes the trials it took
     # before the Gauss-Newton seed existed
     from tunnelfwi import adjoint, optimize
     mesh, data, truth = toy_problem()
@@ -918,6 +918,6 @@ def test_unusable_gauss_newton_step_falls_back_to_the_blind_seed(monkeypatch,
     run_frequency_group(OptimizerState(model=start), (1200.0, 2000.0), data,
                         settings)
     assert [a for a, _ in searches] == [
-        settings.step_fraction * data.ambient_vs / np.abs(d).max()
+        optimize.STEP_FRACTION * data.ambient_vs / np.abs(d).max()
         for d in directions]
     assert [n for _, n in searches] == [6, 4, 2]

@@ -1,13 +1,13 @@
-"""Property tests: every fileio writer/reader pair and the config dump are
-lossless for any data they accept."""
+"""Property tests: every fileio writer/reader pair is lossless for any data
+it accepts, and a config file loads to exactly the values it writes."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tunnelfwi import fileio
-from tunnelfwi.config import format_config, parse_config
+from tunnelfwi.config import parse_config
 from tunnelfwi.material import ModelVector
-from tunnelfwi.mesh import TunnelGeometry, build_tunnel_mesh
+from tunnelfwi.mesh import Receiver, Source, TunnelGeometry, build_tunnel_mesh
 from tunnelfwi.signal import TimeSeries
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -97,23 +97,30 @@ def test_model_grid_round_trip(tmp_path_factory, nodes):
 @st.composite
 def config_texts(draw):
     """Config files with stations, an explicit schedule, frequency lists and
-    scalars that no cross-module invariant constrains."""
-    lines = [f"wavelet_peak_hz = {draw(positive)!r}",
-             f"step_fraction = {draw(positive)!r}",
-             f"station_radius = {draw(st.floats(0.0, 10.0))!r}",
-             f"max_iterations = {draw(st.integers(1, 50))}"]
+    scalars that no cross-module invariant constrains, and the values each
+    line gives."""
+    scalars = {"wavelet_peak_hz": draw(positive),
+               "station_radius": draw(st.floats(0.0, 10.0)),
+               "max_iterations": draw(st.integers(1, 50))}
+    lines = [f"{k} = {v!r}" for k, v in scalars.items()]
+    sources, receivers = [], []
     for _ in range(draw(st.integers(0, 3))):
         x, y = draw(coordinate), draw(coordinate)
-        dx, dy = draw(st.tuples(coordinate, coordinate).filter(
-            lambda d: np.hypot(*d) > 1e-3))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        dx, dy = float(np.cos(angle)), float(np.sin(angle))  # unit, kept as given
         lines.append(f"source = {x!r} {y!r} {dx!r} {dy!r}")
+        sources.append(Source((x, y), (dx, dy)))
     for _ in range(draw(st.integers(0, 3))):
-        dirs = draw(st.sampled_from(["x", "y", "xy"]))
-        lines.append(f"receiver = {draw(coordinate)!r} {draw(coordinate)!r} {dirs}")
+        x, y = draw(coordinate), draw(coordinate)
+        dirs = draw(st.sampled_from(["x", "y", "xy", "yx"]))
+        lines.append(f"receiver = {x!r} {y!r} {dirs}")
+        receivers.append(Receiver((x, y), {"x": (0,), "y": (1,)}.get(dirs, (0, 1))))
+    groups = []
     for top in sorted(draw(st.sets(positive, min_size=1, max_size=4))):
         low = draw(st.lists(st.floats(0.0, top, exclude_min=True, exclude_max=True),
                             max_size=2, unique=True))
-        lines.append("group = " + " ".join(repr(w) for w in low + [top]))
+        groups.append(low + [top])
+        lines.append("group = " + " ".join(repr(w) for w in groups[-1]))
     freqs = draw(st.lists(positive, max_size=3, unique=True))
     if freqs:
         lines.append("frequencies = " + " ".join(repr(w) for w in freqs))
@@ -121,13 +128,22 @@ def config_texts(draw):
                             unique_by=lambda pair: pair[0]))
     if degrees:
         lines.append("sweep_degrees = " + " ".join(f"{u!r}:{d}" for u, d in degrees))
-    return "\n".join(lines) + "\n"
+    expected = {"scalars": scalars, "sources": sources, "receivers": receivers,
+                "groups": groups, "frequencies": freqs, "sweep_degrees": degrees}
+    return "\n".join(lines) + "\n", expected
+
+
+DEFAULTS = parse_config("").scalars
 
 
 @SETTINGS
-@given(text=config_texts())
-def test_config_dump_round_trip(text):
+@given(case=config_texts())
+def test_config_parse_returns_the_values_written(case):
+    text, expected = case
     cfg = parse_config(text)
-    dumped = format_config(cfg)
-    assert parse_config(dumped) == cfg
-    assert format_config(parse_config(dumped)) == dumped
+    assert cfg.scalars == {**DEFAULTS, **expected["scalars"]}
+    assert cfg.sources == expected["sources"]
+    assert cfg.receivers == expected["receivers"]
+    assert cfg.groups == expected["groups"]
+    assert cfg.frequencies == expected["frequencies"]
+    assert cfg.sweep_degrees == expected["sweep_degrees"]
