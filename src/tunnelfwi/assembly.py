@@ -37,7 +37,7 @@ class AssemblyError(ValueError):
 
 
 def _is_int(n):
-    return isinstance(n, (int, np.integer))
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _check_degree(p):
@@ -154,8 +154,18 @@ class DofMap:
     """Global numbering of modes and their two displacement dofs.
 
     Operators that depend only on the numbering (station operators, the
-    system pattern) are built on first use and kept here.
+    system pattern) are built on first use and kept here.  ``DofMap.of``
+    gives a mesh's one map of a degree, kept in ``mesh.dof_maps`` and so
+    freed with the mesh; a map built directly lives as long as its holder.
     """
+
+    @staticmethod
+    def of(mesh, p):
+        """The mesh's one dof map of degree p, built on first request."""
+        _check_degree(p)  # else True, equal to 1, would find the degree-1 map
+        if p not in mesh.dof_maps:
+            mesh.dof_maps[p] = DofMap(mesh, p)
+        return mesh.dof_maps[p]
 
     def __init__(self, mesh, p):
         _check_degree(p)
@@ -445,8 +455,7 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     """
     if not 0 < omega < np.inf:
         raise AssemblyError(f"omega must be finite and > 0, got {omega}")
-    if dof_map is None:
-        dof_map = DofMap(mesh, cfg.degree)
+    dof_map = DofMap.of(mesh, cfg.degree) if dof_map is None else dof_map
     check_dof_map(dof_map, mesh, cfg.degree)
 
     pattern = dof_map.system_pattern()

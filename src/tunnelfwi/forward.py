@@ -59,8 +59,7 @@ def forward_solve(mesh, model, rho, omega, layout, f_omega, profile, cfg,
     ``f_omega`` is the complex source amplitude, either a scalar shared by
     all sources or one value per source.
     """
-    if dof_map is None:
-        dof_map = asmmod.DofMap(mesh, cfg.degree)
+    dof_map = asmmod.DofMap.of(mesh, cfg.degree) if dof_map is None else dof_map
     try:
         system = asmmod.assemble_system(mesh, model, rho, omega, profile, cfg,
                                         dof_map=dof_map)
@@ -102,7 +101,6 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
     system, factors and fields are released once its records are sampled,
     before the next frequency is assembled.
     """
-    maps = {} if dof_map is None else {dof_map.p: dof_map}
     omegas = np.asarray(omegas, dtype=float)
     values = np.empty((len(omegas), layout.n_sources, layout.n_receivers, 2),
                       dtype=complex)
@@ -110,9 +108,9 @@ def solve_records(mesh, model, rho, omegas, layout, f_omega_of, profile, cfg,
     for fi, omega in enumerate(omegas):
         p = cfg.degree if degree_for is None else int(degree_for(omega))
         run_cfg = cfg if p == cfg.degree else replace(cfg, degree=p, quad_points=None)
+        given = dof_map if dof_map is not None and dof_map.p == p else None
         res = forward_solve(mesh, model, rho, omega, layout, f_omega_of(omega),
-                            profile, run_cfg, dof_map=maps.get(p))
-        maps[p] = res.system.dof_map
+                            profile, run_cfg, dof_map=given)
         values[fi] = [sample_receivers(field, mesh, layout) for field in res.fields]
         if keep:
             kept.append(res)

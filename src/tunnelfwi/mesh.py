@@ -40,7 +40,9 @@ def _check_conforming(extent, h, name):
         raise MeshError(f"element_size must be > 0, got {h}")
     if extent < 0:
         raise MeshError(f"{name} must be >= 0, got {extent}")
-    cells = extent / h
+    cells = float(extent) / float(h)  # Python floats overflow to inf silently
+    if cells == np.inf:
+        raise MeshError(f"{name} = {extent} spans too many cells of element_size {h}")
     if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
         raise MeshError(f"element_size {h} does not divide {name} = {extent} evenly")
     return int(round(cells))
@@ -130,6 +132,7 @@ class Mesh:
         self.pml_cells = pml_cells  # (left, right, bottom, top) in cells
         self.void_cells = void_cells  # (i0, i1, j0, j1) half-open cell ranges
         self.free_top = free_top
+        self.dof_maps = {}  # degree -> assembly.DofMap, filled by DofMap.of
         self._build()
 
     # -- construction -----------------------------------------------------

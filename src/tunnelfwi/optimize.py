@@ -333,7 +333,7 @@ class InversionData:
                                  f"{np.shape(values)}, expected {shape}")
             if not np.isfinite(values).all():
                 raise ValueError(f"observed records at omega = {w} are not finite")
-        self.dof_map = asmmod.DofMap(self.mesh, self.cfg.degree)
+        self.dof_map = asmmod.DofMap.of(self.mesh, self.cfg.degree)
         self.node_areas = asmmod.node_areas(self.mesh)
 
     def observed_records(self, omegas):

@@ -125,6 +125,23 @@ def test_dof_map_rejects_a_degree_it_cannot_number(p):
         DofMap(box_mesh(), p)
 
 
+def _stored_map_then_true():
+    mesh = box_mesh()
+    DofMap.of(mesh, 1)
+    return DofMap.of(mesh, True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscretizationConfig(degree=True),
+    lambda: DofMap(box_mesh(), True),
+    _stored_map_then_true,
+], ids=["config", "dof_map", "stored_dof_map"])
+def test_a_bool_is_not_a_degree(make):
+    # True == 1, so a bool would otherwise number the mesh at degree 1
+    with pytest.raises(AssemblyError, match=r"integer in \[1, 3\], got True$"):
+        make()
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.9, 0.9, size=(10, 2))

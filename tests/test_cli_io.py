@@ -90,6 +90,13 @@ def test_non_finite_scalar_rejected_by_key(line):
         parse_config(f"domain_width = 40\n{line}\n")
 
 
+def test_extent_of_too_many_elements_rejected_by_key():
+    # 1e300 / 1e-10 overflows to inf cells
+    with pytest.raises(ConfigError, match="^domain_width = 1e[+]300 spans too many "
+                                          "cells of element_size 1e-10$"):
+        parse_config("domain_width = 1e300\nelement_size = 1e-10\n")
+
+
 @pytest.mark.parametrize("line", ["source = 21 18 nan 0", "receiver = nan 18 xy",
                                   "group = nan", "frequencies = nan 300",
                                   "group = 300 inf"],

@@ -1,3 +1,4 @@
+import gc
 import warnings
 import weakref
 from dataclasses import replace
@@ -408,6 +409,56 @@ def test_solve_records_degree_rule_matches_fixed_degrees(monkeypatch):
         for fi, w in enumerate(omegas):
             if rule(w) == p:
                 assert records.values[fi].tobytes() == fixed.values[fi].tobytes()
+
+
+def test_a_mesh_is_numbered_once_per_degree_and_frees_its_maps(monkeypatch):
+    # two sweeps over two degrees build each degree's dof map and pattern
+    # once, on the mesh, which frees them with itself
+    mesh, model, profile, cfg = small_setup(degree=1)
+    src = Source((8.0, 4.0), (0.0, 1.0))
+    layout = StationLayout(sources=(src,), receivers=(Receiver((10.0, 4.0)),))
+
+    def degree_for(w):
+        return 1 if w < 1000.0 else 2
+
+    def sweep(grid):
+        return greens_sweep(grid, model, RHO, src, 800.0, 1200.0, 400.0, layout,
+                            profile, cfg, degree_for=degree_for)[1]
+
+    fresh = sweep(small_setup(degree=1)[0])
+    built = []
+    map_init, pattern_init = DofMap.__init__, asmmod.SystemPattern.__init__
+
+    def counted_map(self, grid, p):
+        built.append(("DofMap", p))
+        map_init(self, grid, p)
+
+    def counted_pattern(self, dof_map):
+        built.append(("SystemPattern", dof_map.p))
+        pattern_init(self, dof_map)
+
+    monkeypatch.setattr(DofMap, "__init__", counted_map)
+    monkeypatch.setattr(asmmod.SystemPattern, "__init__", counted_pattern)
+
+    for _ in range(2):
+        assert sweep(mesh).tobytes() == fresh.tobytes()
+    assert sorted(built) == [("DofMap", 1), ("DofMap", 2),
+                             ("SystemPattern", 1), ("SystemPattern", 2)]
+    assert sorted(mesh.dof_maps) == [1, 2]
+
+    # a given map of a degree the rule never picks stays unused
+    unused = DofMap(mesh, 3)
+    _, kept = solve_records(mesh, model, RHO, [800.0, 1200.0], layout,
+                            lambda w: 1.0, profile, cfg, dof_map=unused, keep=True,
+                            degree_for=degree_for)
+    assert [res.system.dof_map.p for res in kept] == [1, 2]
+    assert all(res.system.dof_map is mesh.dof_maps[res.system.dof_map.p] for res in kept)
+    assert built[4:] == [("DofMap", 3)] and unused._system_pattern is None
+
+    ref = weakref.ref(mesh)
+    del mesh, unused, kept
+    gc.collect()
+    assert ref() is None
 
 
 # One case-study solve at the top schedule frequency: the blindtest mesh at

@@ -287,9 +287,13 @@ NAN, INF = float("nan"), float("inf")
     (lambda: build_unbounded_mesh(NAN, 5, 1, 1), "width must be finite, got nan"),
     (lambda: build_unbounded_mesh(10, 5, 1, INF), "element_size must be finite, got inf"),
     (lambda: build_unbounded_mesh(10, 5, 1, 0), "element_size must be > 0"),
+    (lambda: TunnelGeometry(1e300, 5, 0, 5, 0, 3, 1e-10),
+     r"domain_width = 1e\+300 spans too many cells of element_size 1e-10$"),
+    (lambda: build_unbounded_mesh(10, 1e300, 1e-10, 1e-10),
+     r"height = 1e\+300 spans too many cells of element_size 1e-10$"),
 ], ids=["geometry-nan-h", "geometry-inf-width", "geometry-nan-pml",
         "geometry-negative-width", "unbounded-nan-width", "unbounded-inf-h",
-        "unbounded-zero-h"])
+        "unbounded-zero-h", "geometry-too-many-cells", "unbounded-too-many-cells"])
 def test_bad_mesh_extent_or_element_size_fails_as_mesh_error(build, match):
     with pytest.raises(MeshError, match=f"^{match}"):
         build()
