@@ -20,6 +20,7 @@ forwards on the coefficients' changes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,8 @@ class DofMap:
     system pattern) are built on first use and kept here.  ``DofMap.of``
     gives a mesh's one map of a degree, kept in ``mesh.dof_maps`` and so
     freed with the mesh; a map built directly lives as long as its holder.
+    A map holds its mesh weakly, so a mesh and its stored maps form no
+    reference cycle and go as soon as the last reference to the mesh does.
     """
 
     @staticmethod
@@ -169,7 +172,7 @@ class DofMap:
 
     def __init__(self, mesh, p):
         _check_degree(p)
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self.p = int(p)
         n_edge = self.p - 1
         n_int = n_edge ** 2
@@ -196,6 +199,13 @@ class DofMap:
         self.clamped = self._clamped_mask()
         self._station_operators = {}
         self._system_pattern = None
+
+    @property
+    def mesh(self):
+        mesh = self._mesh()
+        if mesh is None:
+            raise AssemblyError("the mesh this dof map numbers has been freed")
+        return mesh
 
     def station_operator(self, points):
         """``point_operator`` of station points, built once per point set."""

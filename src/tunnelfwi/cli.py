@@ -56,26 +56,21 @@ def _source_amplitude(cfg):
     return f_omega
 
 
-def _write_model_records(cfg, args, omegas):
-    """Records of ``--model`` (default: the ambient model) at ``omegas``,
-    written to ``--output``."""
+def cmd_forward(cfg, args):
+    """Records of ``--model`` (default: the ambient model) at the schedule's
+    frequencies, written to ``--output``."""
     mesh, ambient, model = _build_context(cfg)
     if args.model:
         model = fileio.read_model_grid(args.model, mesh)
     layout = _require_stations(cfg, mesh)
+    omegas = cfg.schedule().all_frequencies()
     records = fwdmod.solve_records(mesh, model, ambient.rho, omegas, layout,
                                    _source_amplitude(cfg), cfg.profile(),
                                    cfg.discretization())
     observed = {float(w): records.values[i] for i, w in enumerate(records.omegas)}
     fileio.write_frequency_records(args.output, observed,
                                    layout.n_sources, layout.n_receivers)
-
-
-def cmd_forward(cfg, args):
-    if not cfg.frequencies:
-        raise CliError("forward needs a 'frequencies = ...' config entry")
-    _write_model_records(cfg, args, cfg.frequencies)
-    print(f"wrote {len(cfg.frequencies)} frequencies to {args.output}")
+    print(f"wrote {len(omegas)} frequencies to {args.output}")
     return 0
 
 
@@ -94,13 +89,6 @@ def cmd_greens(cfg, args):
     spectra = {float(w): values[i][None] for i, w in enumerate(omegas)}
     fileio.write_frequency_records(args.output, spectra, 1, layout.n_receivers)
     print(f"wrote {len(omegas)} frequencies to {args.output}")
-    return 0
-
-
-def cmd_make_synthetic(cfg, args):
-    omegas = cfg.schedule().all_frequencies()
-    _write_model_records(cfg, args, omegas)
-    print(f"wrote synthetic records at {len(omegas)} frequencies to {args.output}")
     return 0
 
 
@@ -141,8 +129,7 @@ def cmd_invert(cfg, args):
 
     s = cfg.scalars
     mask = adjmod.build_mask(layout, mesh, s["station_radius"],
-                             s["surface_distance"], s["station_transition"],
-                             s["surface_transition"])
+                             s["surface_distance"])
     data = optmod.InversionData(
         mesh=mesh, layout=layout, profile=cfg.profile(),
         cfg=cfg.discretization(), rho=ambient.rho, ambient_vs=ambient.vs,
@@ -164,7 +151,7 @@ def cmd_invert(cfg, args):
                                   on_group_end=on_group_end)
     fileio.write_atomically(
         os.path.join(args.output, "final_model.txt"),
-        lambda tmp: fileio.write_model_grid(tmp, result.model, mesh))
+        lambda tmp: fileio.write_model_grid(tmp, result.state.model, mesh))
     for gi, msg in result.failures:
         print(f"group {gi} failed: {msg}", file=sys.stderr)
     print(f"inversion finished after {result.state.iteration} iterations; "
@@ -233,7 +220,8 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    p = add("forward", cmd_forward, "solve the configured frequency list")
+    p = add("forward", cmd_forward,
+            "records of a model at the scheduled frequencies")
     p.add_argument("--model", help="model grid file (default: ambient)")
     p.add_argument("--output", required=True)
 
@@ -252,11 +240,6 @@ def build_parser():
 
     p = add("dft", cmd_dft, "transform time records to the scheduled frequencies")
     p.add_argument("--records", required=True)
-    p.add_argument("--output", required=True)
-
-    p = add("make-synthetic", cmd_make_synthetic,
-            "generate observed records from a reference model")
-    p.add_argument("--model", help="reference model grid (default: ambient)")
     p.add_argument("--output", required=True)
     return parser
 

@@ -53,9 +53,7 @@ _SCALAR_DEFAULTS = {
     "lbfgs_capacity": 5,
     # gradient mask
     "station_radius": 2.5,
-    "station_transition": 2.5,
     "surface_distance": 1.75,
-    "surface_transition": 1.75,
     # frequency sweep
     "sweep_start": 100.0,
     "sweep_end": 9000.0,
@@ -65,11 +63,10 @@ _SCALAR_DEFAULTS = {
 }
 
 _INT_KEYS = {"degree", "max_iterations", "lbfgs_capacity"}
-_LIST_KEYS = {"frequencies", "sweep_degrees"}
 _REPEAT_KEYS = {"source", "receiver", "group"}
 
-_NONNEGATIVE = {"station_radius", "station_transition", "surface_distance",
-                "surface_transition", "tunnel_height", "tunnel_length", "pml_width"}
+_NONNEGATIVE = {"station_radius", "surface_distance", "tunnel_height",
+                "tunnel_length", "pml_width"}
 _POSITIVE = {"domain_width", "element_size", "vp", "vs", "rho",
              "wavelet_peak_hz", "sweep_start", "sweep_step",
              "validate_frequency_hz", "reduction_threshold", "max_iterations",
@@ -82,7 +79,6 @@ class RunConfig:
     sources: list
     receivers: list
     groups: list            # explicit schedule groups, [] = built-in
-    frequencies: list       # forward-run frequency list (rad/s)
     sweep_degrees: list     # (omega_upper, degree) pairs
 
     # -- derived objects ----------------------------------------------------
@@ -188,25 +184,17 @@ def _parse_line(key, value, line_no, out):
             out["groups"].append(freqs)
         return
 
-    if key in _LIST_KEYS:
-        if key == "frequencies":
-            freqs = _finite(value.split(), key, line_no)
-            for w in freqs:
-                if freqs.count(w) > 1:
-                    raise ConfigError(f"line {line_no}: frequencies lists {w} "
-                                      "more than once")
-            out["frequencies"] = freqs
-        else:  # sweep_degrees: "1000:1 3000:2 9000:3"
-            pairs = []
-            for tok in value.split():
-                try:
-                    upper, degree = tok.split(":")
-                    degree = int(degree)
-                except ValueError:
-                    raise ConfigError(f"line {line_no}: sweep_degrees entries "
-                                      f"look like 'omega:degree', got {tok!r}")
-                pairs.append((_finite([upper], key, line_no)[0], degree))
-            out["sweep_degrees"] = pairs
+    if key == "sweep_degrees":  # "1000:1 3000:2 9000:3"
+        pairs = []
+        for tok in value.split():
+            try:
+                upper, degree = tok.split(":")
+                degree = int(degree)
+            except ValueError:
+                raise ConfigError(f"line {line_no}: sweep_degrees entries "
+                                  f"look like 'omega:degree', got {tok!r}")
+            pairs.append((_finite([upper], key, line_no)[0], degree))
+        out["sweep_degrees"] = pairs
         return
 
     if key not in _SCALAR_DEFAULTS:
@@ -216,7 +204,7 @@ def _parse_line(key, value, line_no, out):
 
 def parse_config(text) -> RunConfig:
     out = {"scalars": dict(_SCALAR_DEFAULTS), "sources": [], "receivers": [],
-           "groups": [], "frequencies": [], "sweep_degrees": []}
+           "groups": [], "sweep_degrees": []}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,7 +223,6 @@ def parse_config(text) -> RunConfig:
 
     cfg = RunConfig(scalars=out["scalars"], sources=out["sources"],
                     receivers=out["receivers"], groups=out["groups"],
-                    frequencies=out["frequencies"],
                     sweep_degrees=out["sweep_degrees"])
     validate_config(cfg)
     return cfg
@@ -265,8 +252,6 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
     if s["sweep_end"] < s["sweep_start"]:
         raise ConfigError("sweep_end must be >= sweep_start")
-    if any(w <= 0 for w in cfg.frequencies):
-        raise ConfigError("frequencies must be positive")
     bounds = [u for u, _ in cfg.sweep_degrees]
     if not all(u > 0 for u in bounds) or len(set(bounds)) < len(bounds):
         raise ConfigError(f"sweep_degrees need distinct positive omega bounds, got {bounds}")

@@ -442,7 +442,6 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
 
 @dataclass
 class InversionResult:
-    model: matmod.ModelVector
     state: OptimizerState
     failures: list
 
@@ -471,7 +470,7 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
             failures.append((gi, str(exc)))
         if on_group_end is not None:
             on_group_end(gi, state)
-    return InversionResult(model=state.model, state=state, failures=failures)
+    return InversionResult(state=state, failures=failures)
 
 
 def format_log(entries):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -586,17 +588,36 @@ def test_point_operator_rows_follow_the_per_point_reference():
 
 @pytest.mark.parametrize("allow_pml", [False, True])
 def test_point_operator_of_no_points(allow_pml):
-    dm = DofMap(box_mesh(4, 2, pml=1), 2)
+    mesh = box_mesh(4, 2, pml=1)  # a map holds its mesh weakly
+    dm = DofMap(mesh, 2)
     R = asmmod.point_operator(dm, [], allow_pml)
     assert R.shape == (0, dm.n_dofs) and R.nnz == 0
     assert dm.station_operator([]).shape == (0, dm.n_dofs)
 
 
 def test_point_source_rejects_foreign_dof_map():
-    mesh = box_mesh(2, 1)
-    dm = DofMap(box_mesh(2, 1), 1)
+    mesh, other = box_mesh(2, 1), box_mesh(2, 1)
+    dm = DofMap(other, 1)
     with pytest.raises(AssemblyError, match="another mesh"):
         assemble_point_source(mesh, dm, (1.0, 1.0), (1.0, 0.0), 1.0)
+
+
+def test_a_mesh_and_its_stored_maps_die_on_del_without_the_cycle_collector():
+    # a map holds its mesh weakly: mesh.dof_maps forms no reference cycle
+    mesh = box_mesh(4, 2, pml=1)
+    for p in (1, 2):
+        DofMap.of(mesh, p).system_pattern()
+    alone = DofMap(mesh, 3)
+    refs = [weakref.ref(x) for x in (mesh, *mesh.dof_maps.values())]
+    gc.disable()
+    try:
+        del mesh
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+    with pytest.raises(AssemblyError, match="^the mesh this dof map numbers "
+                                            "has been freed$"):
+        alone.mesh
 
 
 def test_global_symmetry_heterogeneous_pml():

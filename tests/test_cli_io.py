@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ from oracles import evaluate_field
 from tunnelfwi import fileio
 from tunnelfwi.analytic import greens_x_polar
 from tunnelfwi.assembly import AssemblyError, DiscretizationConfig
-from tunnelfwi.cli import cli_dispatch
+from tunnelfwi.cli import build_parser, cli_dispatch
 from tunnelfwi.config import ConfigError, load_config, parse_config
 from tunnelfwi.fileio import (FileFormatError, read_frequency_records,
                               read_model_grid, read_time_records,
@@ -54,10 +55,13 @@ def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown key 'water_level'"):
         parse_config("water_level = 1e-4\n")
     # fixed in every run: the built-in schedule unless 'group =' lines are
-    # given, degree + 1 quadrature points, optimize.STEP_FRACTION and a
-    # validate-pml source at the domain centre
+    # given, degree + 1 quadrature points, optimize.STEP_FRACTION, a
+    # validate-pml source at the domain centre, forward at the schedule's
+    # frequencies and mask ramps as wide as their exclusion distances
     for line in ["schedule = blindtest", "quad_points = 3", "step_fraction = 0.01",
-                 "validate_source_x = 0", "validate_source_y = 0"]:
+                 "validate_source_x = 0", "validate_source_y = 0",
+                 "frequencies = 800 1600", "station_transition = 2.5",
+                 "surface_transition = 1.75"]:
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
             parse_config(f"domain_width = 40\n{line}\n")
@@ -74,8 +78,8 @@ def test_parse_error_reports_line_number():
 
 
 @pytest.mark.parametrize("line", ["source = a 1 1 0", "receiver = 8 b xy",
-                                  "group = 300 x", "frequencies = 500 y"],
-                         ids=["source", "receiver", "group", "frequencies"])
+                                  "group = 300 x", "sweep_degrees = x:1"],
+                         ids=["source", "receiver", "group", "sweep_degrees"])
 def test_non_numeric_list_value_names_its_line(line):
     with pytest.raises(ConfigError, match="line 2: cannot parse value for"):
         parse_config(f"domain_width = 40\n{line}\n")
@@ -98,9 +102,9 @@ def test_extent_of_too_many_elements_rejected_by_key():
 
 
 @pytest.mark.parametrize("line", ["source = 21 18 nan 0", "receiver = nan 18 xy",
-                                  "group = nan", "frequencies = nan 300",
+                                  "group = nan", "sweep_degrees = nan:2",
                                   "group = 300 inf"],
-                         ids=["source", "receiver", "group", "frequencies", "group_inf"])
+                         ids=["source", "receiver", "group", "sweep_degrees", "group_inf"])
 def test_non_finite_list_value_names_its_line(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"line 2: {key} needs finite numbers"):
@@ -173,11 +177,6 @@ def test_sweep_degree_bounds_must_be_positive_and_distinct(value):
 def test_group_listing_a_frequency_twice_rejected_at_load():
     with pytest.raises(ConfigError, match="group 0 lists frequency 300.0 more than once"):
         parse_config("group = 300 300\n")
-
-
-def test_frequencies_listing_a_value_twice_rejected_by_line():
-    with pytest.raises(ConfigError, match="^line 2: frequencies lists 500.0 more than once$"):
-        parse_config("domain_width = 40\nfrequencies = 300 500 500\n")
 
 
 def test_stations_and_groups_accumulate():
@@ -650,15 +649,18 @@ def test_cli_missing_config(tmp_path):
                          "--output", str(tmp_path / "out.txt")]) != 0
 
 
-def test_cli_forward_requires_frequencies(box_config, tmp_path):
-    rc = cli_dispatch(["forward", "--config", box_config,
-                       "--output", str(tmp_path / "out.txt")])
-    assert rc != 0
+def test_cli_make_synthetic_is_gone(box_config, tmp_path):
+    # forward writes a model's records; argparse rejects the old name
+    out = tmp_path / "out.txt"
+    rc = cli_dispatch(["make-synthetic", "--config", box_config, "--output", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
-def test_cli_forward_and_records(box_config, tmp_path, capsys):
+def test_cli_forward_and_records(tmp_path, capsys):
     cfg_path = tmp_path / "fw.cfg"
-    cfg_path.write_text(BOX_CONFIG + "frequencies = 800 1600\n")
+    cfg_path.write_text(BOX_CONFIG.replace("group = 900\ngroup = 700 1500\n",
+                                           "group = 800 1600\n"))
     out = tmp_path / "records.txt"
     rc = cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)])
     assert rc == 0
@@ -667,9 +669,28 @@ def test_cli_forward_and_records(box_config, tmp_path, capsys):
     assert back[800.0].shape == (1, 2, 2)
 
 
+def test_cli_forward_writes_the_records_of_the_schedule(box_config, tmp_path):
+    from tunnelfwi.forward import solve_records
+    from tunnelfwi.signal import dft, sample_ricker
+    out = tmp_path / "records.txt"
+    assert cli_dispatch(["forward", "--config", box_config, "--output", str(out)]) == 0
+    cfg = load_config(box_config)
+    mesh = build_tunnel_mesh(cfg.geometry())
+    ambient = cfg.ambient()
+    wavelet = sample_ricker(200.0)
+    records = solve_records(mesh, ModelVector.homogeneous(mesh, ambient.vp, ambient.vs),
+                            ambient.rho, [700.0, 900.0, 1500.0], cfg.layout(),
+                            lambda w: dft(wavelet, w), cfg.profile(),
+                            cfg.discretization())
+    back = read_frequency_records(out)
+    assert sorted(back) == [700.0, 900.0, 1500.0]
+    for w, values in zip(records.omegas, records.values):
+        assert back[w].tobytes() == values.tobytes()
+
+
 def test_cli_forward_rejects_nan_c_pml(tmp_path):
     cfg_path = tmp_path / "fw.cfg"
-    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\nc_pml = nan\n")
+    cfg_path.write_text(BOX_CONFIG + "c_pml = nan\n")
     out = tmp_path / "records.txt"
     assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) != 0
     assert not out.exists()
@@ -678,7 +699,7 @@ def test_cli_forward_rejects_nan_c_pml(tmp_path):
 def test_cli_forward_without_absorbing_layer_fails_before_any_solve(tmp_path, capsys):
     from tunnelfwi import solver
     cfg_path = tmp_path / "fw.cfg"
-    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\npml_width = 0\n")
+    cfg_path.write_text(BOX_CONFIG + "pml_width = 0\n")
     out = tmp_path / "records.txt"
     before = solver.factorization_count()
     assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) == 1
@@ -687,9 +708,9 @@ def test_cli_forward_without_absorbing_layer_fails_before_any_solve(tmp_path, ca
     assert solver.factorization_count() == before
 
 
-def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):
+def test_cli_forward_then_invert_noop(box_config, tmp_path):
     records = tmp_path / "obs.txt"
-    rc = cli_dispatch(["make-synthetic", "--config", box_config,
+    rc = cli_dispatch(["forward", "--config", box_config,
                        "--output", str(records)])
     assert rc == 0
     outdir = tmp_path / "inv"
@@ -704,17 +725,16 @@ def test_cli_make_synthetic_then_invert_noop(box_config, tmp_path):
     assert (outdir / "model_group_01.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["make-synthetic", "forward"])
-def test_cli_model_without_positive_lame_parameter_rejected(tmp_path, capsys, command):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(BOX_CONFIG + "frequencies = 800\n")
-    mesh = build_tunnel_mesh(load_config(cfg_path).geometry())
+@pytest.mark.parametrize("command", ["forward"])
+def test_cli_model_without_positive_lame_parameter_rejected(box_config, tmp_path,
+                                                            capsys, command):
+    mesh = build_tunnel_mesh(load_config(box_config).geometry())
     model = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
     model.values[mesh.n_nodes + 3] = 2900.0  # vp < sqrt(2)*vs: negative lambda
     grid = tmp_path / "model.txt"
     write_model_grid(grid, model, mesh)
     out = tmp_path / "records.txt"
-    rc = cli_dispatch([command, "--config", str(cfg_path), "--model", str(grid),
+    rc = cli_dispatch([command, "--config", box_config, "--model", str(grid),
                        "--output", str(out)])
     assert rc != 0
     assert capsys.readouterr().err == (f"error: {grid}: node 3 has vp <= sqrt(2)*vs "
@@ -726,7 +746,7 @@ def test_cli_invert_writes_each_group_as_it_ends(box_config, tmp_path,
                                                  monkeypatch):
     from tunnelfwi import optimize
     records = tmp_path / "obs.txt"
-    assert cli_dispatch(["make-synthetic", "--config", box_config,
+    assert cli_dispatch(["forward", "--config", box_config,
                          "--output", str(records)]) == 0
     group = optimize.run_frequency_group
 
@@ -754,7 +774,7 @@ def test_cli_invert_failing_final_write_leaves_no_torn_file(box_config, tmp_path
                                                             monkeypatch):
     from tunnelfwi import fileio
     records = tmp_path / "obs.txt"
-    assert cli_dispatch(["make-synthetic", "--config", box_config,
+    assert cli_dispatch(["forward", "--config", box_config,
                          "--output", str(records)]) == 0
     write = fileio.write_model_grid
 
@@ -986,3 +1006,12 @@ def test_cli_greens_sweep(tmp_path):
     for w, v in zip(omegas, values):
         assert back[w].shape == (1, 2, 2)
         assert np.array_equal(back[w][0], v)
+
+
+def test_readme_command_line_names_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^tunnelfwi (\S+)", block, re.M)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)

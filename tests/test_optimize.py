@@ -498,14 +498,14 @@ def test_run_inversion_single_group_equals_group_run():
     res = run_inversion(start, sched, data, settings)
     direct = run_frequency_group(OptimizerState(model=start), (1200.0, 2000.0),
                                  data, settings)
-    np.testing.assert_array_equal(res.model.values, direct.model.values)
+    np.testing.assert_array_equal(res.state.model.values, direct.model.values)
 
 
 def test_run_inversion_on_consistent_data_keeps_model():
     mesh, data, truth = toy_problem()
     sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
     res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3))
-    np.testing.assert_array_equal(res.model.values, truth.values)
+    np.testing.assert_array_equal(res.state.model.values, truth.values)
     assert res.failures == []
 
 
@@ -575,7 +575,7 @@ def test_run_inversion_records_singular_group(monkeypatch):
                         on_group_end=lambda gi, state: ended.append(gi))
     assert res.failures == [(0, "zero pivot at omega = 1200.0, degree 1")]
     assert ended == [0, 1]
-    np.testing.assert_array_equal(res.model.values, truth.values)
+    np.testing.assert_array_equal(res.state.model.values, truth.values)
 
 
 def test_singular_trial_keeps_the_accepted_iterations(monkeypatch):

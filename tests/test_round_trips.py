@@ -96,7 +96,7 @@ def test_model_grid_round_trip(tmp_path_factory, nodes):
 
 @st.composite
 def config_texts(draw):
-    """Config files with stations, an explicit schedule, frequency lists and
+    """Config files with stations, an explicit schedule, sweep degrees and
     scalars that no cross-module invariant constrains, and the values each
     line gives."""
     scalars = {"wavelet_peak_hz": draw(positive),
@@ -121,15 +121,12 @@ def config_texts(draw):
                             max_size=2, unique=True))
         groups.append(low + [top])
         lines.append("group = " + " ".join(repr(w) for w in groups[-1]))
-    freqs = draw(st.lists(positive, max_size=3, unique=True))
-    if freqs:
-        lines.append("frequencies = " + " ".join(repr(w) for w in freqs))
     degrees = draw(st.lists(st.tuples(positive, st.integers(1, 3)), max_size=3,
                             unique_by=lambda pair: pair[0]))
     if degrees:
         lines.append("sweep_degrees = " + " ".join(f"{u!r}:{d}" for u, d in degrees))
     expected = {"scalars": scalars, "sources": sources, "receivers": receivers,
-                "groups": groups, "frequencies": freqs, "sweep_degrees": degrees}
+                "groups": groups, "sweep_degrees": degrees}
     return "\n".join(lines) + "\n", expected
 
 
@@ -145,5 +142,4 @@ def test_config_parse_returns_the_values_written(case):
     assert cfg.sources == expected["sources"]
     assert cfg.receivers == expected["receivers"]
     assert cfg.groups == expected["groups"]
-    assert cfg.frequencies == expected["frequencies"]
     assert cfg.sweep_degrees == expected["sweep_degrees"]
