@@ -23,9 +23,9 @@ from .mesh import (Mesh, MeshError, PointNotFoundError, Receiver, Source,
                    validate_layout)
 from .optimize import (FrequencySchedule, InversionData, InversionSettings,
                        IterationRecord, LbfgsHistory, LineSearchError,
-                       OptimizerState, blindtest_schedule, format_log,
-                       lbfgs_direction, line_search, minimize_lbfgs, parse_log,
-                       run_frequency_group, run_inversion)
+                       OptimizerState, blindtest_schedule, lbfgs_direction,
+                       line_search, minimize_lbfgs, run_frequency_group,
+                       run_inversion)
 from .pml import PmlProfile, damping, stretching
 from .signal import (Spectrum, TimeSeries, deconvolve, dft, dft_many,
                      idft_synthesize, ricker, sample_ricker)

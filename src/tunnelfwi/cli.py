@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pathlib
 import sys
 
 import numpy as np
@@ -104,12 +103,13 @@ def cmd_dft(cfg, args):
     return 0
 
 
-def _load_observed(records_path, layout, omegas):
-    """Spectra at ``omegas``: frequency records as read (``run_inversion``
-    names a scheduled omega they lack), time records transformed in memory."""
-    if not fileio.is_frequency_record_file(records_path):
-        return fileio.records_to_spectra(fileio.read_time_records(records_path),
-                                         omegas, layout)
+def _load_observed(records_path, layout):
+    """Frequency records as read; ``run_inversion`` names a scheduled omega
+    they lack.  ``dft`` is the one path from time records to spectra."""
+    with open(records_path) as f:
+        if f.readline().strip() == "# time-records":
+            raise CliError(f"{records_path}: time records; transform them with "
+                           "'tunnelfwi dft' and pass its output")
     observed = fileio.read_frequency_records(records_path)
     n_s, n_r, _ = next(iter(observed.values())).shape
     if (n_s, n_r) != (layout.n_sources, layout.n_receivers):
@@ -120,12 +120,13 @@ def _load_observed(records_path, layout, omegas):
 
 
 def cmd_invert(cfg, args):
+    if os.path.exists(args.output) and not os.path.isdir(args.output):
+        raise CliError(f"--output {args.output} exists and is not a directory")
     mesh, ambient, initial = _build_context(cfg)
     if args.initial:
         initial = fileio.read_model_grid(args.initial, mesh)
     layout = _require_stations(cfg, mesh)
-    schedule = cfg.schedule()
-    observed = _load_observed(args.records, layout, schedule.all_frequencies())
+    observed = _load_observed(args.records, layout)
 
     s = cfg.scalars
     mask = adjmod.build_mask(layout, mesh, s["station_radius"],
@@ -133,8 +134,7 @@ def cmd_invert(cfg, args):
     data = optmod.InversionData(
         mesh=mesh, layout=layout, profile=cfg.profile(),
         cfg=cfg.discretization(), rho=ambient.rho, ambient_vs=ambient.vs,
-        observed={float(w): np.asarray(v) for w, v in observed.items()},
-        source_amplitude=_source_amplitude(cfg), mask=mask)
+        observed=observed, source_amplitude=_source_amplitude(cfg), mask=mask)
 
     def on_group_end(gi, state):
         # each finished group's model and the log so far survive a later
@@ -143,11 +143,11 @@ def cmd_invert(cfg, args):
         fileio.write_atomically(
             os.path.join(args.output, f"model_group_{gi:02d}.txt"),
             lambda tmp: fileio.write_model_grid(tmp, state.model, mesh))
-        log = optmod.format_log(state.log)
-        fileio.write_atomically(os.path.join(args.output, "convergence.txt"),
-                                lambda tmp: pathlib.Path(tmp).write_text(log))
+        fileio.write_atomically(
+            os.path.join(args.output, "convergence.jsonl"),
+            lambda tmp: fileio.write_convergence_log(tmp, state.log))
 
-    result = optmod.run_inversion(initial, schedule, data, cfg.settings(),
+    result = optmod.run_inversion(initial, cfg.schedule(), data, cfg.settings(),
                                   on_group_end=on_group_end)
     fileio.write_atomically(
         os.path.join(args.output, "final_model.txt"),
@@ -230,7 +230,8 @@ def build_parser():
     p.add_argument("--output", required=True)
 
     p = add("invert", cmd_invert, "run the multi-scale inversion")
-    p.add_argument("--records", required=True, help="time or frequency records")
+    p.add_argument("--records", required=True,
+                   help="frequency records; time records go through dft first")
     p.add_argument("--initial", help="initial model grid (default: ambient)")
     p.add_argument("--output", required=True, help="output directory")
 

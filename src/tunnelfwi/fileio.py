@@ -1,4 +1,5 @@
-"""Plain-text file formats: time records, frequency records, model grids.
+"""Plain-text file formats: time and frequency records, model grids, the
+convergence log.
 
 All numbers are written with repr (shortest round-tripping form), so every
 writer/reader pair is bitwise lossless.  Trace and record identifiers use
@@ -7,6 +8,8 @@ source index, receiver index and direction letter (x or y).
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 
 import numpy as np
@@ -205,11 +208,6 @@ def read_frequency_records(path):
     return {omega: values for omega, (_, values, _) in rows.items()}
 
 
-def is_frequency_record_file(path):
-    with open(path) as f:
-        return f.readline().strip() == "# frequency-records"
-
-
 # -- solver-validation tables ------------------------------------------------------
 
 def write_validation_table(path, rows):
@@ -305,6 +303,15 @@ def records_to_spectra(traces, omegas, layout):
         for i, w in enumerate(omegas):
             observed[w][s, r, _DIR_INDEX[d]] = spec.values[i]
     return observed
+
+
+# -- convergence log -----------------------------------------------------------
+
+def write_convergence_log(path, records):
+    """One JSON line per ``IterationRecord`` (``json`` escapes a note's control and
+    non-ASCII characters); ``IterationRecord(**json.loads(line))`` reads it back."""
+    with open(path, "w") as f:
+        f.writelines(json.dumps(dataclasses.asdict(r)) + "\n" for r in records)
 
 
 # -- atomic writes -------------------------------------------------------------

@@ -16,7 +16,6 @@ rising top frequency and hand their model to the next group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from urllib.parse import unquote
 
 import numpy as np
 
@@ -347,6 +346,8 @@ class InversionData:
 
 @dataclass
 class IterationRecord:
+    """One convergence-log line; grad_norm is taken where the line's direction
+    starts (on a group end line, where the group's last direction starts)."""
     group: int
     iteration: int
     chi: float
@@ -471,32 +472,3 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
         if on_group_end is not None:
             on_group_end(gi, state)
     return InversionResult(state=state, failures=failures)
-
-
-def format_log(entries):
-    """Delimited convergence log: group iteration chi alpha grad_norm note.
-    grad_norm is the gradient norm at the model the line's direction starts
-    from; on a group end line, at the start of the group's last direction."""
-    lines = ["# group iteration chi alpha grad_norm note"]
-    for r in entries:
-        # one token per note: %, _ and all whitespace but the space
-        # percent-encoded, then spaces as _; "" is written - and "-" %2D
-        note = "".join("".join(f"%{b:02X}" for b in c.encode())
-                       if c in "%_" or (c.isspace() and c != " ") else c for c in r.note)
-        lines.append(f"{r.group} {r.iteration} {float(r.chi)!r} {float(r.alpha)!r} "
-                     f"{float(r.grad_norm)!r} "
-                     f"{'%2D' if note == '-' else note.replace(' ', '_') or '-'}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_log(text):
-    """Inverse of format_log."""
-    entries = []
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        g, it, chi, alpha, gn, note = ln.split()
-        note = "" if note == "-" else unquote(note.replace("_", " "))
-        entries.append(IterationRecord(int(g), int(it), float(chi), float(alpha),
-                                       float(gn), note))
-    return entries

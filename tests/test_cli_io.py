@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import re
 from dataclasses import replace
@@ -21,7 +22,8 @@ from tunnelfwi.material import AmbientProperties, InvalidMaterialError, ModelVec
 from tunnelfwi.forward import forward_solve
 from tunnelfwi.mesh import (MeshError, Receiver, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh, build_unbounded_mesh)
-from tunnelfwi.optimize import FrequencySchedule, ScheduleError, blindtest_schedule
+from tunnelfwi.optimize import (FrequencySchedule, IterationRecord, ScheduleError,
+                                blindtest_schedule)
 from tunnelfwi.pml import PmlError, PmlProfile
 from tunnelfwi.signal import TimeSeries
 
@@ -576,9 +578,13 @@ def test_validation_table_short_or_non_numeric_row(tmp_path):
         fileio.read_validation_table(path)
 
 
-def test_convergence_log_round_trip():
-    from tunnelfwi.optimize import IterationRecord, format_log, parse_log
-    entries = [IterationRecord(0, 0, 1.25e-3, 0.5, 3.75e-6),
+def _read_log(path):
+    return [IterationRecord(**json.loads(line))
+            for line in Path(path).read_text().splitlines()]
+
+
+def test_convergence_log_round_trip(tmp_path):
+    entries = [IterationRecord(0, 0, 1.25e-3, 0.1 + 0.2, 3.75e-6),
                IterationRecord(1, 2, 9.5e-4, 0.0, 1.0e-7, "line search failed"),
                IterationRecord(1, 3, 9.5e-4, 0.0, 1.0e-7,
                                "line search failed: alpha_init must be > 0 (100%5F_%)"),
@@ -588,12 +594,16 @@ def test_convergence_log_round_trip():
                IterationRecord(2, 2, 1.0, 0.0, 0.0, "first\nsecond"),
                IterationRecord(2, 3, 1.0, 0.0, 0.0, "-"),
                IterationRecord(2, 4, 1.0, 0.0, 0.0, "")]
-    text = format_log(entries)
-    back = parse_log(text)
-    assert back == entries
-    # a note without % or _ keeps its bytes: spaces become underscores
-    assert " line_search_failed\n" in text
-    assert len(text.splitlines()) == 1 + len(entries)
+    path = tmp_path / "convergence.jsonl"
+    fileio.write_convergence_log(path, entries)
+    # one line per record, whatever line breaks a note holds
+    assert len(path.read_text().splitlines()) == len(entries)
+    back = _read_log(path)
+    assert len(back) == len(entries)
+    for r, b in zip(entries, back):
+        assert (b.group, b.iteration, b.note) == (r.group, r.iteration, r.note)
+        assert [float.hex(v) for v in (b.chi, b.alpha, b.grad_norm)] == \
+            [float.hex(v) for v in (r.chi, r.alpha, r.grad_norm)]
 
 
 @pytest.mark.parametrize("make, read, row", [
@@ -721,8 +731,34 @@ def test_cli_forward_then_invert_noop(box_config, tmp_path):
     final = read_model_grid(outdir / "final_model.txt", mesh)
     ambient = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
     np.testing.assert_array_equal(final.values, ambient.values)
-    assert (outdir / "convergence.txt").exists()
+    assert (outdir / "convergence.jsonl").exists()
     assert (outdir / "model_group_01.txt").exists()
+
+
+def test_cli_case_study_forward_then_invert(tmp_path):
+    # the north-star path on the case-study config, cut to one p = 2 group
+    # and one iteration: records of a slow box ahead of the face, inverted
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(CONFIG.read_text() + "\ndegree = 2\ngroup = 300\n"
+                        "max_iterations = 1\n")
+    cfg = load_config(cfg_path)
+    mesh = build_tunnel_mesh(cfg.geometry())
+    truth = ModelVector.homogeneous(mesh, cfg.ambient().vp, cfg.ambient().vs)
+    x, y = mesh.nodes.T
+    box = (33 <= x) & (x <= 43) & (16 <= y) & (y <= 26)
+    truth.vp[box] *= 0.85
+    truth.vs[box] *= 0.85
+    write_model_grid(tmp_path / "truth.txt", truth, mesh)
+    records, outdir = tmp_path / "obs.txt", tmp_path / "inv"
+    assert cli_dispatch(["forward", "--config", str(cfg_path), "--model",
+                         str(tmp_path / "truth.txt"), "--output", str(records)]) == 0
+    assert cli_dispatch(["invert", "--config", str(cfg_path), "--records",
+                         str(records), "--output", str(outdir)]) == 0
+    for name in ("final_model.txt", "model_group_00.txt", "convergence.jsonl"):
+        assert (outdir / name).exists()
+    log = _read_log(outdir / "convergence.jsonl")
+    assert log[-1].note == "group end"
+    assert log[-1].chi < log[0].chi
 
 
 @pytest.mark.parametrize("command", ["forward"])
@@ -760,12 +796,12 @@ def test_cli_invert_writes_each_group_as_it_ends(box_config, tmp_path,
     rc = cli_dispatch(["invert", "--config", box_config,
                        "--records", str(records), "--output", str(outdir)])
     assert rc != 0
-    assert sorted(os.listdir(outdir)) == ["convergence.txt", "model_group_00.txt"]
+    assert sorted(os.listdir(outdir)) == ["convergence.jsonl", "model_group_00.txt"]
     mesh = build_tunnel_mesh(load_config(box_config).geometry())
     snapshot = read_model_grid(outdir / "model_group_00.txt", mesh)
     ambient = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
     np.testing.assert_array_equal(snapshot.values, ambient.values)
-    log = optimize.parse_log((outdir / "convergence.txt").read_text())
+    log = _read_log(outdir / "convergence.jsonl")
     assert log and {r.group for r in log} == {0}
     assert log[-1].note == "group end"
 
@@ -790,7 +826,7 @@ def test_cli_invert_failing_final_write_leaves_no_torn_file(box_config, tmp_path
     rc = cli_dispatch(["invert", "--config", box_config,
                        "--records", str(records), "--output", str(outdir)])
     assert rc != 0
-    assert sorted(os.listdir(outdir)) == ["convergence.txt", "model_group_00.txt",
+    assert sorted(os.listdir(outdir)) == ["convergence.jsonl", "model_group_00.txt",
                                           "model_group_01.txt"]
 
 
@@ -811,25 +847,50 @@ def test_cli_dft_subcommand(box_config, tmp_path):
     assert set(back) == {700.0, 900.0, 1500.0}
 
 
-def test_cli_invert_time_records_match_dft_output(box_config, tmp_path):
+def test_cli_invert_rejects_time_records_before_solving(box_config, tmp_path, capsys):
+    from tunnelfwi import solver
     rng = np.random.default_rng(93)
-    traces = {}
-    for r in range(2):
-        for d in ("x", "y"):
-            traces[(0, r, d)] = TimeSeries(rng.normal(size=32) * 1e-12, 1e-4, 0.0)
-    records = tmp_path / "records"
-    records.mkdir()
-    time_path, freq_path = records / "time.txt", records / "freq.txt"
+    traces = {(0, r, d): TimeSeries(rng.normal(size=32) * 1e-12, 1e-4, 0.0)
+              for r in range(2) for d in "xy"}
+    time_path = tmp_path / "time.txt"
     write_time_records(time_path, traces)
-    assert cli_dispatch(["dft", "--config", box_config, "--records", str(time_path),
-                         "--output", str(freq_path)]) == 0
-    for name, path in (("from_time", time_path), ("from_dft", freq_path)):
-        assert cli_dispatch(["invert", "--config", box_config, "--records", str(path),
-                             "--output", str(tmp_path / name)]) == 0
-    for name in ("final_model.txt", "convergence.txt"):
-        assert ((tmp_path / "from_time" / name).read_bytes()
-                == (tmp_path / "from_dft" / name).read_bytes())
-    assert sorted(os.listdir(records)) == ["freq.txt", "time.txt"]
+    before = solver.factorization_count()
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(time_path),
+                       "--output", str(tmp_path / "inv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {time_path}: time records; transform them with 'tunnelfwi dft' "
+        "and pass its output\n")
+    assert solver.factorization_count() == before
+    assert not (tmp_path / "inv").exists()
+    # a malformed frequency-record file still names its line
+    freq_path = tmp_path / "freq.txt"
+    freq_path.write_text("# frequency-records\nn_sources = 1\nn_receivers = x\n")
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(freq_path),
+                       "--output", str(tmp_path / "inv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {freq_path}:3: malformed n_receivers value\n"
+    assert solver.factorization_count() == before
+    assert not (tmp_path / "inv").exists()
+
+
+def test_cli_invert_output_on_an_existing_file_fails_before_solving(
+        box_config, tmp_path, capsys):
+    from tunnelfwi import solver
+    records = tmp_path / "obs.txt"
+    assert cli_dispatch(["forward", "--config", box_config,
+                         "--output", str(records)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "notadir"
+    target.write_text("keep me\n")
+    before = solver.factorization_count()
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                       "--output", str(target)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: --output {target} exists and is "
+                                       "not a directory\n")
+    assert solver.factorization_count() == before
+    assert target.read_text() == "keep me\n"
 
 
 def test_cli_dft_names_a_trace_outside_the_layout(box_config, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from tunnelfwi.adjoint import adjoint_field, adjoint_source, accumulate_gradient
 from tunnelfwi.assembly import DiscretizationConfig
+from tunnelfwi.fileio import write_convergence_log
 from tunnelfwi.forward import forward_solve, sample_receivers
 from tunnelfwi.material import ModelVector
 from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
@@ -10,7 +11,7 @@ from tunnelfwi.mesh import (Receiver, Source, StationLayout, TunnelGeometry,
 from tunnelfwi.optimize import (FrequencySchedule, InversionData,
                                 InversionSettings, LbfgsHistory,
                                 LineSearchError, OptimizerState, ScheduleError,
-                                blindtest_schedule, format_log, lbfgs_direction,
+                                blindtest_schedule, lbfgs_direction,
                                 line_search, minimize_lbfgs,
                                 run_frequency_group, run_inversion)
 from tunnelfwi.pml import PmlProfile
@@ -509,14 +510,17 @@ def test_run_inversion_on_consistent_data_keeps_model():
     assert res.failures == []
 
 
-def test_inversion_deterministic_logs():
+def test_inversion_deterministic_logs(tmp_path):
     mesh, data, truth = toy_problem()
     start = ModelVector.homogeneous(mesh, 4020.0, 2380.0)
     settings = InversionSettings(max_iterations=3)
     sched = FrequencySchedule(((1200.0, 2000.0),))
-    log1 = format_log(run_inversion(start, sched, data, settings).state.log)
-    log2 = format_log(run_inversion(start, sched, data, settings).state.log)
-    assert log1 == log2
+    logs = []
+    for name in ("first.jsonl", "second.jsonl"):
+        write_convergence_log(tmp_path / name, run_inversion(start, sched, data,
+                                                             settings).state.log)
+        logs.append((tmp_path / name).read_text())
+    assert logs[0] and logs[0] == logs[1]
 
 
 def test_run_inversion_propagates_unexpected_errors(monkeypatch):
