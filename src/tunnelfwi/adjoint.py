@@ -104,15 +104,11 @@ def accumulate_gradient(kept, adjoint_fields):
     return 2.0 * raw.real
 
 
-def _segment_distances(points, a, b):
-    """Distance of many points to the segment a-b."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(points - proj, axis=1)
+def _nearest_distances(points, targets):
+    """Distance of every point to the nearest of ``targets``."""
+    d2 = (points[:, 0, None] - targets[:, 0]) ** 2
+    d2 += (points[:, 1, None] - targets[:, 1]) ** 2
+    return np.sqrt(d2.min(axis=1))
 
 
 def _ramp(d, inner, width):
@@ -137,14 +133,12 @@ def build_mask(layout, mesh, station_radius, surface_distance,
 
     stations = layout.station_points()
     if len(stations) and (station_radius > 0 or station_transition > 0):
-        d = np.min(np.linalg.norm(nodes[:, None, :] - stations[None, :, :], axis=2),
-                   axis=1)
+        d = _nearest_distances(nodes, stations)
         factors = np.minimum(factors, _ramp(d, station_radius, station_transition))
 
     if len(mesh.free_surface_edges) and (surface_distance > 0 or surface_transition > 0):
-        d = np.full(mesh.n_nodes, np.inf)
-        for a, b in mesh.free_surface_edges:
-            d = np.minimum(d, _segment_distances(nodes, nodes[a], nodes[b]))
+        # the point of a grid edge nearest to a grid node is one of its ends
+        d = _nearest_distances(nodes, nodes[np.unique(mesh.free_surface_edges)])
         factors = np.minimum(factors, _ramp(d, surface_distance, surface_transition))
 
     return factors

@@ -11,11 +11,11 @@ The assembled impedance matrix is L = K - omega^2 M with
 K = integral of B^T Ctilde B and M = integral of eps_x eps_y rho N^T N.
 Dofs on the outer PML boundary are clamped to zero, which is where the
 absorbed field is assumed to have died out.  Element matrices are products
-of per-point coefficients with cached real tables, formed one bounded range
-of element ids at a time and added into L's values in place; the model
-derivative of u . K . u_adj runs the stiffness product backwards through
-the same table, and the change of L along a model direction runs it
-forwards on the coefficients' changes.
+of per-point coefficients with cached real tables, formed one bounded
+single-rule batch of elements at a time and added into L's values in
+place; the model derivative of u . K . u_adj runs the stiffness product
+backwards through the same table, and the change of L along a model
+direction runs it forwards on the coefficients' changes.
 """
 
 from __future__ import annotations
@@ -404,8 +404,8 @@ class AssembledSystem:
 
     Clamped rows and columns are zero except for a unit diagonal.  K and M
     are never formed globally: element matrices are combined first, one
-    bounded range of element ids at a time, and ``np.add.at`` adds each
-    range's entries into L's values by the slot ids of the dof map's
+    bounded single-rule batch of elements at a time, and ``np.add.at`` adds
+    each batch's entries into L's values by the slot ids of the dof map's
     ``SystemPattern``.
     """
 
@@ -433,35 +433,32 @@ def _describe(mesh):
     return f"{mesh.n_elements} elements, {mesh.n_nodes} nodes, h = {mesh.h:g}"
 
 
-# element matrix entries per element id range: 2,048, 404 and 128 elements
-# at p = 1, 2 and 3, which bounds the per-frequency temporaries
+# element matrix entries per batch: 2,048, 404 and 128 elements at p = 1, 2
+# and 3, which bounds the per-frequency temporaries
 ENTRY_BUDGET = 2 ** 17
 
 
 def _batches(mesh, profile, degree):
-    """Consecutive element id ranges of at most ``ENTRY_BUDGET`` element
-    matrix entries (and at least one element), in ascending order.
+    """Element batches that share one quadrature rule, each of at most
+    ``ENTRY_BUDGET`` element matrix entries (and at least one element).
 
-    Yields (ids, parts) per range; ``parts`` lists (element indices,
-    stretched) of the range's unstretched and stretched elements, the
-    batches that share one quadrature rule.
+    Yields (element ids, stretched): the unstretched elements first, then
+    the stretched ones, each in ascending id order.
     """
     stretched = (profile.c_pml > 0.0) & (mesh.element_region != meshmod.INTERIOR)
     size = max(1, ENTRY_BUDGET // (2 * n_modes(degree)) ** 2)
-    for first in range(0, mesh.n_elements, size):
-        ids = np.arange(first, min(first + size, mesh.n_elements))
-        flags = stretched[ids]
-        yield ids, [(ids[flags == flag], flag) for flag in (False, True)
-                    if np.any(flags == flag)]
+    for flag in (False, True):
+        elems = np.flatnonzero(stretched == flag)
+        for first in range(0, len(elems), size):
+            yield elems[first:first + size], flag
 
 
 def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
-    """Form K_e - omega^2 M_e range by range and add them into L by slot id.
+    """Form K_e - omega^2 M_e batch by batch and add them into L by slot id.
 
-    Each range's real parts go into one (range, w^2) buffer in element
-    order, so each slot adds its entries in ascending element order; only
-    stretched elements add imaginary parts.  Clamped rows/columns are
-    dropped and replaced by a unit diagonal.
+    Each slot adds its entries in batch order; only stretched batches add
+    imaginary parts.  Clamped rows/columns are dropped and replaced by a
+    unit diagonal.
     """
     if not 0 < omega < np.inf:
         raise AssemblyError(f"omega must be finite and > 0, got {omega}")
@@ -470,19 +467,16 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
 
     pattern = dof_map.system_pattern()
     data = np.zeros(pattern.nnz + 1, dtype=complex)  # last bin: clamped entries
-    for ids, parts in _batches(mesh, profile, cfg.degree):
-        real = np.empty((len(ids), pattern.slots.shape[1]))
-        for elems, flag in parts:
-            K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
-                                                      profile, cfg, flag), rho)
-            M *= omega ** 2
-            K -= M
-            K = K.reshape(len(elems), -1)
-            real[elems - ids[0]] = K.real
-            if flag:
-                np.add.at(data.imag, pattern.slots[elems].ravel(), K.imag.ravel())
+    for elems, flag in _batches(mesh, profile, cfg.degree):
+        K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
+                                                  profile, cfg, flag), rho)
+        M *= omega ** 2
+        K -= M
         # one-dimensional operands keep np.add.at on its fast path
-        np.add.at(data.real, pattern.slots[ids].ravel(), real.ravel())
+        slots = pattern.slots[elems].ravel()
+        np.add.at(data.real, slots, K.real.ravel())
+        if flag:
+            np.add.at(data.imag, slots, K.imag.ravel())
     data = data[:-1]
     data[pattern.fixed] = 1.0
     L = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
@@ -528,13 +522,11 @@ def _system_batches(system):
     """(rule, vp, vs, ex, ey, element dofs, corner nodes) of every element
     batch of an assembled system, as ``_batch_quadrature`` gives them."""
     mesh = system.dof_map.mesh
-    for _, parts in _batches(mesh, system.profile, system.cfg.degree):
-        for elems, flag in parts:
-            rule, _, vp, vs, ex, ey = _batch_quadrature(
-                mesh, elems, system.model, system.omega, system.profile, system.cfg,
-                flag)
-            yield (rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems],
-                   mesh.elements[elems])
+    for elems, flag in _batches(mesh, system.profile, system.cfg.degree):
+        rule, _, vp, vs, ex, ey = _batch_quadrature(
+            mesh, elems, system.model, system.omega, system.profile, system.cfg, flag)
+        yield (rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems],
+               mesh.elements[elems])
 
 
 def stiffness_derivative_products(system, U, W):

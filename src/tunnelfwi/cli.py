@@ -120,8 +120,12 @@ def _load_observed(records_path, layout):
 
 
 def cmd_invert(cfg, args):
-    if os.path.exists(args.output) and not os.path.isdir(args.output):
-        raise CliError(f"--output {args.output} exists and is not a directory")
+    # a file on --output's path would fail os.makedirs after a group's solves
+    found = os.path.abspath(args.output)
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise CliError(f"--output {args.output}: {found} exists and is not a directory")
     mesh, ambient, initial = _build_context(cfg)
     if args.initial:
         initial = fileio.read_model_grid(args.initial, mesh)

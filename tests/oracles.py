@@ -8,14 +8,16 @@ the global K and M; ``derivative_products_oracle`` is the per-pair gradient
 kernel that the production transposed table product replaced.
 ``system_pattern_oracle`` is the key sort that the production E^T E
 pattern build replaced, ``summation_oracle`` the CSR sum of
-complex ``element_values`` that the production range-by-range slot-id
-``np.add.at`` replaced, and
+complex ``element_values``, in the element order of ``batch_order``, that
+the production batch-by-batch slot-id ``np.add.at`` replaced, and
 ``reference_mesh_arrays`` the per-cell loops that the production
 array-operation mesh build replaced, and ``reference_locate`` the
 per-point candidate search that the array ``locate_point`` and
 ``locate_station`` replaced.  ``direction_product_oracle``
 differences two assembled systems for the change of L along a model
-direction.  ``lame_parameters``,
+direction.  ``mask_oracle`` is ``build_mask`` with the free-surface
+distance taken segment by segment, as before the nearest-node distance
+replaced it.  ``lame_parameters``,
 ``velocities_from_lame``, ``evaluate_velocities``, ``evaluate_field``,
 ``pml_local_coordinate``, ``local_to_global``, ``ricker_spectrum`` and
 ``dump_mesh`` convert, evaluate or print what the program computes, and
@@ -208,13 +210,6 @@ def mass_weight(eps_x, eps_y):
     return eps_x * eps_y
 
 
-def _element_batches(mesh, profile, cfg):
-    """(element indices, stretched) of every batch of the production
-    ``_batches``, range by range."""
-    for _, parts in asmmod._batches(mesh, profile, cfg.degree):
-        yield from parts
-
-
 def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     """(K, M, L) in CSC through COO triplets of the production element batches.
 
@@ -222,7 +217,7 @@ def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     (zero in M) so that L = K - omega^2 M holds entrywise.
     """
     rows, cols, kvals, mvals = [], [], [], []
-    for elems, flag in _element_batches(mesh, profile, cfg):
+    for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
         K_b, M_b = asmmod._batch_matrices(*asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag), rho)
         dofs = dof_map.element_dofs[elems]
@@ -259,7 +254,7 @@ def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, do
     asmmod.check_dof_map(dof_map, mesh, cfg.degree)
     n = model.n_nodes
     out = np.zeros(2 * n, dtype=complex)
-    for elems, flag in _element_batches(mesh, profile, cfg):
+    for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
         rule, h, vp, vs, ex, ey = asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
         _, w, V, G = asmmod.quad_table(*rule)
@@ -334,13 +329,25 @@ def system_pattern_oracle(dof_map):
         slots=slots.reshape(nel, width * width))
 
 
-def summation_oracle(dof_map, values):
+def batch_order(mesh, profile):
+    """Element ids in the order ``assemble_system`` sums them: the
+    unstretched elements, then the stretched ones, each in ascending id
+    order."""
+    stretched = (profile.c_pml > 0.0) & (mesh.element_region != INTERIOR)
+    return np.argsort(stretched, kind="stable")
+
+
+def summation_oracle(dof_map, values, profile):
     """L from complex (n_elements, w, w) element matrices through a
     (nnz, n_elements w^2) CSR operator of ones, the sparse sum that the
     slot-id ``np.add.at`` of ``assemble_system`` replaced: row s sums the
-    entries, in element order, that land on slot s."""
+    entries that land on slot s in the element order of ``batch_order``."""
     pattern = system_pattern_oracle(dof_map)
-    entries, order, slot, _, is_entry = _whole_array_sort(dof_map)
+    ids = batch_order(dof_map.mesh, profile)
+    values = values[ids]
+    entries, order, slot, _, is_entry = _whole_array_sort(SimpleNamespace(
+        element_dofs=dof_map.element_dofs[ids], n_dofs=dof_map.n_dofs,
+        clamped=dof_map.clamped))
     per_slot = np.bincount(slot[is_entry], minlength=pattern.nnz)
     summation = sp.csr_matrix(
         (np.ones(len(entries)), entries[order[is_entry]].astype(np.int32),
@@ -354,11 +361,12 @@ def summation_oracle(dof_map, values):
 
 
 def element_values(mesh, model, rho, omega, profile, cfg):
-    """Complex (n_elements, w, w) stack of every K_e - omega^2 M_e, formed
-    batch by batch over the ranges of the production ``_batches``."""
+    """Complex (n_elements, w, w) stack of every K_e - omega^2 M_e in
+    element id order, formed over the batches of the production
+    ``_batches``."""
     width = 2 * asmmod.n_modes(cfg.degree)
     values = np.empty((mesh.n_elements, width, width), dtype=complex)
-    for elems, flag in _element_batches(mesh, profile, cfg):
+    for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
         K, M = asmmod._batch_matrices(*asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag), rho)
         values[elems] = K - omega ** 2 * M
@@ -376,6 +384,27 @@ def direction_product_oracle(U, direction, mesh, model, rho, omega, profile, cfg
         mesh, ModelVector(model.values + s * eps * direction), rho, omega,
         profile, cfg, dof_map=dof_map).L for s in (1.0, -1.0))
     return ((L_plus - L_minus) @ U) / (2.0 * eps)
+
+
+def mask_oracle(layout, mesh, station_radius, surface_distance,
+                station_transition, surface_transition):
+    """``build_mask`` for positive transitions, each node's surface distance
+    the least over the free-surface edges of its distance to the edge's
+    nearest point."""
+    nodes = mesh.nodes
+    factors = np.ones(mesh.n_nodes)
+    stations = layout.station_points()
+    if len(stations):
+        d = np.min(np.linalg.norm(nodes[:, None, :] - stations[None, :, :], axis=2),
+                   axis=1)
+        factors = np.minimum(factors, np.clip((d - station_radius)
+                                              / station_transition, 0.0, 1.0))
+    d = np.full(mesh.n_nodes, np.inf)
+    for a, b in nodes[mesh.free_surface_edges]:
+        t = np.clip((nodes - a) @ (b - a) / float((b - a) @ (b - a)), 0.0, 1.0)
+        d = np.minimum(d, np.linalg.norm(nodes - (a + t[:, None] * (b - a)), axis=1))
+    return np.minimum(factors, np.clip((d - surface_distance) / surface_transition,
+                                       0.0, 1.0))
 
 
 MESH_ARRAYS = ("nodes", "elements", "element_cell", "element_region", "pml_ref",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tunnelfwi import solver
 from tunnelfwi.adjoint import (AdjointError, accumulate_gradient,
                                adjoint_field, adjoint_source, build_mask,
@@ -316,6 +317,20 @@ def test_mask_surface_distance():
     for j, want in ((10, 0.0), (9, 0.0), (8, (2.0 - 1.75) / 1.75), (6, 1.0)):
         got = mask[mesh.node_grid[j, 10]]
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# the desk inversion's grid, and a tunnel whose void adds free surfaces
+@pytest.mark.parametrize("geometry", [TunnelGeometry(40, 12, 0, 12, 0, 3.2, 0.8),
+                                      TunnelGeometry(30, 6, 4, 6, 10, 2, 0.5)],
+                         ids=["desk", "tunnel"])
+@pytest.mark.parametrize("args", [(2.5, 1.75, 2.5, 1.75), (1.0, 0.6, 0.3, 2.0)])
+def test_mask_matches_segment_distance_oracle(geometry, args):
+    mesh = build_tunnel_mesh(geometry)
+    layout = StationLayout(sources=(Source((9.3, 7.1), (1.0, 0.0)),),
+                           receivers=(Receiver((18.0, 12.0)), Receiver((11.0, 3.3))))
+    mask = build_mask(layout, mesh, *args)
+    assert np.any(mask == 0.0) and np.any((0.0 < mask) & (mask < 1.0))
+    assert mask.tobytes() == oracles.mask_oracle(layout, mesh, *args).tobytes()
 
 
 def test_mask_rejects_negative_distance():

@@ -479,24 +479,34 @@ def test_slot_sums_match_csr_summation_bitwise(kind, p, profile):
     L = assemble_system(mesh, model, RHO, 1300.0, profile, cfg, dof_map=dm).L
     values = oracles.element_values(mesh, model, RHO, 1300.0, profile, cfg)
     assert np.any(values.imag != 0) == (profile is PML and kind != "plain_box")
-    old = oracles.summation_oracle(dm, values)
+    old = oracles.summation_oracle(dm, values, profile)
     for k in ("data", "indices", "indptr"):
         a, b = getattr(L, k), getattr(old, k)
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
 
 
-# one element per range, and three: ranges of both parts, cut mid-layer
-@pytest.mark.parametrize("per_range", [1, 3])
+# one element per batch, and three
+@pytest.mark.parametrize("per_batch", [1, 3])
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("profile", [NO_PML, PML], ids=["no_pml", "pml"])
-def test_slot_sums_bitwise_over_many_ranges(monkeypatch, profile, p, per_range):
-    monkeypatch.setattr(asmmod, "ENTRY_BUDGET", per_range * (2 * asmmod.n_modes(p)) ** 2)
+def test_slot_sums_bitwise_over_many_ranges(monkeypatch, profile, p, per_batch):
+    monkeypatch.setattr(asmmod, "ENTRY_BUDGET", per_batch * (2 * asmmod.n_modes(p)) ** 2)
     mesh = PATTERN_MESHES["tunnel"]()
-    ranges = list(asmmod._batches(mesh, profile, p))
-    assert len(ranges) == -(-mesh.n_elements // per_range)
-    if profile is PML and per_range > 1:
-        assert any(len(parts) == 2 for _, parts in ranges)
+    batches = list(asmmod._batches(mesh, profile, p))
+    elems = np.concatenate([e for e, _ in batches])
+    np.testing.assert_array_equal(np.sort(elems), np.arange(mesh.n_elements))
+    np.testing.assert_array_equal(elems, oracles.batch_order(mesh, profile))
+    for e, flag in batches:
+        assert 1 <= len(e) <= per_batch
+        # one rule per batch: all stretched (PML under a live profile) or none
+        stretched = (mesh.element_region[e] != meshmod.INTERIOR) & (profile is PML)
+        assert np.all(stretched == flag)
+    n_stretched = np.count_nonzero((mesh.element_region != meshmod.INTERIOR)
+                                   & (profile is PML))
+    assert (n_stretched > 0) == (profile is PML)
+    assert len(batches) == (-(-(mesh.n_elements - n_stretched) // per_batch)
+                            - (-n_stretched // per_batch))
     test_slot_sums_match_csr_summation_bitwise("tunnel", p, profile)
 
 

@@ -887,10 +887,31 @@ def test_cli_invert_output_on_an_existing_file_fails_before_solving(
     rc = cli_dispatch(["invert", "--config", box_config, "--records", str(records),
                        "--output", str(target)])
     assert rc == 1
-    assert capsys.readouterr().err == (f"error: --output {target} exists and is "
-                                       "not a directory\n")
+    assert capsys.readouterr().err == (f"error: --output {target}: {target} exists "
+                                       "and is not a directory\n")
     assert solver.factorization_count() == before
     assert target.read_text() == "keep me\n"
+
+
+def test_cli_invert_output_under_a_file_fails_before_solving(
+        box_config, tmp_path, capsys, monkeypatch):
+    from tunnelfwi import solver
+    records = tmp_path / "obs.txt"
+    assert cli_dispatch(["forward", "--config", box_config,
+                         "--output", str(records)]) == 0
+    capsys.readouterr()
+    (tmp_path / "afile").write_text("keep me\n")
+    monkeypatch.chdir(tmp_path)
+    before = solver.factorization_count()
+    rc = cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                       "--output", "afile/sub/deeper"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: --output afile/sub/deeper: "
+                                       f"{Path.cwd() / 'afile'} exists and is not "
+                                       "a directory\n")
+    assert solver.factorization_count() == before
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "obs.txt", "run.cfg"]
 
 
 def test_cli_dft_names_a_trace_outside_the_layout(box_config, tmp_path, capsys):
