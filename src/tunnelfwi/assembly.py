@@ -11,17 +11,19 @@ The assembled impedance matrix is L = K - omega^2 M with
 K = integral of B^T Ctilde B and M = integral of eps_x eps_y rho N^T N.
 Dofs on the outer PML boundary are clamped to zero, which is where the
 absorbed field is assumed to have died out.  Element matrices are products
-of per-point coefficients with cached real tables, formed one bounded
-single-rule batch of elements at a time and added into L's values in
-place; the model derivative of u . K . u_adj runs the stiffness product
-backwards through the same table, and the change of L along a model
-direction runs it forwards on the coefficients' changes.
+of per-point coefficients with the real tables of one cached ``quad_rule``,
+formed one bounded single-rule batch of elements at a time and added into
+L's values in place; the model derivative of u . K . u_adj runs the
+stiffness product backwards through the same table, and the change of L
+along a model direction runs it forwards on the coefficients' changes.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,22 +133,45 @@ def n_modes(p):
     return (p + 1) ** 2
 
 
-# -- quadrature tables ------------------------------------------------------
+# -- quadrature rule -------------------------------------------------------
 
-_TABLES = {}
+class QuadRule(NamedTuple):
+    """Tensor Gauss ``points`` and ``weights``, the degree-p mode values V and
+    local gradients G there, and the real tables TK and TM that turn
+    per-point coefficients into element matrices.
+
+    Table columns run over the (a, i, b, k) entries of an element matrix,
+    dofs interleaved per mode.  TK rows run over (point, lambda or mu, i, k):
+    lambda couples G_ai G_bk into block (i, k); mu couples G_ak G_bi into
+    block (i, k), and its i = k row also adds G_ai G_bi to both diagonal
+    blocks.  TM rows run over points: V_a V_b on the diagonal blocks.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    V: np.ndarray
+    G: np.ndarray
+    TK: np.ndarray
+    TM: np.ndarray
 
 
-def quad_table(p, nq):
-    """Cached (points, weights, values, local gradients) for a tensor rule."""
-    key = (p, nq)
-    if key not in _TABLES:
-        x1, w1 = npleg.leggauss(nq)
-        X, Y = np.meshgrid(x1, x1, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        w = np.outer(w1, w1).ravel()
-        V, G = shape_functions(p, pts)
-        _TABLES[key] = (pts, w, V, G)
-    return _TABLES[key]
+@functools.cache
+def quad_rule(p, nq):
+    """The ``QuadRule`` of degree p with nq points per axis, built once."""
+    x1, w1 = npleg.leggauss(nq)
+    X, Y = np.meshgrid(x1, x1, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    V, G = shape_functions(p, pts)
+    nqq, n = V.shape
+    d = np.eye(2)
+    GG = np.einsum("qai,qbk->qikab", G, G)
+    TK = np.empty((nqq, 2, 2, 2, n, 2, n, 2))
+    TK[:, 0] = np.einsum("qikab,ij,kl->qikajbl", GG, d, d)
+    TK[:, 1] = (np.einsum("qkiab,ij,kl->qikajbl", GG, d, d)
+                + np.einsum("qiiab,ik,jl->qikajbl", GG, d, d))
+    TM = np.einsum("qa,qb,ik->qaibk", V, V, d)
+    return QuadRule(pts, np.outer(w1, w1).ravel(), V, G,
+                    TK.reshape(nqq * 8, -1), TM.reshape(nqq, -1))
 
 
 # -- dof map ----------------------------------------------------------------
@@ -198,7 +223,6 @@ class DofMap:
 
         self.clamped = self._clamped_mask()
         self._station_operators = {}
-        self._system_pattern = None
 
     @property
     def mesh(self):
@@ -214,11 +238,10 @@ class DofMap:
             self._station_operators[key] = point_operator(self, key)
         return self._station_operators[key]
 
+    @functools.cached_property
     def system_pattern(self):
         """``SystemPattern`` of the clamped system, built on first use."""
-        if self._system_pattern is None:
-            self._system_pattern = SystemPattern(self)
-        return self._system_pattern
+        return SystemPattern(self)
 
     def _clamped_mask(self):
         """Dofs fixed to zero on the outer PML boundary."""
@@ -252,18 +275,17 @@ def _axis_stretch(coord, ref, omega, profile):
 def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
     """Vectorized per-element quadrature data for a batch sharing one rule.
 
-    Returns (rule, h, vp, vs, ex, ey): ``rule`` = (degree, points per axis)
-    keys ``quad_table`` and ``_product_tables``, which every element of the
-    batch shares (uniform squares of side h); the rest are element-by-point
-    material and stretch arrays, real ones where unstretched.
+    Returns (rule, vp, vs, ex, ey): ``rule`` is the ``quad_rule`` that every
+    element of the batch shares (uniform squares of side ``mesh.h``); the
+    rest are element-by-point material and stretch arrays, real ones where
+    unstretched.
     """
-    rule = (cfg.degree, cfg.n_quad_pml if stretched else cfg.n_quad)
-    pts, _, V, _ = quad_table(*rule)
-    h = mesh.h
+    rule = quad_rule(cfg.degree, cfg.n_quad_pml if stretched else cfg.n_quad)
+    pts, h = rule.points, mesh.h
 
     corners = mesh.elements[elems]
-    vp = model.vp[corners] @ V[:, :4].T  # (E, q)
-    vs = model.vs[corners] @ V[:, :4].T
+    vp = model.vp[corners] @ rule.V[:, :4].T  # (E, q)
+    vs = model.vs[corners] @ rule.V[:, :4].T
 
     if stretched:
         origins = mesh.element_cell[elems] * h  # (E, 2)
@@ -273,7 +295,7 @@ def _batch_quadrature(mesh, elems, model, omega, profile, cfg, stretched):
     else:
         ex = np.ones((len(elems), len(pts)))
         ey = np.ones((len(elems), len(pts)))
-    return rule, h, vp, vs, ex, ey
+    return rule, vp, vs, ex, ey
 
 
 def _stretch_factor(ex, ey):
@@ -284,34 +306,6 @@ def _stretch_factor(ex, ey):
     F[..., 1, 0] = 1.0
     F[..., 1, 1] = ex / ey
     return F
-
-
-_PRODUCT_TABLES = {}
-
-
-def _product_tables(p, nq):
-    """Cached real tables (TK, TM) that turn quadrature coefficients into
-    element matrices.
-
-    Columns run over the (a, i, b, k) entries of an element matrix, dofs
-    interleaved per mode.  TK rows run over (point, lambda or mu, i, k):
-    lambda couples G_ai G_bk into block (i, k); mu couples G_ak G_bi into
-    block (i, k), and its i = k row also adds G_ai G_bi to both diagonal
-    blocks.  TM rows run over points: V_a V_b on the diagonal blocks.
-    """
-    key = (p, nq)
-    if key not in _PRODUCT_TABLES:
-        _, _, V, G = quad_table(p, nq)
-        nqq, n = V.shape
-        d = np.eye(2)
-        GG = np.einsum("qai,qbk->qikab", G, G)
-        TK = np.empty((nqq, 2, 2, 2, n, 2, n, 2))
-        TK[:, 0] = np.einsum("qikab,ij,kl->qikajbl", GG, d, d)
-        TK[:, 1] = (np.einsum("qkiab,ij,kl->qikajbl", GG, d, d)
-                    + np.einsum("qiiab,ik,jl->qikajbl", GG, d, d))
-        TM = np.einsum("qa,qb,ik->qaibk", V, V, d)
-        _PRODUCT_TABLES[key] = (TK.reshape(nqq * 8, -1), TM.reshape(nqq, -1))
-    return _PRODUCT_TABLES[key]
 
 
 def _table_product(coef, table):
@@ -325,30 +319,26 @@ def _table_product(coef, table):
 
 def _batch_stiffness(rule, lam, mu, ex, ey):
     """K_e stack of one batch from per-point (lambda, mu), dofs interleaved
-    per mode: one product of (lambda w F, mu w F) with the stiffness table
-    of ``_product_tables``; real where the batch is unstretched and complex
-    symmetric otherwise."""
-    _, w, V, _ = quad_table(*rule)
-    TK, _ = _product_tables(*rule)
-    width = 2 * V.shape[1]
+    per mode: one product of (lambda w F, mu w F) with the rule's TK; real
+    where the batch is unstretched and complex symmetric otherwise."""
+    width = 2 * rule.V.shape[1]
     # the stiffness integrand scales as h^2/4 (4/h^2) = 1 in 2D
-    cK = (np.stack([lam, mu], axis=2) * w[:, None])[..., None, None] \
+    cK = (np.stack([lam, mu], axis=2) * rule.weights[:, None])[..., None, None] \
         * _stretch_factor(ex, ey)[:, :, None]
-    return _table_product(cK.reshape(len(lam), -1), TK).reshape(-1, width, width)
+    return _table_product(cK.reshape(len(lam), -1), rule.TK).reshape(-1, width, width)
 
 
-def _batch_matrices(rule, h, vp, vs, ex, ey, rho):
-    """(K_e, M_e) stacks of one batch, dofs interleaved per mode.
+def _batch_matrices(rule, vp, vs, ex, ey, rho, h):
+    """(K_e, M_e) stacks of one batch of side-h elements, dofs interleaved
+    per mode.
 
     Both are linear in per-point coefficients (lambda w F, mu w F and
-    eps_x eps_y rho w), so each is one product with ``_product_tables``.
+    eps_x eps_y rho w), so each is one product with the rule's TK or TM.
     """
-    _, w, _, _ = quad_table(*rule)
-    _, TM = _product_tables(*rule)
     K = _batch_stiffness(rule, rho * (vp ** 2 - 2.0 * vs ** 2), rho * vs ** 2,
                          ex, ey)
-    cM = (w * (h * h / 4.0) * rho) * ex * ey
-    return K, _table_product(cM, TM).reshape(K.shape)
+    cM = (rule.weights * (h * h / 4.0) * rho) * ex * ey
+    return K, _table_product(cM, rule.TM).reshape(K.shape)
 
 
 class SystemPattern:
@@ -465,11 +455,11 @@ def assemble_system(mesh, model, rho, omega, profile, cfg, dof_map=None):
     dof_map = DofMap.of(mesh, cfg.degree) if dof_map is None else dof_map
     check_dof_map(dof_map, mesh, cfg.degree)
 
-    pattern = dof_map.system_pattern()
+    pattern = dof_map.system_pattern
     data = np.zeros(pattern.nnz + 1, dtype=complex)  # last bin: clamped entries
     for elems, flag in _batches(mesh, profile, cfg.degree):
         K, M = _batch_matrices(*_batch_quadrature(mesh, elems, model, omega,
-                                                  profile, cfg, flag), rho)
+                                                  profile, cfg, flag), rho, mesh.h)
         M *= omega ** 2
         K -= M
         # one-dimensional operands keep np.add.at on its fast path
@@ -523,10 +513,9 @@ def _system_batches(system):
     batch of an assembled system, as ``_batch_quadrature`` gives them."""
     mesh = system.dof_map.mesh
     for elems, flag in _batches(mesh, system.profile, system.cfg.degree):
-        rule, _, vp, vs, ex, ey = _batch_quadrature(
-            mesh, elems, system.model, system.omega, system.profile, system.cfg, flag)
-        yield (rule, vp, vs, ex, ey, system.dof_map.element_dofs[elems],
-               mesh.elements[elems])
+        yield (*_batch_quadrature(mesh, elems, system.model, system.omega,
+                                  system.profile, system.cfg, flag),
+               system.dof_map.element_dofs[elems], mesh.elements[elems])
 
 
 def stiffness_derivative_products(system, U, W):
@@ -534,17 +523,15 @@ def stiffness_derivative_products(system, U, W):
 
     ``U`` and ``W`` are (n_dofs, k) field and adjoint columns of ``system``.
     Density is constant, so these are also the products with dL/dm_k.
-    Each element batch costs one product with the transposed stiffness
-    table of ``_product_tables``, whatever k.  Returns a complex vector
-    aligned with the model vector.
+    Each element batch costs one product with its rule's transposed TK,
+    whatever k.  Returns a complex vector aligned with the model vector.
     """
     n, rho = system.model.n_nodes, system.rho
     out = np.zeros(2 * n, dtype=complex)
     for rule, vp, vs, ex, ey, dofs, corners in _system_batches(system):
-        _, w, V, _ = quad_table(*rule)
-        TK, _ = _product_tables(*rule)
+        w, V = rule.weights, rule.V
         P = U[dofs] @ W[dofs].transpose(0, 2, 1)
-        D = _table_product(P.reshape(len(dofs), -1), TK.T)
+        D = _table_product(P.reshape(len(dofs), -1), rule.TK.T)
         # d(u K u_adj)/d(lambda, mu) at every point
         S = np.einsum("eqlik,eqik->eql", D.reshape(len(dofs), len(w), 2, 2, 2),
                       _stretch_factor(ex, ey)) * w[:, None]
@@ -569,9 +556,8 @@ def stiffness_direction_product(system, U, direction):
     out = np.zeros(U.shape, dtype=complex)
     parts = out.view(float)  # real and imaginary parts as columns
     for rule, vp, vs, ex, ey, dofs, corners in _system_batches(system):
-        _, _, V, _ = quad_table(*rule)
-        dvp = direction[:n][corners] @ V[:, :4].T
-        dvs = direction[n:][corners] @ V[:, :4].T
+        dvp = direction[:n][corners] @ rule.V[:, :4].T
+        dvs = direction[n:][corners] @ rule.V[:, :4].T
         dK = _batch_stiffness(rule, 2.0 * rho * (vp * dvp - 2.0 * vs * dvs),
                               2.0 * rho * vs * dvs, ex, ey)
         if np.iscomplexobj(dK):

@@ -65,12 +65,9 @@ _SCALAR_DEFAULTS = {
 _INT_KEYS = {"degree", "max_iterations", "lbfgs_capacity"}
 _REPEAT_KEYS = {"source", "receiver", "group"}
 
-_NONNEGATIVE = {"station_radius", "surface_distance", "tunnel_height",
-                "tunnel_length", "pml_width"}
-_POSITIVE = {"domain_width", "element_size", "vp", "vs", "rho",
-             "wavelet_peak_hz", "sweep_start", "sweep_step",
-             "validate_frequency_hz", "reduction_threshold", "max_iterations",
-             "lbfgs_capacity"}
+_NONNEGATIVE = {"station_radius", "surface_distance"}
+_POSITIVE = {"vp", "vs", "rho", "wavelet_peak_hz", "sweep_start", "sweep_step",
+             "validate_frequency_hz"}
 
 
 @dataclass
@@ -246,6 +243,7 @@ def validate_config(cfg: RunConfig):
             cfg.profile()
         cfg.discretization()
         cfg.schedule()
+        cfg.settings()
     except ConfigError:
         raise
     except ValueError as exc:  # cross-module invariants surface as config errors

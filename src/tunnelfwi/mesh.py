@@ -67,7 +67,7 @@ class TunnelGeometry:
 
     def __post_init__(self):
         if self.domain_width <= 0:
-            raise MeshError("domain_width must be > 0")
+            raise MeshError(f"domain_width must be > 0, got {self.domain_width}")
         for name in ("domain_width", "depth_above_tunnel", "tunnel_height",
                      "depth_below_tunnel", "tunnel_length", "pml_width"):
             _check_conforming(getattr(self, name), self.element_size, name)

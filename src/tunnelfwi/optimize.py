@@ -309,6 +309,17 @@ class InversionSettings:
     lbfgs_capacity: int = 5
     line_search_rounds: int = 5
 
+    def __post_init__(self):
+        for name in ("max_iterations", "lbfgs_capacity", "line_search_rounds"):
+            n = getattr(self, name)
+            if not asmmod._is_int(n):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if n <= 0:
+                raise ValueError(f"{name} must be > 0, got {n}")
+        if not 0 < self.reduction_threshold < np.inf:
+            raise ValueError(f"reduction_threshold must be finite and > 0, "
+                             f"got {self.reduction_threshold}")
+
 
 @dataclass
 class InversionData:

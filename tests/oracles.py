@@ -219,7 +219,7 @@ def coo_system(mesh, model, rho, omega, profile, cfg, dof_map):
     rows, cols, kvals, mvals = [], [], [], []
     for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
         K_b, M_b = asmmod._batch_matrices(*asmmod._batch_quadrature(
-            mesh, elems, model, omega, profile, cfg, flag), rho)
+            mesh, elems, model, omega, profile, cfg, flag), rho, mesh.h)
         dofs = dof_map.element_dofs[elems]
         width = dofs.shape[1]
         rows.append(np.repeat(dofs, width, axis=1).ravel())
@@ -255,10 +255,10 @@ def derivative_products_oracle(fields, mesh, model, rho, omega, profile, cfg, do
     n = model.n_nodes
     out = np.zeros(2 * n, dtype=complex)
     for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
-        rule, h, vp, vs, ex, ey = asmmod._batch_quadrature(
+        rule, vp, vs, ex, ey = asmmod._batch_quadrature(
             mesh, elems, model, omega, profile, cfg, flag)
-        _, w, V, G = asmmod.quad_table(*rule)
-        wq = w * (h * h / 4.0)
+        h, V, G = mesh.h, rule.V, rule.G
+        wq = rule.weights * (h * h / 4.0)
         G = G * (2.0 / h)
         F = asmmod._stretch_factor(ex, ey)
         Fdiag = F[:, :, (0, 1), (0, 1)]
@@ -368,7 +368,7 @@ def element_values(mesh, model, rho, omega, profile, cfg):
     values = np.empty((mesh.n_elements, width, width), dtype=complex)
     for elems, flag in asmmod._batches(mesh, profile, cfg.degree):
         K, M = asmmod._batch_matrices(*asmmod._batch_quadrature(
-            mesh, elems, model, omega, profile, cfg, flag), rho)
+            mesh, elems, model, omega, profile, cfg, flag), rho, mesh.h)
         values[elems] = K - omega ** 2 * M
     return values
 

@@ -244,7 +244,7 @@ def element_system(mesh, e, model, rho, omega, profile, cfg):
     """(K_e, M_e) of one element through the production batch path."""
     stretched = profile.c_pml > 0.0 and mesh.element_region[e] != meshmod.INTERIOR
     K, M = _batch_matrices(*_batch_quadrature(mesh, np.array([e]), model, omega,
-                                              profile, cfg, stretched), rho)
+                                              profile, cfg, stretched), rho, mesh.h)
     return K[0], M[0]
 
 
@@ -526,7 +526,7 @@ amb = cfg.ambient()
 model = material.ModelVector.homogeneous(grid, amb.vp, amb.vs)
 disc = cfg.discretization()
 dm = assembly.DofMap(grid, disc.degree)
-dm.system_pattern()
+dm.system_pattern
 before = rss_kb()
 for omega in (300.0, 1000.0):
     L = None
@@ -616,7 +616,7 @@ def test_a_mesh_and_its_stored_maps_die_on_del_without_the_cycle_collector():
     # a map holds its mesh weakly: mesh.dof_maps forms no reference cycle
     mesh = box_mesh(4, 2, pml=1)
     for p in (1, 2):
-        DofMap.of(mesh, p).system_pattern()
+        DofMap.of(mesh, p).system_pattern
     alone = DofMap(mesh, 3)
     refs = [weakref.ref(x) for x in (mesh, *mesh.dof_maps.values())]
     gc.disable()

@@ -22,8 +22,8 @@ from tunnelfwi.material import AmbientProperties, InvalidMaterialError, ModelVec
 from tunnelfwi.forward import forward_solve
 from tunnelfwi.mesh import (MeshError, Receiver, Source, StationLayout,
                             TunnelGeometry, build_tunnel_mesh, build_unbounded_mesh)
-from tunnelfwi.optimize import (FrequencySchedule, IterationRecord, ScheduleError,
-                                blindtest_schedule)
+from tunnelfwi.optimize import (FrequencySchedule, InversionSettings, IterationRecord,
+                                ScheduleError, blindtest_schedule)
 from tunnelfwi.pml import PmlError, PmlProfile
 from tunnelfwi.signal import TimeSeries
 
@@ -162,7 +162,10 @@ def test_receiver_direction_repeating_a_letter_rejected_by_line(dirs):
      "is not a unit vector"),
     (FrequencySchedule(((100.0,), (200.0,))), "groups", ((200.0,), (100.0,)),
      ScheduleError, "does not exceed the previous group's top"),
-], ids=["discretization", "profile", "geometry", "ambient", "source", "schedule"])
+    (InversionSettings(), "lbfgs_capacity", 0, ValueError,
+     "lbfgs_capacity must be > 0, got 0"),
+], ids=["discretization", "profile", "geometry", "ambient", "source", "schedule",
+        "settings"])
 def test_replacing_a_field_with_a_bad_value_raises(valid, field, bad, error, match):
     # every instance that exists is valid, including one made by replace
     with pytest.raises(error, match=match):
@@ -227,6 +230,42 @@ def test_geometry_invariants_checked_at_load():
         parse_config("element_size = 0.7\n")  # does not divide the extents
     with pytest.raises(ConfigError, match="omega_c_ratio"):
         parse_config("omega_c_ratio = 1.5\n")
+
+
+@pytest.mark.parametrize("key", ["domain_width", "depth_above_tunnel", "tunnel_height",
+                                 "depth_below_tunnel", "tunnel_length", "pml_width"])
+def test_negative_extent_rejected_by_key_at_load(key):
+    # the geometry's own check names the key; domain_width must be positive
+    bound = "> 0" if key == "domain_width" else ">= 0"
+    with pytest.raises(ConfigError, match=f"^{key} must be {bound}, got -4.0$"):
+        parse_config(f"{key} = -4\n")
+
+
+def test_tunnel_as_long_as_the_domain_rejected_at_load():
+    with pytest.raises(ConfigError, match="^tunnel_length must be smaller than "
+                                          "domain_width$"):
+        parse_config("domain_width = 20\ntunnel_length = 20\n")
+
+
+def test_sweep_ending_below_its_start_rejected_at_load():
+    with pytest.raises(ConfigError, match="^sweep_end must be >= sweep_start$"):
+        parse_config("sweep_start = 500\nsweep_end = 400\n")
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("max_iterations", 0, "max_iterations must be > 0, got 0"),
+    ("line_search_rounds", -1, "line_search_rounds must be > 0, got -1"),
+    ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+    ("lbfgs_capacity", True, "lbfgs_capacity must be an integer, got True"),
+    ("reduction_threshold", 0.0, "reduction_threshold must be finite and > 0, got 0.0"),
+    ("reduction_threshold", np.inf, "reduction_threshold must be finite and > 0, got inf"),
+    ("reduction_threshold", np.nan, "reduction_threshold must be finite and > 0, got nan"),
+], ids=["iterations-zero", "rounds-negative", "iterations-float", "capacity-bool",
+        "threshold-zero", "threshold-inf", "threshold-nan"])
+def test_inversion_settings_check_themselves(field, value, match):
+    # no capacity would run steepest descent, no iteration would skip every group
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        InversionSettings(**{field: value})
 
 
 # -- time records -----------------------------------------------------------------
@@ -733,6 +772,65 @@ def test_cli_forward_then_invert_noop(box_config, tmp_path):
     np.testing.assert_array_equal(final.values, ambient.values)
     assert (outdir / "convergence.jsonl").exists()
     assert (outdir / "model_group_01.txt").exists()
+
+
+def _truth_records(box_config, tmp_path):
+    """A non-ambient truth grid on the box mesh and its forward records."""
+    mesh = build_tunnel_mesh(load_config(box_config).geometry())
+    truth = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    x, y = mesh.nodes.T
+    slow = (5 <= x) & (x <= 8) & (3 <= y) & (y <= 6)
+    truth.vp[slow] *= 0.9
+    truth.vs[slow] *= 0.9
+    grid, records = tmp_path / "truth.txt", tmp_path / "obs.txt"
+    write_model_grid(grid, truth, mesh)
+    assert cli_dispatch(["forward", "--config", box_config, "--model", str(grid),
+                         "--output", str(records)]) == 0
+    return grid, records
+
+
+def test_cli_invert_from_the_truth_takes_no_step(box_config, tmp_path):
+    from tunnelfwi import solver
+    grid, records = _truth_records(box_config, tmp_path)
+    outdir = tmp_path / "inv"
+    before = solver.factorization_count()
+    assert cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                         "--initial", str(grid), "--output", str(outdir)]) == 0
+    # one misfit per group, at each scheduled frequency; chi = 0 stops at once
+    assert solver.factorization_count() - before == 3
+    log = _read_log(outdir / "convergence.jsonl")
+    assert [(r.group, r.iteration, r.chi, r.alpha, r.note) for r in log] == \
+        [(0, 0, 0.0, 0.0, "group end"), (1, 0, 0.0, 0.0, "group end")]
+    assert (outdir / "final_model.txt").read_bytes() == grid.read_bytes()
+
+
+def test_cli_invert_reports_a_failed_group_and_runs_the_next(box_config, tmp_path,
+                                                             capsys, monkeypatch):
+    from tunnelfwi import solver
+    _, records = _truth_records(box_config, tmp_path)
+    capsys.readouterr()
+    factorize, calls = solver.factorize, []
+
+    def singular_first(A):
+        # the first factorization of the inversion is group 0's, at omega = 900
+        calls.append(A.shape)
+        if len(calls) == 1:
+            raise solver.SingularMatrixError("boom")
+        return factorize(A)
+
+    monkeypatch.setattr(solver, "factorize", singular_first)
+    outdir = tmp_path / "inv"
+    assert cli_dispatch(["invert", "--config", box_config, "--records", str(records),
+                         "--output", str(outdir)]) == 0
+    assert capsys.readouterr().err == "group 0 failed: boom at omega = 900.0, degree 1\n"
+    mesh = build_tunnel_mesh(load_config(box_config).geometry())
+    ambient = ModelVector.homogeneous(mesh, 4000.0, 2400.0)
+    snapshot = read_model_grid(outdir / "model_group_00.txt", mesh)
+    np.testing.assert_array_equal(snapshot.values, ambient.values)
+    log = _read_log(outdir / "convergence.jsonl")
+    assert {r.group for r in log} == {1}
+    assert any(r.alpha > 0.0 for r in log)
+    assert log[-1].note == "group end" and log[-1].chi < log[0].chi
 
 
 def test_cli_case_study_forward_then_invert(tmp_path):

@@ -453,7 +453,7 @@ def test_a_mesh_is_numbered_once_per_degree_and_frees_its_maps(monkeypatch):
                             degree_for=degree_for)
     assert [res.system.dof_map.p for res in kept] == [1, 2]
     assert all(res.system.dof_map is mesh.dof_maps[res.system.dof_map.p] for res in kept)
-    assert built[4:] == [("DofMap", 3)] and unused._system_pattern is None
+    assert built[4:] == [("DofMap", 3)] and "system_pattern" not in vars(unused)
 
     ref = weakref.ref(mesh)
     del mesh, unused, kept

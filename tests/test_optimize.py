@@ -158,7 +158,7 @@ def test_line_search_hand_fit_parabola():
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_line_search_backtracks_on_increase():
+def test_line_search_finds_a_minimizer_far_below_alpha_init():
     def chi(a):
         # increasing on [0, 1]: only very small steps decrease
         return (a - 0.01) ** 2
@@ -166,6 +166,20 @@ def test_line_search_backtracks_on_increase():
     alpha, value = line_search(chi, 1.0)
     assert alpha < 1.0
     assert value < chi(0.0)
+
+
+def test_line_search_halves_when_the_fit_has_no_positive_vertex():
+    # chi(0), chi(1), chi(2) lie on a^2, whose vertex is 0: the search
+    # halves from alpha_init until a step improves
+    trials = []
+
+    def chi(a):
+        trials.append(a)
+        return a * a if a >= 0.2 else -a
+
+    alpha, value = line_search(chi, 1.0)
+    assert trials == [0.0, 1.0, 2.0, 0.5, 0.25, 0.125]
+    assert (alpha, value) == (0.125, -0.125)
 
 
 def test_line_search_failure():
