@@ -148,9 +148,6 @@ def precondition(values, mask, areas):
     """L-BFGS gradient from dchi/dm: divided by the lumped nodal areas, then
     scaled by the per-node ``mask`` (None: no mask); both velocity blocks
     share the nodal factors."""
-    if mask is not None and len(mask) * 2 != len(values):
-        raise AdjointError(f"mask length {len(mask)} does not match "
-                           f"gradient length {len(values)}")
     grad = values / np.concatenate([areas, areas])
     if mask is not None:
         grad = grad * np.concatenate([mask, mask])

@@ -150,15 +150,16 @@ def cmd_invert(cfg, args):
         fileio.write_atomically(
             os.path.join(args.output, "convergence.jsonl"),
             lambda tmp: fileio.write_convergence_log(tmp, state.log))
+        for r in state.log:
+            if r.group == gi and r.note.startswith("failed: "):
+                print(f"group {gi} {r.note}", file=sys.stderr)
 
-    result = optmod.run_inversion(initial, cfg.schedule(), data, cfg.settings(),
-                                  on_group_end=on_group_end)
+    final = optmod.run_inversion(initial, cfg.schedule(), data, cfg.settings(),
+                                 on_group_end=on_group_end)
     fileio.write_atomically(
         os.path.join(args.output, "final_model.txt"),
-        lambda tmp: fileio.write_model_grid(tmp, result.state.model, mesh))
-    for gi, msg in result.failures:
-        print(f"group {gi} failed: {msg}", file=sys.stderr)
-    print(f"inversion finished after {result.state.iteration} iterations; "
+        lambda tmp: fileio.write_model_grid(tmp, final.model, mesh))
+    print(f"inversion finished after {final.iteration} iterations; "
           f"outputs in {args.output}")
     return 0
 
@@ -170,8 +171,6 @@ def cmd_validate_pml(cfg, args):
     width = geo.domain_width
     height = geo.depth_above_tunnel + geo.tunnel_height + geo.depth_below_tunnel
     pml = geo.pml_width
-    if pml <= 0:
-        raise CliError("validate-pml needs pml_width > 0")
     mesh = meshmod.build_unbounded_mesh(width, height, pml, geo.element_size)
     ambient = cfg.ambient()
     model = matmod.ModelVector.homogeneous(mesh, ambient.vp, ambient.vs)

@@ -239,8 +239,7 @@ def validate_config(cfg: RunConfig):
     try:
         cfg.geometry()
         cfg.ambient()
-        if s["pml_width"] > 0:
-            cfg.profile()
+        cfg.profile()
         cfg.discretization()
         cfg.schedule()
         cfg.settings()

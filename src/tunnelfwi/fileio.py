@@ -74,6 +74,8 @@ def _number_row(path, line_no, line, n_cols):
 
 def write_time_records(path, traces):
     """``traces`` maps (source, receiver, direction letter) to TimeSeries."""
+    if not traces:
+        raise FileFormatError("no traces to write")
     keys = sorted(traces)
     first = traces[keys[0]]
     nt = len(first.samples)

@@ -228,11 +228,15 @@ def _descend(x, evaluate, gradient, first_trial, project, max_iterations, capaci
     the run before a gradient; a zero gradient (norm below ``grad_tol``) or
     one of ``errors`` from the line search ends it at the last accepted x.
     Returns (x, f, steps), one step (f, alpha, grad_norm, note) per iteration
-    at its direction's start; a stop step has alpha 0.0 and a note.
+    at its direction's start; a stop step has alpha 0.0 and a note.  One of
+    ``errors`` at the start gives (x, nan, [(nan, 0.0, 0.0, "failed: ...")]).
     """
     history = LbfgsHistory(capacity)
     # evaluated here, so the caller holds no payload through the iteration
-    f, payload = evaluate(x)
+    try:
+        f, payload = evaluate(x)
+    except errors as exc:
+        return x, np.nan, [(np.nan, 0.0, 0.0, f"failed: {exc}")]
     f_prev = previous = None  # previous: (x, gradient) where the last direction started
     steps = []
     for _ in range(max_iterations):
@@ -343,6 +347,9 @@ class InversionData:
                                  f"{np.shape(values)}, expected {shape}")
             if not np.isfinite(values).all():
                 raise ValueError(f"observed records at omega = {w} are not finite")
+        if self.mask is not None and np.shape(self.mask) != (self.mesh.n_nodes,):
+            raise ValueError(f"mask has shape {np.shape(self.mask)}, "
+                             f"expected {(self.mesh.n_nodes,)}")
         self.dof_map = asmmod.DofMap.of(self.mesh, self.cfg.degree)
         self.node_areas = asmmod.node_areas(self.mesh)
 
@@ -452,21 +459,16 @@ def run_frequency_group(state: OptimizerState, group, data: InversionData,
                           iteration=state.iteration + len(accepted), log=log)
 
 
-@dataclass
-class InversionResult:
-    state: OptimizerState
-    failures: list
-
-
 def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionData,
-                  settings: InversionSettings, on_group_end=None) -> InversionResult:
+                  settings: InversionSettings, on_group_end=None) -> OptimizerState:
     """Sequential multi-scale loop; each group seeds the next one.
 
-    A group whose first solve meets a singular system is recorded in
-    ``failures`` and the next group starts from the last model; any other
+    Returns the final state.  A singular system ends a group the way a
+    failed line search does, its first solve's included (a ``failed: ...``
+    line with chi NaN, and the group keeps its starting model); any other
     error propagates.  ``on_group_end(group_index, state)``, if given, runs
-    after every group, failed ones included.  A model or missing frequency
-    that cannot run fails before the first group.
+    after every group.  A model or missing frequency that cannot run fails
+    before the first group.
     """
     initial_model.validate()
     missing = [w for w in schedule.all_frequencies() if w not in data.observed]
@@ -474,12 +476,8 @@ def run_inversion(initial_model, schedule: FrequencySchedule, data: InversionDat
         raise ScheduleError("no observed records at omega = "
                             + ", ".join(map(str, missing)))
     state = OptimizerState(model=initial_model)
-    failures = []
     for gi, group in enumerate(schedule.groups):
-        try:
-            state = run_frequency_group(state, group, data, settings, group_index=gi)
-        except solvermod.SingularMatrixError as exc:
-            failures.append((gi, str(exc)))
+        state = run_frequency_group(state, group, data, settings, group_index=gi)
         if on_group_end is not None:
             on_group_end(gi, state)
-    return InversionResult(state=state, failures=failures)
+    return state

@@ -359,6 +359,3 @@ def test_precondition_entrywise():
     got = precondition(values, mixed, areas)
     want = scaled * np.concatenate([mixed, mixed])
     np.testing.assert_array_equal(got, want)
-
-    with pytest.raises(AdjointError):
-        precondition(values, np.zeros(3), areas)

@@ -319,6 +319,13 @@ def test_time_records_writer_checks_lengths(tmp_path):
     assert not path.exists()
 
 
+def test_time_records_writer_refuses_no_traces(tmp_path):
+    path = tmp_path / "rec.txt"
+    with pytest.raises(FileFormatError, match="^no traces to write$"):
+        write_time_records(path, {})
+    assert not path.exists()
+
+
 def _two_trace_file(tmp_path):
     path = tmp_path / "rec.txt"
     traces = {(0, 0, "x"): TimeSeries(np.arange(4.0), 0.5),
@@ -632,11 +639,14 @@ def test_convergence_log_round_trip(tmp_path):
                IterationRecord(2, 1, 1.0, 0.0, 0.0, "x\x1cy\u2028z\x85"),
                IterationRecord(2, 2, 1.0, 0.0, 0.0, "first\nsecond"),
                IterationRecord(2, 3, 1.0, 0.0, 0.0, "-"),
-               IterationRecord(2, 4, 1.0, 0.0, 0.0, "")]
+               IterationRecord(2, 4, 1.0, 0.0, 0.0, ""),
+               # a group whose first solve failed: json writes chi as NaN
+               IterationRecord(3, 0, float("nan"), 0.0, 0.0, "failed: zero pivot")]
     path = tmp_path / "convergence.jsonl"
     fileio.write_convergence_log(path, entries)
     # one line per record, whatever line breaks a note holds
     assert len(path.read_text().splitlines()) == len(entries)
+    assert '"chi": NaN' in path.read_text().splitlines()[-1]
     back = _read_log(path)
     assert len(back) == len(entries)
     for r, b in zip(entries, back):
@@ -745,13 +755,17 @@ def test_cli_forward_rejects_nan_c_pml(tmp_path):
     assert not out.exists()
 
 
-def test_cli_forward_without_absorbing_layer_fails_before_any_solve(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["forward", "greens", "invert", "validate-pml", "dft"])
+def test_cli_without_absorbing_layer_fails_before_any_solve(tmp_path, capsys, command):
+    # the later pml_width line replaces BOX_CONFIG's, and the config fails at load
     from tunnelfwi import solver
     cfg_path = tmp_path / "fw.cfg"
     cfg_path.write_text(BOX_CONFIG + "pml_width = 0\n")
     out = tmp_path / "records.txt"
+    records = ["--records", str(tmp_path / "obs.txt")] if command in ("invert", "dft") else []
     before = solver.factorization_count()
-    assert cli_dispatch(["forward", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert cli_dispatch([command, "--config", str(cfg_path), *records,
+                         "--output", str(out)]) == 1
     assert capsys.readouterr().err == "error: layer width must be finite and > 0, got 0.0\n"
     assert not out.exists()
     assert solver.factorization_count() == before
@@ -828,9 +842,14 @@ def test_cli_invert_reports_a_failed_group_and_runs_the_next(box_config, tmp_pat
     snapshot = read_model_grid(outdir / "model_group_00.txt", mesh)
     np.testing.assert_array_equal(snapshot.values, ambient.values)
     log = _read_log(outdir / "convergence.jsonl")
-    assert {r.group for r in log} == {1}
-    assert any(r.alpha > 0.0 for r in log)
-    assert log[-1].note == "group end" and log[-1].chi < log[0].chi
+    failed = [r for r in log if r.group == 0]
+    assert [r.note for r in failed] == ["failed: boom at omega = 900.0, degree 1",
+                                        "group end"]
+    assert all(np.isnan(r.chi) for r in failed)
+    second = [r for r in log if r.group == 1]
+    assert len(failed) + len(second) == len(log)
+    assert any(r.alpha > 0.0 for r in second)
+    assert second[-1].note == "group end" and second[-1].chi < second[0].chi
 
 
 def test_cli_case_study_forward_then_invert(tmp_path):

@@ -454,6 +454,20 @@ def test_inversion_data_checks_observed_records(bad):
     assert (solver.factorization_count(), solver.fallback_count()) == before
 
 
+def test_inversion_data_rejects_a_mask_of_another_length():
+    # caught where the data is assembled, not after the first factorization
+    from tunnelfwi import solver
+    mesh, data, truth = toy_problem()
+    n = mesh.n_nodes
+    before = solver.factorization_count()
+    with pytest.raises(ValueError, match=rf"^mask has shape \({n + 3},\), "
+                                         rf"expected \({n},\)$"):
+        InversionData(mesh=mesh, layout=data.layout, profile=data.profile,
+                      cfg=data.cfg, rho=RHO, ambient_vs=2400.0, observed=data.observed,
+                      source_amplitude=lambda w: 1.0, mask=np.ones(n + 3))
+    assert solver.factorization_count() == before
+
+
 def test_two_parameter_toy_recovers_truth():
     # homogeneous two-unknown inversion: chi over the (vp, vs) plane
     mesh, data, truth = toy_problem()
@@ -513,15 +527,15 @@ def test_run_inversion_single_group_equals_group_run():
     res = run_inversion(start, sched, data, settings)
     direct = run_frequency_group(OptimizerState(model=start), (1200.0, 2000.0),
                                  data, settings)
-    np.testing.assert_array_equal(res.state.model.values, direct.model.values)
+    np.testing.assert_array_equal(res.model.values, direct.model.values)
 
 
 def test_run_inversion_on_consistent_data_keeps_model():
     mesh, data, truth = toy_problem()
     sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
     res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3))
-    np.testing.assert_array_equal(res.state.model.values, truth.values)
-    assert res.failures == []
+    np.testing.assert_array_equal(res.model.values, truth.values)
+    assert [r.note for r in res.log] == ["group end", "group end"]
 
 
 def test_inversion_deterministic_logs(tmp_path):
@@ -531,8 +545,8 @@ def test_inversion_deterministic_logs(tmp_path):
     sched = FrequencySchedule(((1200.0, 2000.0),))
     logs = []
     for name in ("first.jsonl", "second.jsonl"):
-        write_convergence_log(tmp_path / name, run_inversion(start, sched, data,
-                                                             settings).state.log)
+        write_convergence_log(tmp_path / name,
+                              run_inversion(start, sched, data, settings).log)
         logs.append((tmp_path / name).read_text())
     assert logs[0] and logs[0] == logs[1]
 
@@ -590,10 +604,17 @@ def test_run_inversion_records_singular_group(monkeypatch):
     sched = FrequencySchedule(((1200.0,), (1200.0, 2000.0)))
     ended = []
     res = run_inversion(truth, sched, data, InversionSettings(max_iterations=3),
-                        on_group_end=lambda gi, state: ended.append(gi))
-    assert res.failures == [(0, "zero pivot at omega = 1200.0, degree 1")]
-    assert ended == [0, 1]
-    np.testing.assert_array_equal(res.state.model.values, truth.values)
+                        on_group_end=lambda gi, state: ended.append((gi, state)))
+    # the failed group logs its error and its end, both with chi NaN, and
+    # keeps its starting model; the next group runs from it
+    failed = [r for r in res.log if r.group == 0]
+    assert [r.note for r in failed] == ["failed: zero pivot at omega = 1200.0, degree 1",
+                                        "group end"]
+    assert all(np.isnan(r.chi) for r in failed)
+    assert [gi for gi, _ in ended] == [0, 1]
+    np.testing.assert_array_equal(ended[0][1].model.values, truth.values)
+    assert [(r.note, r.chi) for r in res.log if r.group == 1] == [("group end", 0.0)]
+    np.testing.assert_array_equal(res.model.values, truth.values)
 
 
 def test_singular_trial_keeps_the_accepted_iterations(monkeypatch):
@@ -628,7 +649,7 @@ def test_singular_trial_keeps_the_accepted_iterations(monkeypatch):
     ended = {}
     res = run_inversion(start, sched, data, InversionSettings(max_iterations=3),
                         on_group_end=lambda gi, state: ended.setdefault(gi, state))
-    assert failed and res.failures == []
+    assert failed and not [r for r in res.log if r.note.startswith("failed: ")]
     first = [r for r in ended[0].log if r.group == 0]
     assert [r.note for r in first] == [
         "", "line search failed: zero pivot at omega = 1200.0, degree 1", "group end"]
@@ -892,7 +913,7 @@ def test_group_end_logs_the_groups_own_step(monkeypatch):
     monkeypatch.setattr(optimize, "line_search", second_search_fails)
     res = run_inversion(start, FrequencySchedule(((1200.0,), (1200.0, 2000.0))),
                         data, InversionSettings(max_iterations=1))
-    first, second = ([r for r in res.state.log if r.group == g] for g in (0, 1))
+    first, second = ([r for r in res.log if r.group == g] for g in (0, 1))
     assert [r.note for r in first] == ["", "group end"]
     assert first[0].alpha > 0.0 and first[-1].alpha == first[0].alpha
     assert [r.note for r in second] == ["line search failed: no step", "group end"]
